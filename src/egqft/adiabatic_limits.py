@@ -10,6 +10,7 @@ probability measure that concentrates at the origin as eps -> 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -58,6 +59,13 @@ def _map_ordered(fn: Callable, items: Sequence):
 # --------------------------------------------------------------------------- scaled families
 
 
+@functools.lru_cache(maxsize=None)
+def _hermgauss(n: int):
+    """Gauss-Hermite nodes/weights, computed once per order (callers share the
+    arrays and must not modify them)."""
+    return np.polynomial.hermite.hermgauss(n)
+
+
 @dataclass(frozen=True)
 class ScaledTestFamily:
     """Mixture-of-Gaussians profile g with unit normalization; the scaled
@@ -80,7 +88,7 @@ class ScaledTestFamily:
 
     def nodes(self, eps: float):
         """Quadrature nodes/weights such that <t, g_eps> ~ sum w_i t(x_i)."""
-        h, wh = np.polynomial.hermite.hermgauss(self.hermite_order)
+        h, wh = _hermgauss(self.hermite_order)
         pts = []
         wts = []
         for c, wc in zip(self.centers, self.weights):
@@ -371,13 +379,14 @@ class _Curve:
     """Linear interpolation of a complex function of q^2 on an asinh grid
     (log-dense near zero, where the interesting singularities live)."""
 
-    def __init__(self, fn: Callable[[float], complex], qmax: float, npts: int = 900,
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], qmax: float, npts: int = 900,
                  delta: float = 1e-7):
+        """fn maps the whole q^2 grid to its complex values in one call."""
         self.delta = delta
         umax = math.asinh(qmax / delta)
         u = np.linspace(-umax, umax, npts)
         q2 = delta * np.sinh(u)
-        vals = np.array([fn(float(x)) for x in q2], dtype=complex)
+        vals = np.asarray(fn(q2), dtype=complex)
         self.u = u
         self.re = vals.real
         self.im = vals.imag
@@ -474,8 +483,7 @@ def _radial_nodes(family: ScaledTestFamily, eps: float, n0: int = 40, nr: int = 
     Spatial centers must vanish so the radial reduction applies.
     """
     s = math.sqrt(2.0) * eps * family.sigma
-    h, wh = np.polynomial.hermite.hermgauss(n0)
-    t, wt = np.polynomial.laguerre.laggauss(nr)
+    h, wh = _hermgauss(n0)
     # r-measure: r^2 exp(-r^2 / 2 s^2) dr -> generalized Laguerre alpha=1/2
     tl, wl = _laguerre_half(nr)
     r = s * np.sqrt(2.0 * tl)
@@ -491,8 +499,10 @@ def _radial_nodes(family: ScaledTestFamily, eps: float, n0: int = 40, nr: int = 
     return comps, r, wr
 
 
+@functools.lru_cache(maxsize=None)
 def _laguerre_half(n: int):
-    """Gauss nodes/weights for integral_0^inf f(t) t^(1/2) e^(-t) dt."""
+    """Gauss nodes/weights for integral_0^inf f(t) t^(1/2) e^(-t) dt, computed
+    once per order (callers share the arrays and must not modify them)."""
     from scipy.special import roots_genlaguerre
 
     return roots_genlaguerre(n, 0.5)

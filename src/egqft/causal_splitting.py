@@ -96,27 +96,19 @@ class SelfEnergy:
         return int(math.floor(g)) + 1
 
 
-def _tail_integral(se: SelfEnergy, smax: float, q2: float) -> float:
-    """integral_{smax}^inf rho(s)/(s^n (s - q2)) ds via u = 1/s.
-
-    The substituted integrand rho(1/u) u^(n-1) / (1 - q2 u) is bounded on
-    (0, 1/smax] whenever the subtraction order beats the density growth, so
-    adaptive quadrature resolves the tail to full precision.
-    """
-    n = se.n_sub
-
-    def g(u):
-        return se.density(1.0 / u) * u ** (n - 1) / (1.0 - q2 * u)
-
-    return integrate.quad(g, 0.0, 1.0 / smax, limit=400, epsabs=1e-13, epsrel=1e-11)[0]
+# Tolerances of the dispersion quadrature, in the max norm over the q^2 vector.
+_EPSABS, _EPSREL = 1e-13, 1e-11
 
 
-def dispersion_eval(se: SelfEnergy, q2: float, mode: str = "feynman") -> complex:
-    """Subtracted dispersion integral at real q^2.
+def dispersion_eval(
+    se: SelfEnergy, q2: float | np.ndarray, mode: str = "feynman"
+) -> complex | np.ndarray:
+    """Subtracted dispersion integral at real q^2, a scalar or an array.
 
     mode "feynman"/"advanced": boundary value s - q^2 - i0 (below the cut);
     mode "retarded": s - q^2 + i0.  Below threshold the result is real; on
     the cut the i0 term contributes -+ i rho(q^2) via the Plemelj split.
+    Returns a complex for a scalar q^2 and a complex array otherwise.
     """
     if mode not in ("feynman", "advanced", "retarded"):
         raise SplittingError(f"unknown mode {mode!r}")
@@ -127,48 +119,72 @@ def dispersion_eval(se: SelfEnergy, q2: float, mode: str = "feynman") -> complex
             f"dispersion integral diverges for n_sub = {n}; density growth "
             f"s^{se.density.growth} requires n_sub >= {need}"
         )
-    s0 = se.density.threshold
-    if q2 == 0.0 and n >= 1:
-        return 0.0 + 0.0j
-
-    def f(s):
-        return se.density(s) / s**n
-
-    smax = max(100.0 * max(1.0, abs(q2), s0 + 1.0), s0 + 10.0)
-    val = _principal_integral(f, s0, smax, q2)
-    val += _tail_integral(se, smax, q2)
-    out = complex(val)
-    on_cut = q2 > s0 and se.density(q2) != 0.0
-    if on_cut:
-        disc = math.pi * se.density(q2) / q2**n
-        if mode == "retarded":
-            out -= 1j * disc
-        else:
-            out += 1j * disc
-    pref = q2**n / math.pi
-    return pref * out
+    q = np.asarray(q2, dtype=float)
+    out = np.zeros(q.shape, dtype=complex)
+    # a subtracted Sigma vanishes exactly at q^2 = 0; those points need no integral
+    live = q != 0.0 if n >= 1 else np.ones(q.shape, dtype=bool)
+    if live.any():
+        out[live] = _dispersion_pass(se, q[live], mode)
+    return complex(out) if q.ndim == 0 else out
 
 
-def _principal_integral(f, s0: float, smax: float, q2: float) -> float:
-    """PV integral of f(s)/(s - q2) over [s0, smax]."""
-    if q2 <= s0 or q2 >= smax:
-        return integrate.quad(
-            lambda s: f(s) / (s - q2), s0, smax, limit=400, epsabs=1e-13, epsrel=1e-11
-        )[0]
-    w = min(q2 - s0, smax - q2) * 0.5
-    parts = 0.0
-    if s0 < q2 - w:
-        parts += integrate.quad(
-            lambda s: f(s) / (s - q2), s0, q2 - w, limit=400, epsabs=1e-13, epsrel=1e-11
-        )[0]
-    parts += integrate.quad(
-        f, q2 - w, q2 + w, weight="cauchy", wvar=q2, limit=400, epsabs=1e-13, epsrel=1e-11
-    )[0]
-    if q2 + w < smax:
-        parts += integrate.quad(
-            lambda s: f(s) / (s - q2), q2 + w, smax, limit=400, epsabs=1e-13, epsrel=1e-11
-        )[0]
-    return parts
+def _dispersion_pass(se: SelfEnergy, qs: np.ndarray, mode: str) -> np.ndarray:
+    """Sigma at every point of the 1-D array qs in one adaptive vector quadrature.
+
+    With f(s) = rho(s) / s^n and smax = 100 max(1, max|q^2|, s0 + 1) (at
+    least s0 + 10), above every q^2:
+
+    - on [s0, smax] the principal value is taken by subtraction,
+      PV int f(s) / (s - q) ds = int (f(s) - f(q)) / (s - q) ds
+      + f(q) log((smax - q) / (q - s0)) for s0 < q, and s = s0 + t^2 maps
+      the threshold square root away;
+    - the tail beyond smax goes to u = 1/s, where rho(1/u) u^(n-1) / (1 - q u)
+      is bounded on (0, 1/smax] whenever the subtraction order beats the
+      density growth.
+
+    Both pieces are one integration variable x: u on [0, 1/smax], then
+    t = x - 1/smax.
+    """
+    dens, n, s0 = se.density, se.n_sub, se.density.threshold
+    smax = max(100.0 * max(1.0, float(np.max(np.abs(qs))), s0 + 1.0), s0 + 10.0)
+    u_end = 1.0 / smax
+    f_q = np.array([dens(x) / x**n if x > s0 else 0.0 for x in qs.tolist()])
+    # a single point stays on Python floats, which quad_vec integrates far faster
+    q, fq = (float(qs[0]), float(f_q[0])) if qs.size == 1 else (qs, f_q)
+
+    def integrand(x):
+        if x < u_end:
+            return dens(1.0 / x) * x ** (n - 1) / (1.0 - q * x)
+        t = x - u_end
+        s = s0 + t * t
+        d = s - q
+        # ds/dt = 2t is taken at the rounded s where rho is evaluated: near
+        # threshold s0 + t^2 loses the low bits of t^2, and 2t would turn that
+        # rounding into noise the adaptive rule chases.  A node exactly at
+        # s = q^2 is the 0/0 point of the quotient; it adds 0.
+        return (dens(s) / s**n - fq) / (d + (d == 0)) * (2.0 * math.sqrt(s - s0))
+
+    val, err, info = integrate.quad_vec(
+        integrand, 0.0, u_end + math.sqrt(smax - s0), epsabs=_EPSABS, epsrel=_EPSREL,
+        norm="max", points=(u_end,), limit=1000, full_output=True,
+    )
+    if not info.success:
+        # rho is sampled at floating-point s, which cannot resolve s - s0 much
+        # below ulp(s0): points that close to the threshold are ill-conditioned
+        near = qs[np.abs(qs - s0) < 1e-8 * max(s0, 1.0)]
+        hint = ""
+        if near.size:
+            hint = f"; q^2 = {float(near[0])!r} is within rounding reach of the threshold"
+        raise SplittingError(
+            f"dispersion quadrature did not converge after {info.neval} evaluations "
+            f"(error estimate {err:.3g}): {info.message.rstrip('.')}{hint}"
+        )
+    cut = qs > s0
+    pv_log = np.zeros_like(qs)
+    pv_log[cut] = np.log((smax - qs[cut]) / (qs[cut] - s0))
+    disc = math.pi * f_q  # Plemelj term, zero off the cut
+    out = val + f_q * pv_log + (-1j if mode == "retarded" else 1j) * disc
+    return qs**n / math.pi * out
 
 
 def central_normalize(se: SelfEnergy, omega: int) -> SelfEnergy:

@@ -362,7 +362,7 @@ def _cmd_selfenergy(args):
         se = central_normalize(se, om if om is not VANISHING_SECTOR else 0)
     else:
         se = SelfEnergy(se.density, n_sub=int(args.nsub))
-    rows = [(q2, dispersion_eval(se, float(q2), args.mode)) for q2 in q2s]
+    rows = list(zip(q2s, dispersion_eval(se, q2s, args.mode)))
     with _out_stream(args) as out:
         if args.format == "json":
             for q2, v in rows:
@@ -475,7 +475,7 @@ def _cmd_sdestimate(args):
             pts = np.zeros((xs.size, dim))
             pts[:, 0] = xs
             vals = np.exp(-xs**2) * p(pts)
-            return float(np.trapz(vals, xs))
+            return float(np.trapezoid(vals, xs))
 
     else:
         raise AdiabaticError(f"unknown target {args.target!r}")

@@ -9,6 +9,7 @@ massless field.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -204,8 +205,15 @@ def validate(m: ModelSpec) -> ModelVerdict:
     Structural defects (dangling field indices, wrong table) raise; physics
     conditions are reported in the verdict.  The Lorentz-scalar property of
     vertices cannot be checked without representation data and is reported
-    as unchecked.
+    as unchecked.  The verdict depends on the frozen spec alone, so it is
+    computed once per spec; each call returns its own copy.
     """
+    verdict = _verdict(m)
+    return replace(verdict, reasons=list(verdict.reasons))
+
+
+@functools.lru_cache(maxsize=64)
+def _verdict(m: ModelSpec) -> ModelVerdict:
     from . import power_counting
 
     reasons: list[str] = []

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .exact import I, ONE, QRat, as_qrat
 from .symbolic_fields import Alpha, FieldTable, Generator, ZERO_ALPHA
@@ -300,23 +299,16 @@ def feynman_propagator(mass: float, q, iepsilon: float | None = None, mode: str 
 def two_body_phase_space(m1: float, m2: float, s: float) -> float:
     """integral dmu_m1 dmu_m2 (2pi)^4 delta^4(q - p1 - p2) at q^2 = s (rest frame).
 
-    Angular reduction leaves one radial integral whose energy-conservation
-    root p* is found numerically; the value is p*/(4 pi sqrt(s)).
+    In closed form sqrt(lambda(s, m1^2, m2^2)) / (8 pi s), with the Kallen
+    function factored as (s - (m1 + m2)^2)(s - (m1 - m2)^2) so that it keeps
+    full relative precision at threshold.  Zero at and below threshold.
     """
     if s <= 0:
         raise KinematicsError(f"need timelike total momentum, got s = {s}")
-    rs = math.sqrt(s)
-    if rs <= m1 + m2:
+    if s <= (m1 + m2) ** 2:
         return 0.0
-
-    def excess(p):
-        return math.hypot(p, m1) + math.hypot(p, m2) - rs
-
-    hi = rs
-    while excess(hi) < 0:
-        hi *= 2.0
-    pstar = optimize.brentq(excess, 0.0, hi, xtol=1e-14, rtol=1e-14)
-    return pstar / (4.0 * math.pi * rs)
+    lam = (s - (m1 + m2) ** 2) * (s - (m1 - m2) ** 2)
+    return math.sqrt(lam) / (8.0 * math.pi * s)
 
 
 def two_body_phase_space_vec(m1: float, m2: float, q) -> float:

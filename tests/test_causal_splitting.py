@@ -204,3 +204,126 @@ def test_massless_cut_dispersion_matches_exponential_integral():
     for q2 in (-9.0, -1.0, -1e-4, 1e-4, 0.5, 2.0, 8.0):
         got = dispersion_eval(se, q2, "feynman")
         assert abs(got - oracle(q2)) < 1e-12
+
+
+# --------------------------------------------------------------------------- vector dispersion pass
+
+
+def _cauchy_reference(se, q2, mode="feynman"):
+    """Per-point reference for dispersion_eval: adaptive QUADPACK quad on
+    [s0, smax] with the pole taken by the Cauchy-weight rule on a window
+    around it, plus the u = 1/s tail; smax as in dispersion_eval."""
+    from scipy import integrate
+
+    n, s0 = se.n_sub, se.density.threshold
+    if q2 == 0.0 and n >= 1:
+        return 0j
+
+    def f(s):
+        return se.density(s) / s**n
+
+    def quad(g, a, b, **kw):
+        return integrate.quad(g, a, b, limit=400, epsabs=1e-13, epsrel=1e-11, **kw)[0]
+
+    smax = max(100.0 * max(1.0, abs(q2), s0 + 1.0), s0 + 10.0)
+    if s0 < q2:
+        w = min(q2 - s0, smax - q2) * 0.5
+        val = quad(f, q2 - w, q2 + w, weight="cauchy", wvar=q2)
+        pieces = [(s0, q2 - w), (q2 + w, smax)]
+    else:
+        val, pieces = 0.0, [(s0, smax)]
+    val += sum(quad(lambda s: f(s) / (s - q2), a, b) for a, b in pieces)
+    val += quad(lambda u: se.density(1.0 / u) * u ** (n - 1) / (1.0 - q2 * u), 0.0, 1.0 / smax)
+    disc = math.pi * f(q2) if q2 > s0 else 0.0
+    return q2**n / math.pi * complex(val, -disc if mode == "retarded" else disc)
+
+
+def test_kit_curves_match_cauchy_reference():
+    """Every 9th node of both second-order curves (100 of 900, on both sides
+    of 0 and of 4m^2) against the per-point Cauchy-weight reference."""
+    from egqft.adiabatic_limits import SecondOrderKit
+    from egqft.propagators_kinematics import two_body_phase_space
+
+    kit = SecondOrderKit.build(mass=M, uv_scale=3.0)
+    flat = SpectralDensity(
+        fn=lambda s: two_body_phase_space(0.0, 0.0, s) * math.exp(-s / 9.0) if s > 0 else 0.0,
+        threshold=0.0,
+        growth=-math.inf,
+    )
+    se_pair, se_bubble = SelfEnergy(flat), central_normalize(SelfEnergy(RHO), 2)
+    curves = [
+        (kit.pair_curve, lambda q2: -0.5j * _cauchy_reference(se_pair, q2)),
+        (kit.bubble_curve, lambda q2: _cauchy_reference(se_bubble, q2)),
+    ]
+    for curve, reference in curves:
+        nodes = np.arange(4, curve.u.size, 9)
+        q2s = curve.delta * np.sinh(curve.u[nodes])
+        below_cut = (0 < q2s) & (q2s < 4 * M * M)
+        assert (q2s < 0).any() and below_cut.any() and (q2s > 4 * M * M).any()
+        for i, q2 in zip(nodes, q2s):
+            want = reference(float(q2))
+            got = complex(curve.re[i], curve.im[i])
+            assert abs(got - want) <= 1e-10 * abs(want), (q2, got, want)
+
+
+def _bubble_two_subtractions(z):
+    """Closed form of the equal-mass (m = 1) bubble with two subtractions at 0.
+
+    With beta = sqrt(1 - 4/z), J(z) = (z/pi) int_4^inf ds beta(s) / (s (s - z - i0))
+    is (2 - beta log((beta + 1)/(beta - 1)))/pi for z < 0,
+    (2 - 2 b atan(1/b))/pi with b = sqrt(4/z - 1) for 0 < z < 4 and
+    (2 - beta log((1 + beta)/(1 - beta)) + i pi beta)/pi above 4.  The density
+    is beta/(4 pi), so Sigma_1 = J/(4 pi) and Sigma_2 = Sigma_1 - z/(24 pi^2).
+    """
+    if z < 0:
+        beta = math.sqrt((z - 4.0) / z)
+        j = 2.0 - beta * math.log((beta + 1.0) / (beta - 1.0))
+    elif z < 4:
+        b = math.sqrt((4.0 - z) / z)
+        j = 2.0 - 2.0 * b * math.atan(1.0 / b)
+    else:
+        beta = math.sqrt((z - 4.0) / z)
+        j = complex(2.0 - beta * math.log((1.0 + beta) / (1.0 - beta)), math.pi * beta)
+    return j / (4.0 * math.pi**2) - z / (24.0 * math.pi**2)
+
+
+def test_bubble_two_subtractions_closed_form():
+    se = central_normalize(SelfEnergy(RHO), omega=2)
+    q2s = np.array([-50.0, -5.0, -0.5, -0.05, 0.05, 0.5, 2.0, 3.9, 3.999999,
+                    4.000001, 4.1, 5.0, 10.0, 50.0])
+    got = dispersion_eval(se, q2s)
+    for q2, v in zip(q2s, got):
+        want = _bubble_two_subtractions(float(q2))
+        assert abs(v - want) <= 1e-10 * abs(want), (q2, v, want)
+
+
+def test_dispersion_array_matches_scalar_all_modes():
+    q2s = [-7.5, -1e-3, 0.0, 1e-3, 2.0, 3.99, 4.01, 6.0, 30.0, 500.0]
+    for n in (1, 2):
+        se = SelfEnergy(RHO, n_sub=n)
+        for mode in ("feynman", "advanced", "retarded"):
+            arr = dispersion_eval(se, np.array(q2s), mode)
+            assert arr.shape == (len(q2s),) and arr.dtype == complex
+            for q2, v in zip(q2s, arr):
+                one = dispersion_eval(se, q2, mode)
+                assert isinstance(one, complex)
+                assert abs(v - one) <= 1e-11 * abs(one), (n, mode, q2, v, one)
+    grid = dispersion_eval(se, np.array(q2s[:9]).reshape(3, 3))
+    assert grid.shape == (3, 3) and grid[0, 2] == 0.0
+    assert dispersion_eval(se, np.array([])).shape == (0,)
+
+
+def test_dispersion_nonconvergence_raises():
+    """A density with a non-integrable singularity inside the cut: the
+    quadrature cannot converge, and says so instead of returning a number."""
+    spike = SpectralDensity(
+        fn=lambda s: 1.0 / abs(s - 7.0) if s > 4.0 and s != 7.0 else 0.0,
+        threshold=4.0,
+        growth=-math.inf,
+    )
+    for q2 in (2.0, np.array([-1.0, 2.0])):
+        with pytest.raises(SplittingError, match="did not converge"):
+            dispersion_eval(SelfEnergy(spike, n_sub=1), q2)
+    # 1e-10 above threshold is below what rho sampled at float s resolves
+    with pytest.raises(SplittingError, match="rounding reach of the threshold"):
+        dispersion_eval(SelfEnergy(RHO, n_sub=1), np.array([2.0, 4.0 + 1e-10]))

@@ -142,10 +142,14 @@ def test_model_file_loading(tmp_path, capsys):
 
 
 def test_sdestimate(capsys):
-    code, out, _ = _run(capsys, ["sdestimate", "--target", "delta", "--dim", "4", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert abs(payload["estimate"] - 4.0) < 0.05
+    # "smooth" pairs the probe with exp(-x0^2) along the x0 axis only, i.e.
+    # with exp(-x0^2) times a delta in the other dim - 1 coordinates
+    for target, expect, tol in (("delta", 4.0, 0.05), ("ddelta", 5.0, 0.05), ("smooth", 3.0, 0.1)):
+        argv = ["sdestimate", "--target", target, "--dim", "4", "--format", "json"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0, target
+        payload = json.loads(out)
+        assert payload["ok"] and abs(payload["estimate"] - expect) < tol, payload
 
 
 def test_adiabatic_cli_json(tmp_path, capsys):

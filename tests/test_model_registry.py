@@ -97,6 +97,19 @@ def test_validate_builtin_matrix():
         assert any("not checked" in r for r in verdict.reasons)
 
 
+def test_validate_memoized_per_spec_returns_own_copy():
+    from egqft.model_registry import _verdict
+
+    m = builtin("scalar_model")
+    first = validate(m)
+    first.reasons.append("edited by the caller")
+    hits = _verdict.cache_info().hits
+    again = validate(builtin("scalar_model"))  # an equal spec hits the same entry
+    assert _verdict.cache_info().hits == hits + 1
+    assert again == validate(m) and "edited by the caller" not in again.reasons
+    assert again.reasons is not validate(m).reasons
+
+
 def test_scalar_model_c0_super_renormalizable():
     verdict = validate(builtin("scalar_model", c_const=0))
     assert verdict.renormalizability == "super-renormalizable"

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -35,25 +33,6 @@ class AdiabaticError(ValueError):
 
 
 DEFAULT_EPSILONS = tuple(0.3 * 2.0 ** (-k / 2.0) for k in range(12))
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("EGQFT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence):
-    """Map preserving order; fans out over threads when EGQFT_THREADS > 1.
-
-    Every evaluation is pure, so the result is deterministic either way.
-    """
-    n = _worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------- scaled families
@@ -572,8 +551,8 @@ def appendix_c_demo(
 
         return f
 
-    adv_samples = _map_ordered(lambda e: _smear_radial(family, e, make_f(-1)), family.epsilons)
-    ret_samples = _map_ordered(lambda e: _smear_radial(family, e, make_f(+1)), family.epsilons)
+    adv_samples = [_smear_radial(family, e, make_f(-1)) for e in family.epsilons]
+    ret_samples = [_smear_radial(family, e, make_f(+1)) for e in family.epsilons]
     diff = [a - b for a, b in zip(adv_samples, ret_samples)]
     return NormalizationDemoReport(
         advanced=fit_limit(family.epsilons, adv_samples, family=family.label + "/adv"),
@@ -668,7 +647,7 @@ def gl_vs_eg_second_order(
             tot += 0.5 * w * phi(eps, kap, +1) * phi(eps, kap, -1)
         return tot / (4.0 * math.pi**2)
 
-    deltas = _map_ordered(delta_at, family.epsilons)
+    deltas = [delta_at(e) for e in family.epsilons]
 
     eps = np.asarray(family.epsilons)
     mags = np.array([abs(d) for d in deltas])

@@ -5,15 +5,22 @@ adiabatic, glcheck, sdestimate.  Every subcommand supports --format
 json|csv and --manifest out.json.  Exit codes: 0 success, 1 domain error
 (with a diagnostic naming the violated condition), 2 usage error.
 Symbolic term streams are emitted as JSON lines, one term per line, in a
-deterministic order.  EGQFT_THREADS caps worker parallelism.
+deterministic order.
+
+Each subcommand runs its library calls and returns (model, manifest params,
+records); run() then writes the records, dicts as JSON or preformatted
+lines, so a domain error leaves no --out file behind.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,11 +33,10 @@ from .causal_splitting import (
     dispersion_eval,
     scaling_degree_estimate,
 )
-from .exact import QRat
 from .model_registry import (
     ModelError,
-    builtin,
     load_model,
+    parse_polynomial,
     serialize_model_spec,
     validate,
 )
@@ -38,6 +44,7 @@ from .power_counting import (
     VANISHING_SECTOR,
     CountingError,
     SList,
+    omega_general,
     omega_massless,
 )
 from .propagators_kinematics import KinematicsError
@@ -46,11 +53,13 @@ from .symbolic_fields import (
     Generator,
     Polynomial,
     SuperQuadriIndex,
+    canonical_dim,
     species_signature,
     subpolynomials,
 )
 from .wick_pairing import WickError, complete_pairings, wick_expand
 from .adiabatic_limits import (
+    DEFAULT_EPSILONS,
     AdiabaticError,
     appendix_c_demo,
     asymmetric_family,
@@ -87,23 +96,55 @@ def _write_manifest(path, subcommand, model, params, t0):
         fh.write("\n")
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    import contextlib
-
-    return contextlib.nullcontext(sys.stdout)
-
-
-def _qrat_str(c: QRat) -> str:
-    return repr(c)
-
-
 def _sqi_json(model, s: SuperQuadriIndex):
     return [
         {"field": model.fields.gen_name(Generator(g.field)), "alpha": list(g.alpha), "mult": m}
         for g, m in s.entries
     ]
+
+
+def _csv_quoted(text: str) -> str:
+    return '"' + text.replace('"', "'") + '"'
+
+
+# --------------------------------------------------------------------------- option types
+
+
+def _q2_points(spec: str) -> np.ndarray:
+    """The grid a:b:n of --q2grid (n >= 1 points)."""
+    try:
+        a, b, n = spec.split(":")
+        a, b, n = float(a), float(b), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a:b:n, got {spec!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need n >= 1 grid points, got {spec!r}")
+    return np.linspace(a, b, n)
+
+
+def _parse_counts(spec: str | None) -> dict[str, int]:
+    """name=count pairs of --ext and --der."""
+    out = {}
+    for item in spec.split(",") if spec else ():
+        name, _, val = item.partition("=")
+        try:
+            out[name.strip()] = int(val)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected name=count[,name=count...], got {spec!r}"
+            ) from None
+    return out
+
+
+def _checked(parse):
+    """argparse type: reject what `parse` cannot read, keep the text itself
+    (the manifest records the option as given)."""
+
+    def check(spec: str) -> str:
+        parse(spec)
+        return spec
+
+    return check
 
 
 # --------------------------------------------------------------------------- subcommands
@@ -112,36 +153,20 @@ def _sqi_json(model, s: SuperQuadriIndex):
 def _cmd_classify(args):
     model = load_model(args.model)
     if args.c is not None:
-        if args.model in _builtin_set():
-            model = builtin(args.model, c_const=args.c)
-        else:
-            from dataclasses import replace
-
-            model = replace(model, c_const=args.c)
+        model = replace(model, c_const=args.c)
     verdict = validate(model)
-    payload = {
-        "model": model.name,
-        "c": model.c_const,
-        "renormalizability": verdict.renormalizability,
-        "wal_eligible": verdict.wal_eligible,
-        "reasons": verdict.reasons,
-    }
-    with _out_stream(args) as out:
-        if args.format == "json":
-            json.dump(payload, out, sort_keys=True)
-            out.write("\n")
-        else:
-            flag = "wAL-eligible" if verdict.wal_eligible else "not wAL-eligible"
-            out.write(f"{verdict.renormalizability}; {flag}\n")
-            for r in verdict.reasons:
-                out.write(f"# {r}\n")
-    return model, {"model": args.model, "c": args.c, "format": args.format}
-
-
-def _builtin_set():
-    from .model_registry import BUILTIN_NAMES
-
-    return set(BUILTIN_NAMES)
+    params = {"model": args.model, "c": args.c, "format": args.format}
+    if args.format == "json":
+        return model, params, [{
+            "model": model.name,
+            "c": model.c_const,
+            "renormalizability": verdict.renormalizability,
+            "wal_eligible": verdict.wal_eligible,
+            "reasons": verdict.reasons,
+        }]
+    flag = "wAL-eligible" if verdict.wal_eligible else "not wAL-eligible"
+    lines = [f"{verdict.renormalizability}; {flag}"] + [f"# {r}" for r in verdict.reasons]
+    return model, params, lines
 
 
 def _cmd_subpolys(args):
@@ -155,8 +180,6 @@ def _cmd_subpolys(args):
                 + (f"^{m}" if m > 1 else "")
                 for (sp, a), m in sig
             ) or "1"
-            from .symbolic_fields import canonical_dim
-
             rows.append(
                 {
                     "vertex": cname,
@@ -165,33 +188,20 @@ def _cmd_subpolys(args):
                     "representative": repr(q),
                 }
             )
-    with _out_stream(args) as out:
-        if args.format == "json":
-            for r in rows:
-                json.dump(r, out, sort_keys=True)
-                out.write("\n")
-        else:
-            out.write("vertex,signature,dim,representative\n")
-            for r in rows:
-                rep = r["representative"].replace('"', "'")
-                out.write(f"{r['vertex']},{r['signature']},{r['dim']},\"{rep}\"\n")
-    return model, {"model": args.model, "view": args.view}
-
-
-def _parse_counts(spec: str):
-    out = {}
-    if not spec:
-        return out
-    for item in spec.split(","):
-        name, _, val = item.partition("=")
-        out[name.strip()] = int(val)
-    return out
+    params = {"model": args.model, "view": args.view}
+    if args.format == "json":
+        return model, params, rows
+    return model, params, ["vertex,signature,dim,representative"] + [
+        f"{r['vertex']},{r['signature']},{r['dim']},{_csv_quoted(r['representative'])}"
+        for r in rows
+    ]
 
 
 def _cmd_omega(args):
     model = load_model(args.model)
     exts = _parse_counts(args.ext)
-    ders = _parse_counts(args.der or "")
+    der_counts = _parse_counts(args.der)
+    ders = dict(der_counts)
     pairs = []
     for name, count in exts.items():
         fidx = model.fields.index(name)
@@ -207,52 +217,49 @@ def _cmd_omega(args):
         raise CountingError(f"derivative counts for fields without occurrences: {sorted(ders)}")
     u = SList.of(SuperQuadriIndex.from_pairs(pairs))
     val = omega_massless(model, u)
-    payload = {
-        "model": model.name,
-        "ext": exts,
-        "der": _parse_counts(args.der or ""),
-        "omega": None if val is VANISHING_SECTOR else val,
-        "vanishing_sector": val is VANISHING_SECTOR,
-    }
-    with _out_stream(args) as out:
-        if args.format == "json":
-            json.dump(payload, out, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("vanishing-sector\n" if val is VANISHING_SECTOR else f"{val}\n")
-    return model, {"model": args.model, "ext": args.ext, "der": args.der}
+    params = {"model": args.model, "ext": args.ext, "der": args.der}
+    if args.format == "json":
+        return model, params, [{
+            "model": model.name,
+            "ext": exts,
+            "der": der_counts,
+            "omega": None if val is VANISHING_SECTOR else val,
+            "vanishing_sector": val is VANISHING_SECTOR,
+        }]
+    return model, params, ["vanishing-sector" if val is VANISHING_SECTOR else f"{val}"]
 
 
 def _resolve_arg_poly(model, token: str) -> Polynomial:
+    """A --args/--left/--right item: L or Lk (k-th vertex), a coupling name,
+    or a free-form scalar-sector monomial."""
     token = token.strip()
-    if token == "L" or token == "L1":
-        return model.vertices[0][1]
-    if token.startswith("L") and token[1:].isdigit():
-        return model.vertices[int(token[1:]) - 1][1]
+    if token == "L" or (token.startswith("L") and token[1:].isdigit()):
+        k, n = int(token[1:] or 1), len(model.vertices)
+        if not 1 <= k <= n:
+            raise ModelError(
+                f"argument {token!r}: no such vertex; valid references are L1..L{n}"
+                if n else f"argument {token!r}: the model has no vertices"
+            )
+        return model.vertices[k - 1][1]
     for cname, poly in model.vertices:
         if cname == token:
             return poly
-    from .model_registry import parse_model_spec
-
-    text = serialize_model_spec(model)
-    if "[builtin]" in text:
+    if any(e.kind not in ("scalar", "ghost") for e in model.fields.entries):
         raise ModelError(
             f"argument {token!r}: free-form monomials are scalar-sector only; "
             f"use vertex names for this model"
         )
-    probe = text.replace("[vertices]", f"[vertices]\n__probe__ = {token}", 1)
-    parsed = parse_model_spec(probe)
-    return _rebind(parsed.vertex("__probe__"), model)
-
-
-def _rebind(poly: Polynomial, model) -> Polynomial:
-    return Polynomial(model.fields, dict(poly.terms))
+    try:
+        return parse_polynomial(model.fields, token)
+    except ModelError as exc:
+        raise ModelError(f"argument {token!r}: {exc}") from None
 
 
 def _cmd_wick(args):
     model = load_model(args.model)
     polys = [_resolve_arg_poly(model, tok) for tok in args.args.split(",")]
     terms = wick_expand(polys)
+    params = {"model": args.model, "args": args.args}
 
     def sqi_str(s):
         return "*".join(
@@ -260,30 +267,27 @@ def _cmd_wick(args):
             for g, m in s.entries
         ) or "1"
 
-    with _out_stream(args) as out:
-        if args.format == "csv":
-            out.write("sign,weight,s_list,normal_monomials,vev_forced_zero,vev_args\n")
-            for t in terms:
-                s_str = ";".join(sqi_str(s) for s in t.s_list.items)
-                n_str = ";".join(sqi_str(s) for s in t.normal_monomials)
-                a_str = ";".join(repr(p).replace('"', "'") for p in t.vev_args)
-                out.write(
-                    f'{t.sign},{t.weight!r},{s_str},{n_str},'
-                    f'{int(t.vev_forced_zero)},"{a_str}"\n'
-                )
-        else:
-            for t in terms:
-                rec = {
-                    "s_list": [_sqi_json(model, s) for s in t.s_list.items],
-                    "sign": t.sign,
-                    "weight": _qrat_str(t.weight),
-                    "vev_args": [repr(p) for p in t.vev_args],
-                    "normal_monomials": [_sqi_json(model, s) for s in t.normal_monomials],
-                    "vev_forced_zero": t.vev_forced_zero,
-                }
-                json.dump(rec, out, sort_keys=True)
-                out.write("\n")
-    return model, {"model": args.model, "args": args.args}
+    if args.format == "json":
+        return model, params, (
+            {
+                "s_list": [_sqi_json(model, s) for s in t.s_list.items],
+                "sign": t.sign,
+                "weight": repr(t.weight),
+                "vev_args": [repr(p) for p in t.vev_args],
+                "normal_monomials": [_sqi_json(model, s) for s in t.normal_monomials],
+                "vev_forced_zero": t.vev_forced_zero,
+            }
+            for t in terms
+        )
+
+    def csv_line(t):
+        s_str = ";".join(sqi_str(s) for s in t.s_list.items)
+        n_str = ";".join(sqi_str(s) for s in t.normal_monomials)
+        a_str = _csv_quoted(";".join(repr(p) for p in t.vev_args))
+        return f"{t.sign},{t.weight!r},{s_str},{n_str},{int(t.vev_forced_zero)},{a_str}"
+
+    header = "sign,weight,s_list,normal_monomials,vev_forced_zero,vev_args"
+    return model, params, itertools.chain([header], map(csv_line, terms))
 
 
 def _monomial_index(model, token: str) -> SuperQuadriIndex:
@@ -300,62 +304,44 @@ def _cmd_pairings(args):
     terms = complete_pairings(
         left, right, model, require_full=args.full, force=args.force
     )
-    with _out_stream(args) as out:
-        if args.format == "csv":
-            out.write("const,classification,pairs\n")
-            for t in terms:
-                pstr = ";".join(
-                    f"{p.left_slot}:{model.fields.gen_name(p.left_gen)}-"
-                    f"{p.right_slot}:{model.fields.gen_name(p.right_gen)}"
-                    for p in t.pairs
-                )
-                out.write(f"{t.const!r},{t.classification},{pstr}\n")
-            return model, {
-                "model": args.model,
-                "left": args.left,
-                "right": args.right,
-                "full": args.full,
-            }
-        for t in terms:
-            rec = {
+    params = {"model": args.model, "left": args.left, "right": args.right, "full": args.full}
+    name = model.fields.gen_name
+    if args.format == "json":
+        return model, params, (
+            {
                 "pairs": [
                     {
                         "left_slot": p.left_slot,
-                        "left": model.fields.gen_name(p.left_gen),
+                        "left": name(p.left_gen),
                         "right_slot": p.right_slot,
-                        "right": model.fields.gen_name(p.right_gen),
+                        "right": name(p.right_gen),
                         "mass": p.mass,
                     }
                     for p in t.pairs
                 ],
                 "residual_left": [_sqi_json(model, s) for s in t.residual_left.items],
                 "residual_right": [_sqi_json(model, s) for s in t.residual_right.items],
-                "const": _qrat_str(t.const),
+                "const": repr(t.const),
                 "classification": t.classification,
             }
-            json.dump(rec, out, sort_keys=True)
-            out.write("\n")
-    return model, {
-        "model": args.model,
-        "left": args.left,
-        "right": args.right,
-        "full": args.full,
-    }
+            for t in terms
+        )
+    return model, params, itertools.chain(["const,classification,pairs"], (
+        f"{t.const!r},{t.classification},"
+        + ";".join(
+            f"{p.left_slot}:{name(p.left_gen)}-{p.right_slot}:{name(p.right_gen)}"
+            for p in t.pairs
+        )
+        for t in terms
+    ))
 
 
 def _cmd_selfenergy(args):
     model = load_model(args.model)
-    a, b, n = args.q2grid.split(":")
-    q2s = np.linspace(float(a), float(b), int(n))
-    masses = sorted(
-        {e.numbers.mass for e in model.fields.entries if e.numbers.mass > 0}
-    )
-    m = masses[-1] if masses else 0.0
+    q2s = _q2_points(args.q2grid)
+    m = max((e.numbers.mass for e in model.fields.entries), default=0.0)
     se = SelfEnergy(bubble_density(m, m))
     if args.nsub == "central":
-        from .power_counting import omega_general
-        from .symbolic_fields import canonical_dim
-
         # self-energy block: two vertices, each with one external leg removed
         dims = [canonical_dim(model.vertices[0][1]) - 1] * 2
         om = omega_general(dims, model.c_const)
@@ -363,33 +349,24 @@ def _cmd_selfenergy(args):
     else:
         se = SelfEnergy(se.density, n_sub=int(args.nsub))
     rows = list(zip(q2s, dispersion_eval(se, q2s, args.mode)))
-    with _out_stream(args) as out:
-        if args.format == "json":
-            for q2, v in rows:
-                json.dump({"q2": float(q2), "re": v.real, "im": v.imag}, out, sort_keys=True)
-                out.write("\n")
-        else:
-            out.write("q2,re_sigma,im_sigma\n")
-            for q2, v in rows:
-                out.write(f"{float(q2):.12g},{v.real:.12g},{v.imag:.12g}\n")
-    return model, {
-        "model": args.model,
-        "q2grid": args.q2grid,
-        "nsub": args.nsub,
-        "mode": args.mode,
-    }
+    params = {"model": args.model, "q2grid": args.q2grid, "nsub": args.nsub, "mode": args.mode}
+    if args.format == "json":
+        return model, params, [
+            {"q2": float(q2), "re": v.real, "im": v.imag} for q2, v in rows
+        ]
+    return model, params, ["q2,re_sigma,im_sigma"] + [
+        f"{float(q2):.12g},{v.real:.12g},{v.imag:.12g}" for q2, v in rows
+    ]
 
 
-def _family(kind: str, dim: int = 4, neps: int | None = None):
-    from .adiabatic_limits import DEFAULT_EPSILONS
-
+def _family(kind: str, neps: int | None):
     eps = DEFAULT_EPSILONS if neps is None else tuple(
         0.3 * 2.0 ** (-k / 2.0) for k in range(neps)
     )
     if kind == "gauss":
-        return gaussian_family(dim, epsilons=eps)
+        return gaussian_family(4, epsilons=eps)
     if kind == "asym":
-        return asymmetric_family(dim, epsilons=eps)
+        return asymmetric_family(4, epsilons=eps)
     raise AdiabaticError(f"unknown family {kind!r} (gauss, asym)")
 
 
@@ -408,51 +385,45 @@ def _limit_report_json(rep):
 def _cmd_adiabatic(args):
     model = load_model(args.model)
     rep = appendix_c_demo(
-        model, args.cmis, family=_family(args.family, neps=args.neps),
+        model, args.cmis, family=_family(args.family, args.neps),
         f_profile=args.fprofile,
     )
-    payload = {
-        "model": model.name,
-        "c_mis": args.cmis,
-        "f_profile": args.fprofile,
-        "advanced": _limit_report_json(rep.advanced),
-        "retarded": _limit_report_json(rep.retarded),
-        "difference": _limit_report_json(rep.difference),
-    }
-    with _out_stream(args) as out:
-        if args.format == "json":
-            json.dump(payload, out, sort_keys=True, indent=2)
-            out.write("\n")
-        else:
-            out.write("eps,re_adv,im_adv,re_ret,im_ret\n")
-            for (e, va), (_, vr) in zip(rep.advanced.samples, rep.retarded.samples):
-                out.write(f"{e:.8g},{va.real:.12g},{va.imag:.12g},{vr.real:.12g},{vr.imag:.12g}\n")
-    return model, {"model": args.model, "cmis": args.cmis, "family": args.family}
+    params = {"model": args.model, "cmis": args.cmis, "family": args.family}
+    if args.format == "json":
+        return model, params, [{
+            "model": model.name,
+            "c_mis": args.cmis,
+            "f_profile": args.fprofile,
+            "advanced": _limit_report_json(rep.advanced),
+            "retarded": _limit_report_json(rep.retarded),
+            "difference": _limit_report_json(rep.difference),
+        }]
+    return model, params, ["eps,re_adv,im_adv,re_ret,im_ret"] + [
+        f"{e:.8g},{va.real:.12g},{va.imag:.12g},{vr.real:.12g},{vr.imag:.12g}"
+        for (e, va), (_, vr) in zip(rep.advanced.samples, rep.retarded.samples)
+    ]
 
 
 def _cmd_glcheck(args):
     model = load_model(args.model)
     rep = gl_vs_eg_second_order(
-        model, family=_family(args.family, neps=args.neps), c_mis=args.cmis
+        model, family=_family(args.family, args.neps), c_mis=args.cmis
     )
-    with _out_stream(args) as out:
-        if args.format == "json":
-            payload = {
-                "model": model.name,
-                "exponent": rep.exponent,
-                "exponent_sigma": rep.exponent_sigma,
-                "order0_difference": rep.order0_difference,
-                "normalized": rep.normalized,
-                "samples": [[e, m] for e, m in rep.samples],
-            }
-            json.dump(payload, out, sort_keys=True, indent=2)
-            out.write("\n")
-        else:
-            out.write("eps,abs_difference\n")
-            for e, mres in rep.samples:
-                out.write(f"{e:.8g},{mres:.12g}\n")
-            out.write(f"# fitted decay exponent = {rep.exponent:.6g}\n")
-    return model, {"model": args.model, "cmis": args.cmis, "family": args.family}
+    params = {"model": args.model, "cmis": args.cmis, "family": args.family}
+    if args.format == "json":
+        return model, params, [{
+            "model": model.name,
+            "exponent": rep.exponent,
+            "exponent_sigma": rep.exponent_sigma,
+            "order0_difference": rep.order0_difference,
+            "normalized": rep.normalized,
+            "samples": [[e, m] for e, m in rep.samples],
+        }]
+    return model, params, (
+        ["eps,abs_difference"]
+        + [f"{e:.8g},{mres:.12g}" for e, mres in rep.samples]
+        + [f"# fitted decay exponent = {rep.exponent:.6g}"]
+    )
 
 
 def _cmd_sdestimate(args):
@@ -468,7 +439,7 @@ def _cmd_sdestimate(args):
             e0[0] = h
             return -(p(e0) - p(-e0)) / (2 * h)
 
-    elif args.target == "smooth":
+    else:  # smooth
 
         def pairing(p):
             xs = np.linspace(-6, 6, 4001)
@@ -477,31 +448,26 @@ def _cmd_sdestimate(args):
             vals = np.exp(-xs**2) * p(pts)
             return float(np.trapezoid(vals, xs))
 
-    else:
-        raise AdiabaticError(f"unknown target {args.target!r}")
-
     def tilted(x):
         x = np.asarray(x, dtype=float)
         r2 = np.sum(x * x, axis=-1)
         return np.exp(-0.5 * r2) * (1.0 + x[..., 0])
 
     est = scaling_degree_estimate(pairing, dim, base=tilted)
-    payload = {
-        "target": args.target,
-        "dim": dim,
-        "estimate": est.value,
-        "slope": est.slope,
-        "residual": est.residual,
-        "ok": est.ok,
-        "note": est.note,
-    }
-    with _out_stream(args) as out:
-        if args.format == "json":
-            json.dump(payload, out, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write(f"scaling degree estimate: {est.value:.4f} (residual {est.residual:.2e})\n")
-    return None, {"target": args.target, "dim": dim}
+    params = {"target": args.target, "dim": dim}
+    if args.format == "json":
+        return None, params, [{
+            "target": args.target,
+            "dim": dim,
+            "estimate": est.value,
+            "slope": est.slope,
+            "residual": est.residual,
+            "ok": est.ok,
+            "note": est.note,
+        }]
+    return None, params, [
+        f"scaling degree estimate: {est.value:.4f} (residual {est.residual:.2e})"
+    ]
 
 
 # --------------------------------------------------------------------------- driver
@@ -532,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="power-counting index for an external-leg pattern")
     p.add_argument("--model", required=True)
-    p.add_argument("--ext", required=True, help="e.g. phi=2,psi=0")
-    p.add_argument("--der", help="total derivative counts, e.g. phi=1")
+    p.add_argument("--ext", required=True, type=_checked(_parse_counts), help="e.g. phi=2,psi=0")
+    p.add_argument("--der", type=_checked(_parse_counts), help="total derivative counts, e.g. phi=1")
     common(p)
 
     p = sub.add_parser("wick", help="causal Wick expansion term stream (JSON lines)")
@@ -555,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: q2, re_sigma, im_sigma.",
     )
     p.add_argument("--model", required=True)
-    p.add_argument("--q2grid", required=True, help="a:b:n")
+    p.add_argument("--q2grid", required=True, type=_checked(_q2_points), help="a:b:n")
     p.add_argument("--nsub", default="central", help="integer or 'central'")
     p.add_argument("--mode", choices=("feynman", "advanced", "retarded"), default="feynman")
     common(p)
@@ -592,16 +558,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# subcommand -> (command, JSON indent of its records)
 _DISPATCH = {
-    "classify": _cmd_classify,
-    "subpolys": _cmd_subpolys,
-    "omega": _cmd_omega,
-    "wick": _cmd_wick,
-    "pairings": _cmd_pairings,
-    "selfenergy": _cmd_selfenergy,
-    "adiabatic": _cmd_adiabatic,
-    "glcheck": _cmd_glcheck,
-    "sdestimate": _cmd_sdestimate,
+    "classify": (_cmd_classify, None),
+    "subpolys": (_cmd_subpolys, None),
+    "omega": (_cmd_omega, None),
+    "wick": (_cmd_wick, None),
+    "pairings": (_cmd_pairings, None),
+    "selfenergy": (_cmd_selfenergy, None),
+    "adiabatic": (_cmd_adiabatic, 2),
+    "glcheck": (_cmd_glcheck, 2),
+    "sdestimate": (_cmd_sdestimate, None),
 }
 
 
@@ -612,11 +579,18 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     t0 = time.monotonic()
+    command, indent = _DISPATCH[args.cmd]
     try:
-        model, params = _DISPATCH[args.cmd](args)
+        model, params, records = command(args)
     except DOMAIN_ERRORS as exc:
         print(f"egqft {args.cmd}: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        records = (json.dumps(r, sort_keys=True, indent=indent) for r in records)
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        for line in records:
+            fh.write(line + "\n")
     if args.manifest:
         _write_manifest(args.manifest, args.cmd, model, params, t0)
     return 0

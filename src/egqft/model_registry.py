@@ -40,8 +40,11 @@ class ModelError(ValueError):
 
 
 class ModelParseError(ModelError):
-    def __init__(self, msg: str, line: int, col: int = 0):
-        super().__init__(f"line {line}, col {col}: {msg}")
+    """A model-text error; line is None for a lone vertex expression."""
+
+    def __init__(self, msg: str, line: int | None = None, col: int = 0):
+        super().__init__(msg if line is None else f"line {line}, col {col}: {msg}")
+        self.msg = msg
         self.line = line
         self.col = col
 
@@ -288,7 +291,7 @@ _FACTOR_RE = re.compile(
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def _split_factors(expr: str, line: int):
+def _split_factors(expr: str):
     """Split a monomial on '*', re-attaching stars that conjugate a field name."""
     parts = expr.split("*")
     factors: list[str] = []
@@ -296,7 +299,7 @@ def _split_factors(expr: str, line: int):
         tok = raw.strip()
         if tok == "":
             if not factors:
-                raise ModelParseError("monomial starts with '*'", line)
+                raise ModelParseError("monomial starts with '*'")
             factors[-1] += "*"
         else:
             factors.append(tok)
@@ -385,6 +388,43 @@ def _entries_for(name, kind, mass, charge, fermion, base, line):
     return out
 
 
+def parse_polynomial(table: FieldTable, expr: str) -> Polynomial:
+    """Parse one vertex expression, `rational * monomial`, over a field table.
+
+    Factors are scalar-sector field names with optional derivative tags
+    d[mu] and powers ^n; raises ModelParseError naming the bad factor.
+    """
+    factors = _split_factors(expr)
+    coeff = Fraction(1)
+    start = 0
+    if factors and _RAT_RE.match(factors[0]):
+        coeff = Fraction(factors[0])
+        start = 1
+    poly = Polynomial.unit(table, QRat(coeff))
+    nonscalar_species = {e.species for e in table.entries if e.kind in ("dirac", "vector")}
+    for f in factors[start:]:
+        mobj = _FACTOR_RE.match(f)
+        if not mobj:
+            raise ModelParseError(f"cannot parse factor {f!r}", col=expr.find(f))
+        tags, fname, powstr = mobj.group("tags"), mobj.group("name"), mobj.group("pow")
+        alpha = [0, 0, 0, 0]
+        for mu in re.findall(r"d\[([0-3])\]", tags):
+            alpha[int(mu)] += 1
+        kind = next((e.kind for e in table.entries if e.name == fname), None)
+        if kind is None and fname.rstrip("*") not in nonscalar_species:
+            raise ModelParseError(f"unknown field name {fname!r}", col=expr.find(f))
+        if kind not in ("scalar", "ghost"):
+            raise ModelParseError(
+                f"field {fname!r} is not scalar-sector; spinor/vector vertices are "
+                f"available only through builtin models",
+                col=expr.find(f),
+            )
+        factor_poly = Polynomial.of_field(table, fname, tuple(alpha))
+        for _ in range(int(powstr) if powstr else 1):
+            poly = poly * factor_poly
+    return poly
+
+
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse the line-oriented model format.
 
@@ -449,48 +489,10 @@ def parse_model_spec(text: str) -> ModelSpec:
 
     vertices = []
     for cname, expr, lineno in raw_vertices:
-        factors = _split_factors(expr, lineno)
-        coeff = Fraction(1)
-        start = 0
-        if factors and _RAT_RE.match(factors[0]):
-            coeff = Fraction(factors[0])
-            start = 1
-        poly = Polynomial.unit(table, QRat(coeff))
-        for pos, f in enumerate(factors[start:], start=start):
-            mobj = _FACTOR_RE.match(f)
-            if not mobj:
-                raise ModelParseError(f"cannot parse factor {f!r}", lineno, col=expr.find(f))
-            tags, fname, powstr = mobj.group("tags"), mobj.group("name"), mobj.group("pow")
-            alpha = [0, 0, 0, 0]
-            for mu in re.findall(r"d\[([0-3])\]", tags):
-                alpha[int(mu)] += 1
-            try:
-                fidx = table.index(fname)
-            except AlgebraError:
-                hint = {e.species for e in table.entries if e.kind in ("dirac", "vector")}
-                if fname in hint or (fname.rstrip("*") in hint):
-                    raise ModelParseError(
-                        f"field {fname!r} is not scalar-sector; spinor/vector vertices "
-                        f"are available only through builtin models",
-                        lineno,
-                        col=expr.find(f),
-                    ) from None
-                raise ModelParseError(
-                    f"unknown field name {fname!r}", lineno, col=expr.find(f)
-                ) from None
-            entry = table.entry(fidx)
-            if entry.kind not in ("scalar", "ghost"):
-                raise ModelParseError(
-                    f"field {fname!r} is not scalar-sector; spinor/vector vertices are "
-                    f"available only through builtin models",
-                    lineno,
-                    col=expr.find(f),
-                )
-            power = int(powstr) if powstr else 1
-            factor_poly = Polynomial.of_field(table, fname, tuple(alpha))
-            for _ in range(power):
-                poly = poly * factor_poly
-        vertices.append((cname, poly))
+        try:
+            vertices.append((cname, parse_polynomial(table, expr)))
+        except ModelParseError as exc:
+            raise ModelParseError(exc.msg, lineno, exc.col) from None
 
     c = 1 if not raw_vertices else None
     if "c" in options:

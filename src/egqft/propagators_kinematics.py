@@ -33,8 +33,6 @@ class KinematicsError(ValueError):
 
 # --------------------------------------------------------------------------- gamma algebra
 
-_i = QRat(0, 1)
-_0 = QRat(0)
 _1 = QRat(1)
 
 
@@ -340,20 +338,32 @@ def gaussian_probe(a: float = 1.0):
     """Euclidean Gaussian g(k) = exp(-a |k|_E^2) and its third d'Alembertian.
 
     Returns (g0, g_radial, box3_radial) with the radial callables taking
-    (k0, r = |kvec|); box = d^2/dk0^2 - laplacian_kvec.  Built symbolically
-    once, so the sixth-order derivatives are exact.
-    """
-    import sympy as sp
+    (k0, r = |kvec|); box = d^2/dk0^2 - laplacian_kvec.  Closed form from the
+    Hermite derivatives along k0 and the powers of the 3-D radial Laplacian:
 
-    k0, k1, k2, k3 = sp.symbols("k0 k1 k2 k3", real=True)
-    g = sp.exp(-a * (k0**2 + k1**2 + k2**2 + k3**2))
-    box = lambda f: sp.diff(f, k0, 2) - sp.diff(f, k1, 2) - sp.diff(f, k2, 2) - sp.diff(f, k3, 2)
-    b3 = sp.simplify(box(box(box(g))))
-    r = sp.symbols("r", nonnegative=True)
-    # rotational symmetry: evaluate on the k1-axis
-    subs = {k1: r, k2: 0, k3: 0}
-    g_rad = sp.lambdify((k0, r), g.subs(subs), "numpy")
-    b3_rad = sp.lambdify((k0, r), b3.subs(subs), "numpy")
+        box^3 g = g * sum_j C(3,j) a^j H_2j(sqrt(a) k0) (4a)^n n! L_n^(1/2)(a r^2),
+
+    n = 3 - j, with the polynomial factor held as a power series in (k0, r).
+    """
+    coef = np.zeros((7, 7))
+    for j in range(4):
+        n = 3 - j
+        herm = np.polynomial.hermite.herm2poly([0] * (2 * j) + [1])
+        herm = herm * math.sqrt(a) ** np.arange(2 * j + 1)
+        lag = np.zeros(2 * n + 1)  # (4a)^n n! L_n^(1/2)(a r^2) in powers of r
+        for m in range(n + 1):
+            lag[2 * m] = (4 * a) ** n * math.factorial(n) * (-a) ** m * math.gamma(n + 1.5) / (
+                math.factorial(n - m) * math.gamma(m + 1.5) * math.factorial(m)
+            )
+        coef[: 2 * j + 1, : 2 * n + 1] += math.comb(3, j) * a**j * np.outer(herm, lag)
+
+    def g_rad(k0, r):
+        return np.exp(-a * (k0**2 + r**2))
+
+    def b3_rad(k0, r):
+        k0, r = np.broadcast_arrays(k0, r)
+        return g_rad(k0, r) * np.polynomial.polynomial.polyval2d(k0, r, coef)
+
     return 1.0, g_rad, b3_rad
 
 

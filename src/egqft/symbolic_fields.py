@@ -413,13 +413,6 @@ class Polynomial:
     def parity(self) -> int:
         return self.fermion_number() % 2
 
-    def homogeneous_components(self) -> dict[tuple[int, int, Fraction], "Polynomial"]:
-        """Split into pieces of definite (fermion, charge, dim)."""
-        out: dict[tuple[int, int, Fraction], dict] = {}
-        for idx, c in self.terms:
-            out.setdefault(self._mono_numbers(idx), {})[idx] = c
-        return {k: Polynomial(self.table, v) for k, v in out.items()}
-
     def contains_massive_everywhere(self) -> bool:
         """True when every monomial has at least one massive-field factor."""
         if not self.terms:

@@ -21,7 +21,7 @@ from typing import Sequence
 from .exact import QRat
 from .power_counting import SList
 from .propagators_kinematics import two_point
-from .symbolic_fields import Generator, Polynomial, SuperQuadriIndex, derive
+from .symbolic_fields import Generator, Polynomial, SuperQuadriIndex, subpolynomials
 
 
 class WickError(ValueError):
@@ -37,7 +37,6 @@ class WickTerm:
     sign: int
     weight: QRat  # 1/(s_1! ... s_n!)
     vev_args: tuple[Polynomial, ...]
-    vev_key: tuple
     normal_monomials: tuple[SuperQuadriIndex, ...]
     vev_forced_zero: bool
 
@@ -124,17 +123,12 @@ def _species_balance_possible(args: Sequence[Polynomial], table) -> bool:
         for idx, _ in p.terms:
             acc: dict[str, int] = {}
             for g, m in idx.entries:
-                acc[table.entry(g.field).species] = (
-                    acc.get(table.entry(g.field).species, 0) + m
-                )
+                sp = table.entry(g.field).species
+                acc[sp] = acc.get(sp, 0) + m
             sigs.add(tuple(sorted(acc.items())))
         per_arg.append(sigs)
-
-    def conj_species(sp: str) -> str:
-        for i, e in enumerate(table.entries):
-            if e.species == sp:
-                return table.entries[e.adjoint].species
-        return sp
+    # species -> conjugate species, taken from the first entry of each species
+    conj = {e.species: table.entries[e.adjoint].species for e in reversed(table.entries)}
 
     for combo in itertools.product(*per_arg):
         total: dict[str, int] = {}
@@ -143,7 +137,7 @@ def _species_balance_possible(args: Sequence[Polynomial], table) -> bool:
                 total[sp] = total.get(sp, 0) + m
         ok = True
         for sp, m in total.items():
-            cs = conj_species(sp)
+            cs = conj[sp]
             if cs == sp:
                 if m % 2:
                     ok = False
@@ -176,31 +170,17 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
                 sign=1,
                 weight=QRat(1),
                 vev_args=(p,),
-                vev_key=(p.key(),),
                 normal_monomials=(SuperQuadriIndex(),),
                 vev_forced_zero=not _species_balance_possible((p,), table),
             )
         ]
-    per_arg = []
     for p in polys:
         if p.table != table:
             raise WickError("arguments over different field tables")
-        cands = []
-        seen = set()
-        for idx, _ in p.terms:
-            gens = idx.entries
-            for mults in itertools.product(*[range(m + 1) for _, m in gens]):
-                s = SuperQuadriIndex.from_pairs(
-                    (g, k) for (g, _), k in zip(gens, mults) if k
-                )
-                if s.key() in seen:
-                    continue
-                seen.add(s.key())
-                d = derive(p, s)
-                if not d.is_zero():
-                    cands.append((s, d))
-        cands.sort(key=lambda t: t[0].key())
-        per_arg.append(cands)
+    # candidate lists are key-sorted with distinct keys, so the product
+    # below already runs in lexicographic order of the s-lists
+    per_arg = [subpolynomials(p, view="all") for p in polys]
+    ppar = [p.parity() for p in polys]
 
     out = []
     for choice in itertools.product(*per_arg):
@@ -209,7 +189,7 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
         # cross sign: externals of slot j move right past internals of slots k > j
         tau = 1
         spar = [_index_parity(s, table) for s, _ in choice]
-        ipar = [(polys[j].parity() - spar[j]) % 2 for j in range(len(choice))]
+        ipar = [(ppar[j] - spar[j]) % 2 for j in range(len(choice))]
         for j in range(len(choice)):
             for k in range(j + 1, len(choice)):
                 if spar[j] and ipar[k]:
@@ -226,12 +206,10 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
                 sign=tau * rho,
                 weight=weight,
                 vev_args=args,
-                vev_key=tuple(a.key() for a in args),
                 normal_monomials=tuple(s for s, _ in choice),
                 vev_forced_zero=forced,
             )
         )
-    out.sort(key=lambda t: tuple(s.key() for s in t.s_list.items))
     return out
 
 

@@ -1,6 +1,8 @@
 """CLI behavior: outputs, determinism, exit codes, manifests."""
 import json
 
+import pytest
+
 from egqft.cli import run
 
 SHORT_EPS_NOTE = "CLI demos use the full default schedule; tests keep commands light."
@@ -175,3 +177,46 @@ def test_glcheck_cli_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "eps,abs_difference"
     assert lines[-1].startswith("# fitted decay exponent")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["selfenergy", "--model", "scalar_model", "--q2grid=abc"], "--q2grid"),
+        (["selfenergy", "--model", "scalar_model", "--q2grid=-2:3:0"], "--q2grid"),
+        (["omega", "--model", "scalar_model", "--ext", "phi=x"], "--ext"),
+        (["omega", "--model", "scalar_model", "--ext", "phi=1", "--der", "phi"], "--der"),
+    ],
+    ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count"],
+)
+def test_malformed_option_is_a_usage_error(capsys, argv, option):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: egqft ") and f"argument {option}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", ["L9", "L,L0"])
+def test_vertex_reference_out_of_range(capsys, args):
+    code, out, err = _run(capsys, ["wick", "--model", "scalar_model", "--args", args])
+    ref = args.split(",")[-1]
+    assert code == 1 and out == ""
+    assert err == f"egqft wick: argument {ref!r}: no such vertex; valid references are L1..L1\n"
+
+
+def test_freeform_error_names_the_argument(capsys):
+    code, out, err = _run(capsys, ["wick", "--model", "scalar_model", "--args", "phi*zz"])
+    assert code == 1 and out == ""
+    assert "'zz'" in err and "'phi*zz'" in err and "line" not in err
+
+
+def test_domain_error_leaves_no_out_file(tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    for argv in (
+        ["wick", "--model", "scalar_model", "--args", "L,phi*zz"],
+        ["adiabatic", "--model", "scalar_model", "--neps", "3"],  # family too coarse
+        ["pairings", "--model", "scalar_model", "--left", "L", "--right", "L9"],
+    ):
+        code, out, err = _run(capsys, argv + ["--out", str(path)])
+        assert code == 1 and err.startswith(f"egqft {argv[0]}: "), err
+        assert not path.exists(), argv

@@ -10,6 +10,7 @@ from egqft.model_registry import (
     ModelParseError,
     builtin,
     parse_model_spec,
+    parse_polynomial,
     serialize_model_spec,
     validate,
 )
@@ -183,6 +184,15 @@ def test_parse_errors_carry_line_numbers():
         parse_model_spec("[fields]\nphi scalar 0.0 0 0\nbadline only\n")
     with pytest.raises(ModelParseError, match="unknown field name"):
         parse_model_spec("[fields]\nphi scalar 0.0 0 0\n[vertices]\ne = 1 * chi^2\n")
+
+
+def test_parse_polynomial_matches_vertex_and_names_the_factor():
+    m = parse_model_spec(SCALAR_TEXT)
+    assert parse_polynomial(m.fields, "1/2 * phi*psi^2") == m.vertex("e")
+    with pytest.raises(ModelParseError) as exc:
+        parse_polynomial(m.fields, "phi*zz")
+    assert str(exc.value) == "unknown field name 'zz'"
+    assert exc.value.line is None and exc.value.col == 4
 
 
 def test_nonscalar_vertex_rejected_with_pointer():

@@ -1,6 +1,10 @@
 """Two-point structures, gamma algebra, phase space, Riesz distribution."""
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +258,42 @@ def test_riesz_inverts_cubed_wave_operator():
     g0, _, box3 = gaussian_probe(a=1.0)
     residual = riesz_check(box3, g0)
     assert abs(residual) / (2 * math.pi) ** 4 < 1e-4
+
+
+def _box3_gaussian_reference(a):
+    """sympy's box^3 of exp(-a |k|_E^2) on the k1 axis, as (k0, r) -> value."""
+    import sympy as sp
+
+    k0, k1, k2, k3 = sp.symbols("k0 k1 k2 k3", real=True)
+    g = sp.exp(-a * (k0**2 + k1**2 + k2**2 + k3**2))
+    box = lambda f: sp.diff(f, k0, 2) - sp.diff(f, k1, 2) - sp.diff(f, k2, 2) - sp.diff(f, k3, 2)
+    r = sp.symbols("r", nonnegative=True)
+    return sp.lambdify((k0, r), box(box(box(g))).subs({k1: r, k2: 0, k3: 0}), "numpy")
+
+
+def test_gaussian_probe_closed_form_matches_sympy():
+    k0, r = np.meshgrid(np.linspace(-3.0, 3.0, 25), np.linspace(0.0, 3.0, 13))
+    for a in (0.5, 1.0, 2.0):
+        g0, g, box3 = gaussian_probe(a)
+        want = _box3_gaussian_reference(a)(k0, r)
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(box3(k0, r), want, rtol=1e-12, atol=1e-12 * scale)
+        assert g0 == 1.0 and g(0.0, 0.0) == 1.0
+        # scalar k0 against an array of radii, as riesz_check calls it
+        np.testing.assert_allclose(box3(0.7, r[:, 0]), box3(np.full(13, 0.7), r[:, 0]))
+
+
+def test_gaussian_probe_does_not_import_sympy():
+    code = (
+        "import sys\n"
+        "from egqft.propagators_kinematics import gaussian_probe, riesz_check\n"
+        "g0, _, box3 = gaussian_probe(1.0)\n"
+        "riesz_check(box3, g0)\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_ghost_pair_two_point():

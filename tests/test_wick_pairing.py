@@ -14,6 +14,7 @@ from egqft.symbolic_fields import (
     SuperQuadriIndex,
     derive,
     index_of,
+    subpolynomials,
 )
 from egqft.wick_pairing import (
     WickError,
@@ -184,6 +185,16 @@ def test_scalar_model_TLL_counts():
     assert len(terms) == 36
     alive = [t for t in terms if not t.vev_forced_zero]
     assert len(alive) == 10
+
+
+def test_wick_expand_runs_in_lexicographic_order():
+    # the product over key-sorted candidate lists is already ordered, so
+    # wick_expand keeps no sort of its own
+    for model, n in ((QED, 2), (SM, 3)):
+        L = model.vertex("e")
+        keys = [tuple(s.key() for s in t.s_list.items) for t in wick_expand([L] * n)]
+        assert len(keys) == len(subpolynomials(L, view="all")) ** n
+        assert all(a < b for a, b in zip(keys, keys[1:])), model.name
 
 
 def test_wick_single_argument():

@@ -119,5 +119,4 @@ def as_qrat(x) -> QRat:
 
 
 ONE = QRat(1)
-ZERO = QRat(0)
 I = QRat(0, 1)

@@ -58,11 +58,6 @@ class SList:
             out = out.add(s)
         return out
 
-    def massless_only(self, model) -> bool:
-        """ext vanishes on every massive field."""
-        massless = model.massless_fields()
-        return self.total().involves_only(massless)
-
     def __len__(self):
         return len(self.items)
 

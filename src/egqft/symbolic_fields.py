@@ -17,6 +17,7 @@ is a nonzero symbol even when the operator realization would annihilate it).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -166,11 +167,7 @@ class SuperQuadriIndex:
 
     def factorial(self) -> int:
         """r!: product of factorials of the multiplicities."""
-        out = 1
-        for _, m in self.entries:
-            for k in range(2, m + 1):
-                out *= k
-        return out
+        return math.prod(math.factorial(m) for _, m in self.entries)
 
     def ge(self, other: "SuperQuadriIndex") -> bool:
         return all(self.get(g) >= m for g, m in other.entries)
@@ -216,43 +213,34 @@ def index_of(*gens: Generator) -> SuperQuadriIndex:
 # --------------------------------------------------------------------------- word sign calculus
 
 
-def _merge_sign(word1: Sequence[Generator], word2: Sequence[Generator], table: FieldTable):
-    """Sign from sorting the concatenation word1+word2 into canonical order.
+def permutation_sign(fermion_numbers: Sequence[int], pi: Sequence[int]) -> int:
+    """(-1)^(number of transpositions of pi involving two odd entries).
 
-    Both inputs are canonically sorted; the merge is stable, so the sign is
-    (-1)^(number of odd-odd inversions between the two words).  Returns None
-    when an odd generator would appear twice (the square of an odd generator
-    vanishes).
+    `pi` lists, for each new position, the original index placed there.  The
+    count equals the parity of odd-odd inversions, i.e. the sign of the
+    permutation induced on the odd-fermion entries.  This is the one place
+    the graded (Koszul) sign is counted; every other sign is a call to it.
     """
-    odd1 = [g for g in word1 if table.parity(g.field)]
-    odd2 = [g for g in word2 if table.parity(g.field)]
-    if len(set(odd1)) != len(odd1) or len(set(odd2)) != len(odd2):
-        return None
-    if set(odd1) & set(odd2):
-        return None
-    inv = 0
-    for g in odd2:
-        inv += sum(1 for h in odd1 if h.order_key() > g.order_key())
+    if sorted(pi) != list(range(len(fermion_numbers))):
+        raise AlgebraError("pi is not a permutation of the argument indices")
+    odd = [x for x in pi if fermion_numbers[x] % 2]
+    inv = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1 :])
     return -1 if inv % 2 else 1
 
 
 def canonicalize_word(word: Sequence[Generator], table: FieldTable):
     """Sort an arbitrary generator word; returns (sign, SuperQuadriIndex) or None.
 
-    The sign is the parity of odd-odd inversions removed by the (stable)
-    sort, i.e. the graded-commutation sign relating the word as written to
-    the canonical monomial.
+    The sign is permutation_sign of the stable sort order, i.e. the
+    graded-commutation sign relating the word as written to the canonical
+    monomial.  None when an odd generator occurs twice (its square vanishes).
     """
-    odd = [g for g in word if table.parity(g.field)]
+    parities = [table.parity(g.field) for g in word]
+    odd = [g for g, par in zip(word, parities) if par]
     if len(set(odd)) != len(odd):
         return None
-    inv = 0
-    for i in range(len(odd)):
-        for j in range(i + 1, len(odd)):
-            if odd[i].order_key() > odd[j].order_key():
-                inv += 1
-    sign = -1 if inv % 2 else 1
-    return sign, SuperQuadriIndex.from_pairs((g, 1) for g in word)
+    order = sorted(range(len(word)), key=lambda i: word[i].order_key())
+    return permutation_sign(parities, order), SuperQuadriIndex.from_pairs((g, 1) for g in word)
 
 
 # --------------------------------------------------------------------------- polynomials
@@ -325,10 +313,10 @@ class Polynomial:
         for i1, c1 in self.terms:
             w1 = i1.word()
             for i2, c2 in other.terms:
-                sgn = _merge_sign(w1, i2.word(), self.table)
-                if sgn is None:
+                res = canonicalize_word(w1 + i2.word(), self.table)
+                if res is None:
                     continue
-                idx = i1.add(i2)
+                sgn, idx = res
                 acc[idx] = acc.get(idx, QRat(0)) + c1 * c2 * sgn
         return Polynomial(self.table, acc)
 
@@ -493,31 +481,6 @@ def adjoint(p: Polynomial) -> Polynomial:
         sgn, new = res
         acc[new] = acc.get(new, QRat(0)) + c.conjugate() * sgn
     return Polynomial(p.table, acc)
-
-
-# --------------------------------------------------------------------------- permutation sign
-
-
-def permutation_sign(fermion_numbers: Sequence[int], pi: Sequence[int]) -> int:
-    """(-1)^(number of transpositions of pi involving two odd entries).
-
-    `pi` lists, for each new position, the original index placed there.  The
-    count equals the parity of odd-odd inversions, i.e. the sign of the
-    permutation induced on the odd-fermion entries.
-    """
-    if sorted(pi) != list(range(len(fermion_numbers))):
-        raise AlgebraError("pi is not a permutation of the argument indices")
-    inv = 0
-    n = len(pi)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (
-                pi[a] > pi[b]
-                and fermion_numbers[pi[a]] % 2
-                and fermion_numbers[pi[b]] % 2
-            ):
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 # --------------------------------------------------------------------------- sub-polynomials

@@ -3,25 +3,27 @@ complete-pairing enumeration for vacuum expectation values of products,
 contribution classification, and the ordered-partition expansions of the
 anti-time-ordered / advanced / retarded / causal products.
 
-Sign conventions.  The factor (-1)^f multiplying a Wick-expansion term is
-fixed by an explicit word construction: each argument's canonical generator
-word is split into an internal part (entering the VEV factor) and an
-external part (the normal-ordered remainder), externals are moved to the
-right, and odd-odd transpositions are counted.  This is one consistent
-realization; it is pinned by the Gaussian-moment oracle and the graded
-symmetry property rather than by a closed formula.
+Sign conventions.  Every graded sign here is
+``symbolic_fields.permutation_sign`` of an explicit rearrangement.  The
+factor (-1)^f multiplying a Wick-expansion term is fixed by a word
+construction: each argument's canonical generator word is split into an
+internal part (entering the VEV factor) and an external part (the
+normal-ordered remainder), and the externals are moved to the right.  This
+is one consistent realization; it is pinned by the Gaussian-moment oracle
+and the graded symmetry property rather than by a closed formula.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import QRat
 from .power_counting import SList
 from .propagators_kinematics import two_point
-from .symbolic_fields import Generator, Polynomial, SuperQuadriIndex, subpolynomials
+from .symbolic_fields import Generator, Polynomial, SuperQuadriIndex, permutation_sign, subpolynomials
 
 
 class WickError(ValueError):
@@ -45,37 +47,24 @@ def _extraction_sign(r: SuperQuadriIndex, s: SuperQuadriIndex, table) -> int:
     """Sign of moving the s-content of the canonical word of r to the right.
 
     For each generator the rightmost s(g) occurrences are marked external;
-    the sign counts odd-odd (external, internal) pairs in original order.
+    the sign is that of the rearrangement "internal positions, then external
+    positions", each in original order.
     """
     word = r.word()
-    external = []
-    remaining = {g: m for g, m in s.entries}
+    external = set()
+    remaining = dict(s.entries)
     for pos in range(len(word) - 1, -1, -1):
         g = word[pos]
         if remaining.get(g, 0) > 0:
             remaining[g] -= 1
-            external.append(pos)
-    ext_set = set(external)
-    sign = 1
-    for pe in ext_set:
-        if not table.parity(word[pe].field):
-            continue
-        for pi in range(pe + 1, len(word)):
-            if pi not in ext_set and table.parity(word[pi].field):
-                sign = -sign
-    return sign
+            external.add(pos)
+    internal = [pos for pos in range(len(word)) if pos not in external]
+    parities = [table.parity(g.field) for g in word]
+    return permutation_sign(parities, internal + sorted(external))
 
 
 def _binomial_weight(r: SuperQuadriIndex, s: SuperQuadriIndex) -> int:
-    out = 1
-    for g, k in s.entries:
-        m = r.get(g)
-        num = den = 1
-        for t in range(k):
-            num *= m - t
-            den *= t + 1
-        out *= num // den
-    return out
+    return math.prod(math.comb(r.get(g), k) for g, k in s.entries)
 
 
 def _derive_vs_extraction(poly: Polynomial, s: SuperQuadriIndex, derived: Polynomial, table) -> int:
@@ -111,22 +100,25 @@ def _derive_vs_extraction(poly: Polynomial, s: SuperQuadriIndex, derived: Polyno
     return rho
 
 
-def _species_balance_possible(args: Sequence[Polynomial], table) -> bool:
+def _species_content(p: Polynomial, table) -> set:
+    """The species multisets of the monomials of p, as sorted (species, count) tuples."""
+    sigs = set()
+    for idx, _ in p.terms:
+        acc: dict[str, int] = {}
+        for g, m in idx.entries:
+            sp = table.entry(g.field).species
+            acc[sp] = acc.get(sp, 0) + m
+        sigs.add(tuple(sorted(acc.items())))
+    return sigs
+
+
+def _species_balance_possible(per_arg: Sequence[set], table) -> bool:
     """Can some choice of monomials (one per argument) balance all species?
 
-    Balance: conjugate-paired species occur equally often; self-conjugate
-    species occur an even number of times.  Necessary for a nonzero VEV.
+    per_arg holds each argument's _species_content.  Balance:
+    conjugate-paired species occur equally often; self-conjugate species
+    occur an even number of times.  Necessary for a nonzero VEV.
     """
-    per_arg = []
-    for p in args:
-        sigs = set()
-        for idx, _ in p.terms:
-            acc: dict[str, int] = {}
-            for g, m in idx.entries:
-                sp = table.entry(g.field).species
-                acc[sp] = acc.get(sp, 0) + m
-            sigs.add(tuple(sorted(acc.items())))
-        per_arg.append(sigs)
     # species -> conjugate species, taken from the first entry of each species
     conj = {e.species: table.entries[e.adjoint].species for e in reversed(table.entries)}
 
@@ -171,43 +163,41 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
                 weight=QRat(1),
                 vev_args=(p,),
                 normal_monomials=(SuperQuadriIndex(),),
-                vev_forced_zero=not _species_balance_possible((p,), table),
+                vev_forced_zero=not _species_balance_possible([_species_content(p, table)], table),
             )
         ]
     for p in polys:
         if p.table != table:
             raise WickError("arguments over different field tables")
-    # candidate lists are key-sorted with distinct keys, so the product
-    # below already runs in lexicographic order of the s-lists
-    per_arg = [subpolynomials(p, view="all") for p in polys]
+    # one record per (argument, candidate): s, B^(s), rho, s!, parity of s,
+    # species content of B^(s).  Candidate lists are key-sorted with distinct
+    # keys, so the product below already runs in lexicographic order of the
+    # s-lists.
+    per_arg = [
+        [
+            (s, d, _derive_vs_extraction(p, s, d, table), s.factorial(),
+             _index_parity(s, table), _species_content(d, table))
+            for s, d in subpolynomials(p, view="all")
+        ]
+        for p in polys
+    ]
     ppar = [p.parity() for p in polys]
+    # cross sign: the blocks (internal_1, external_1, ..., internal_n,
+    # external_n) regrouped as all internals, then all externals
+    regroup = list(range(0, 2 * len(polys), 2)) + list(range(1, 2 * len(polys), 2))
 
     out = []
     for choice in itertools.product(*per_arg):
-        s_list = SList(tuple(s for s, _ in choice))
-        args = tuple(d for _, d in choice)
-        # cross sign: externals of slot j move right past internals of slots k > j
-        tau = 1
-        spar = [_index_parity(s, table) for s, _ in choice]
-        ipar = [(ppar[j] - spar[j]) % 2 for j in range(len(choice))]
-        for j in range(len(choice)):
-            for k in range(j + 1, len(choice)):
-                if spar[j] and ipar[k]:
-                    tau = -tau
-        rho = 1
-        weight = QRat(1)
-        for j, (s, d) in enumerate(choice):
-            rho *= _derive_vs_extraction(polys[j], s, d, table)
-            weight = weight / QRat(s.factorial())
-        forced = not _species_balance_possible(args, table)
+        s_list, args, rhos, facts, spars, contents = zip(*choice)
+        blocks = [b for par, spar in zip(ppar, spars) for b in ((par - spar) % 2, spar)]
         out.append(
             WickTerm(
-                s_list=s_list,
-                sign=tau * rho,
-                weight=weight,
+                s_list=SList(s_list),
+                sign=permutation_sign(blocks, regroup) * math.prod(rhos),
+                weight=QRat(Fraction(1, math.prod(facts))),
                 vev_args=args,
-                normal_monomials=tuple(s for s, _ in choice),
-                vev_forced_zero=forced,
+                normal_monomials=s_list,
+                vev_forced_zero=not _species_balance_possible(contents, table),
             )
         )
     return out
@@ -257,19 +247,17 @@ def _occurrences(slots: Sequence[SuperQuadriIndex]):
 
 
 def _contraction_sign(n_total: int, parities: Sequence[int], pairs: Sequence[tuple[int, int]]) -> int:
-    """Graded Wick sign: contract pairs in order of left position, each time
-    counting live odd elements strictly between the endpoints."""
-    alive = [True] * n_total
-    sign = 1
-    for i, j in sorted(pairs):
-        if parities[i] and parities[j]:
-            crossings = sum(
-                1 for k in range(i + 1, j) if alive[k] and parities[k]
-            )
-            if crossings % 2:
-                sign = -sign
-        alive[i] = alive[j] = False
-    return sign
+    """Graded Wick sign: the pairs (i, j), i < j, are moved adjacent to the
+    front in order of left position, the uncontracted positions after them.
+
+    For pairs of equal parity this is the crossing count of contracting each
+    pair past the live odd elements between its endpoints; two_point pairs
+    only fields of one kind, so every pair it admits has equal parity.
+    """
+    front = [pos for pair in sorted(pairs) for pos in pair]
+    used = set(front)
+    rest = [pos for pos in range(n_total) if pos not in used]
+    return permutation_sign(parities, front + rest)
 
 
 def complete_pairings(
@@ -432,30 +420,14 @@ class ExpansionTerm:
     parities: tuple[int, ...]
     j_parity: int = 0
 
-    def arrangement(self) -> tuple:
-        out = []
-        for f in self.factors:
-            out.extend(x for x in f.content if x != "J")
-        return tuple(out)
-
-    def _arrangement_with_j(self):
-        out = []
-        for f in self.factors:
-            out.extend(f.content)
-        return out
-
     @property
     def coeff(self) -> int:
         """structural sign times the graded-reordering sign of the final word."""
-        arr = self._arrangement_with_j()
-        par = [self.j_parity if x == "J" else self.parities[x] for x in arr]
-        key = [len(self.parities) if x == "J" else x for x in arr]
-        inv = 0
-        for a in range(len(key)):
-            for b in range(a + 1, len(key)):
-                if key[a] > key[b] and par[a] and par[b]:
-                    inv += 1
-        return self.structural * (-1 if inv % 2 else 1)
+        n = len(self.parities)
+        key = [n if x == "J" else x for f in self.factors for x in f.content]
+        # the spectator list J is entry n, present only when a factor holds it
+        fermions = (self.parities + (self.j_parity,))[: len(key)]
+        return self.structural * permutation_sign(fermions, key)
 
 
 @dataclass(frozen=True)
@@ -467,11 +439,7 @@ class OpProductExpansion:
 def _ordered_partitions(n: int, k: int):
     """Ordered partitions of range(n) into k nonempty blocks of increasing
     elements (blocks are subsequences of the identity order)."""
-    for labels in itertools.product(range(k), repeat=n):
-        if set(labels) != set(range(k)):
-            continue
-        blocks = [tuple(i for i in range(n) if labels[i] == b) for b in range(k)]
-        yield blocks
+    return (blocks for blocks in _subsequence_splits(n, k) if all(blocks))
 
 
 def _subsequence_splits(n: int, parts: int):
@@ -521,17 +489,10 @@ def expand_adv(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
 
 
 def expand_ret(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
-    """Ret(I;J) = sum over splits I1,I2: (-1)^|I2| aT(I2) T(I1,J)."""
-    parities = _norm_parities(n, parities)
-    terms = []
-    for i1, i2 in _subsequence_splits(n, 2):
-        structural = (-1) ** len(i2)
-        factors = []
-        if i2:
-            factors.append(Factor("aT", tuple(i2)))
-        factors.append(Factor("T", tuple(i1) + ("J",)))
-        terms.append(ExpansionTerm(structural, tuple(factors), parities, j_parity))
-    return OpProductExpansion(n, tuple(terms))
+    """Ret(I;J) = sum over splits I1,I2: (-1)^|I2| aT(I2) T(I1,J), i.e. the
+    terms of Adv(I;J) with their factors in reverse order."""
+    adv = expand_adv(n, parities, j_parity)
+    return OpProductExpansion(n, tuple(replace(t, factors=t.factors[::-1]) for t in adv.terms))
 
 
 def expand_dif(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
@@ -622,22 +583,8 @@ def telescoping_sum(n: int, parities=None, side: str = "left") -> dict[tuple, in
     both must flatten to zero for n >= 1."""
     parities = _norm_parities(n, parities)
     terms = []
-    for i1, i2 in _subsequence_splits(n, 2):
-        if side == "left":
-            structural = (-1) ** len(i1)
-            factors = []
-            if i1:
-                factors.append(Factor("aT", tuple(i1)))
-            if i2:
-                factors.append(Factor("T", tuple(i2)))
-        else:
-            structural = (-1) ** len(i2)
-            factors = []
-            if i1:
-                factors.append(Factor("T", tuple(i1)))
-            if i2:
-                factors.append(Factor("aT", tuple(i2)))
-        if not factors:
-            factors = [Factor("T", ())]
-        terms.append(ExpansionTerm(structural, tuple(factors), parities))
+    kinds, signed_block = (("aT", "T"), 0) if side == "left" else (("T", "aT"), 1)
+    for blocks in _subsequence_splits(n, 2):
+        factors = [Factor(k, b) for k, b in zip(kinds, blocks) if b] or [Factor("T", ())]
+        terms.append(ExpansionTerm((-1) ** len(blocks[signed_block]), tuple(factors), parities))
     return flatten_to_T(terms)

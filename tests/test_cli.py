@@ -1,5 +1,9 @@
 """CLI behavior: outputs, determinism, exit codes, manifests."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,14 +148,15 @@ def test_model_file_loading(tmp_path, capsys):
 
 
 def test_sdestimate(capsys):
-    # "smooth" pairs the probe with exp(-x0^2) along the x0 axis only, i.e.
-    # with exp(-x0^2) times a delta in the other dim - 1 coordinates
-    for target, expect, tol in (("delta", 4.0, 0.05), ("ddelta", 5.0, 0.05), ("smooth", 3.0, 0.1)):
+    for target, expect, tol in (("delta", 4.0, 0.05), ("ddelta", 5.0, 0.05), ("smooth", 0.0, 0.1)):
         argv = ["sdestimate", "--target", target, "--dim", "4", "--format", "json"]
         code, out, _ = _run(capsys, argv)
         assert code == 0, target
         payload = json.loads(out)
         assert payload["ok"] and abs(payload["estimate"] - expect) < tol, payload
+    # the smooth target's tensor rule has 6^dim points, so its dim is bounded
+    code, out, err = _run(capsys, ["sdestimate", "--target", "smooth", "--dim", "8"])
+    assert code == 1 and out == "" and "--dim <= 7" in err
 
 
 def test_adiabatic_cli_json(tmp_path, capsys):
@@ -186,14 +191,33 @@ def test_glcheck_cli_csv(capsys):
         (["selfenergy", "--model", "scalar_model", "--q2grid=-2:3:0"], "--q2grid"),
         (["omega", "--model", "scalar_model", "--ext", "phi=x"], "--ext"),
         (["omega", "--model", "scalar_model", "--ext", "phi=1", "--der", "phi"], "--der"),
+        (["selfenergy", "--model", "scalar_model", "--q2grid=0:1:2", "--nsub", "x"], "--nsub"),
+        (["selfenergy", "--model", "scalar_model", "--q2grid=0:1:2", "--nsub", "-1"], "--nsub"),
     ],
-    ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count"],
+    ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count",
+         "nsub-not-a-count", "nsub-negative"],
 )
 def test_malformed_option_is_a_usage_error(capsys, argv, option):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("usage: egqft ") and f"argument {option}:" in err
     assert "Traceback" not in err
+
+
+def test_closed_stdout_ends_quietly_with_exit_1():
+    # the reader closes the pipe after one line, as `egqft wick ... | head -1` does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from egqft.cli import main; main()",
+         "wick", "--model", "spinor_qed_massive", "--args", "L,L"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"normal_monomials"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize("args", ["L9", "L,L0"])

@@ -47,6 +47,9 @@ _BASE = {
     "sdestimate-delta": ["sdestimate", "--target", "delta"],
     "sdestimate-ddelta": ["sdestimate", "--target", "ddelta"],
     "modelfile-wick": ["wick", "--model", "two_scalar.model", "--args", "L,chi*phi"],
+    "ghosts-pairings": [
+        "pairings", "--model", "ghosts.model", "--left", "u*u~,u", "--right", "u~*u,u~"],
+    "ghosts-wick": ["wick", "--model", "ghosts.model", "--args", "L,L,u*u~"],
 }
 
 CASES = {

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egqft.exact import QRat
 from egqft.model_registry import builtin, parse_model_spec
@@ -13,6 +15,7 @@ from egqft.symbolic_fields import (
     SuperQuadriIndex,
     adjoint,
     canonical_dim,
+    canonicalize_word,
     derive,
     index_of,
     permutation_sign,
@@ -238,8 +241,6 @@ def test_adjoint():
     # explicit reordering oracle: star then canonical sort
     idx, coeff = (pa * psb).terms[0]
     word = [t.star(g) for g in reversed(idx.word())]
-    from egqft.symbolic_fields import canonicalize_word
-
     sgn, new_idx = canonicalize_word(word, t)
     assert lhs == Polynomial.monomial(t, new_idx, coeff.conjugate() * sgn)
 
@@ -248,3 +249,68 @@ def test_odd_generator_squares_to_zero():
     t = QED.fields
     p = Polynomial.of_field(t, "psi_1")
     assert (p * p).is_zero()
+
+
+# --------------------------------------------------------------------------- properties (hypothesis)
+
+TOY = _toy_mixed().fields  # b, c even; eta, eta~ odd
+
+generators = st.builds(
+    Generator,
+    st.integers(0, len(TOY) - 1),
+    st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 2, 0)]),
+)
+words = st.lists(generators, max_size=5)
+coefficients = st.builds(QRat, st.fractions(max_denominator=4), st.integers(-2, 2))
+
+
+def _word_parity(word):
+    return sum(TOY.parity(g.field) for g in word) % 2
+
+
+@st.composite
+def graded_polynomials(draw):
+    """Sums of up to three monomials of one parity, with complex rational
+    coefficients, built without Polynomial.__mul__."""
+    parity = draw(st.integers(0, 1))
+    terms = {}
+    for word in draw(st.lists(words, max_size=3)):
+        res = canonicalize_word(word, TOY)
+        if res is not None and _word_parity(word) == parity:
+            terms[res[1]] = draw(coefficients)
+    return Polynomial(TOY, terms), parity
+
+
+@settings(deadline=None)
+@given(graded_polynomials(), graded_polynomials())
+def test_property_graded_commutativity(a, b):
+    (pa, fa), (pb, fb) = a, b
+    assert pa * pb == (pb * pa).scale(QRat((-1) ** (fa * fb)))
+
+
+@settings(deadline=None)
+@given(graded_polynomials(), graded_polynomials(), graded_polynomials())
+def test_property_associativity(a, b, c):
+    assert (a[0] * b[0]) * c[0] == a[0] * (b[0] * c[0])
+
+
+@settings(deadline=None)
+@given(graded_polynomials(), graded_polynomials())
+def test_property_adjoint_involution_and_anti_homomorphism(a, b):
+    pa, pb = a[0], b[0]
+    assert adjoint(adjoint(pa)) == pa
+    assert adjoint(pa * pb) == adjoint(pb) * adjoint(pa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words)
+def test_property_canonicalize_sign_is_permutation_sign_of_stable_sort(word):
+    res = canonicalize_word(word, TOY)
+    odd = [g for g in word if TOY.parity(g.field)]
+    if len(set(odd)) != len(odd):
+        assert res is None
+        return
+    order = sorted(range(len(word)), key=lambda i: (word[i].order_key(), i))
+    parities = [TOY.parity(g.field) for g in word]
+    assert res[0] == permutation_sign(parities, order)
+    assert res[1] == SuperQuadriIndex.from_pairs((g, 1) for g in word)

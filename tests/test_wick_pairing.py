@@ -16,6 +16,7 @@ from egqft.symbolic_fields import (
     index_of,
     subpolynomials,
 )
+from egqft import wick_pairing
 from egqft.wick_pairing import (
     WickError,
     complete_pairings,
@@ -86,6 +87,13 @@ def test_adv_ret_dif_one_argument():
     assert adv == {
         (("T", (0, "J")),): 1,
         (("T", ("J",)), ("aT", (0,))): -1,
+    }
+    # odd B and odd J: the word J B of T(J) aT(B) reorders two odd entries
+    fermi = {tuple((f.kind, f.content) for f in t.factors): t.coeff
+             for t in expand_adv(1, [1], j_parity=1).terms}
+    assert fermi == {
+        (("T", (0, "J")),): 1,
+        (("T", ("J",)), ("aT", (0,))): 1,
     }
     dif = expand_dif(1)
     acc = {}
@@ -195,6 +203,99 @@ def test_wick_expand_runs_in_lexicographic_order():
         keys = [tuple(s.key() for s in t.s_list.items) for t in wick_expand([L] * n)]
         assert len(keys) == len(subpolynomials(L, view="all")) ** n
         assert all(a < b for a, b in zip(keys, keys[1:])), model.name
+
+
+def test_wick_expand_prices_each_candidate_once(monkeypatch):
+    calls = []
+    priced = wick_pairing._derive_vs_extraction
+
+    def counted(*args):
+        calls.append(args[1])
+        return priced(*args)
+
+    monkeypatch.setattr(wick_pairing, "_derive_vs_extraction", counted)
+    L = QED.vertex("e")
+    n_cand = len(subpolynomials(L, view="all"))
+    assert n_cand == 73
+    assert len(wick_expand([L, L])) == n_cand**2
+    assert len(calls) == 2 * n_cand
+
+
+# --------------------------------------------------------------------------- sign references
+
+
+def _reference_extraction_sign(r, s, table):
+    """The odd-odd (external, internal) pair count that permutation_sign replaced."""
+    word = r.word()
+    external = []
+    remaining = {g: m for g, m in s.entries}
+    for pos in range(len(word) - 1, -1, -1):
+        g = word[pos]
+        if remaining.get(g, 0) > 0:
+            remaining[g] -= 1
+            external.append(pos)
+    ext_set = set(external)
+    sign = 1
+    for pe in ext_set:
+        if not table.parity(word[pe].field):
+            continue
+        for pi in range(pe + 1, len(word)):
+            if pi not in ext_set and table.parity(word[pi].field):
+                sign = -sign
+    return sign
+
+
+def _reference_contraction_sign(n_total, parities, pairs):
+    """Contract pairs in order of left position, each time counting the live
+    odd elements strictly between the endpoints."""
+    alive = [True] * n_total
+    sign = 1
+    for i, j in sorted(pairs):
+        if parities[i] and parities[j]:
+            crossings = sum(1 for k in range(i + 1, j) if alive[k] and parities[k])
+            if crossings % 2:
+                sign = -sign
+        alive[i] = alive[j] = False
+    return sign
+
+
+def test_extraction_sign_matches_reference():
+    rng = random.Random(23)
+    table = QED.fields
+    checked = 0
+    for _ in range(400):
+        gens = rng.sample(range(len(table)), rng.randint(1, 6))
+        r = SuperQuadriIndex.from_pairs(
+            (Generator(f), 1 if table.parity(f) else rng.randint(1, 3)) for f in gens
+        )
+        s = SuperQuadriIndex.from_pairs((g, rng.randint(0, m)) for g, m in r.entries)
+        got = wick_pairing._extraction_sign(r, s, table)
+        assert got == _reference_extraction_sign(r, s, table), (r, s)
+        checked += got == -1
+    assert checked > 50
+
+
+def test_contraction_sign_matches_crossing_count_for_equal_parity_pairs():
+    rng = random.Random(29)
+    flips = 0
+    for _ in range(2000):
+        n = rng.randint(0, 10)
+        parities = [rng.randint(0, 1) for _ in range(n)]
+        free = list(range(n))
+        rng.shuffle(free)
+        pairs = []
+        while len(free) >= 2 and rng.random() < 0.8:
+            i = free.pop()
+            partner = [j for j in free if parities[j] == parities[i]]
+            if not partner:
+                continue
+            j = rng.choice(partner)
+            free.remove(j)
+            pairs.append((min(i, j), max(i, j)))
+        got = wick_pairing._contraction_sign(n, parities, pairs)
+        assert got == _reference_contraction_sign(n, parities, pairs), (parities, pairs)
+        flips += got == -1
+    assert flips > 200
 
 
 def test_wick_single_argument():

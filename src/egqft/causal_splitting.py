@@ -44,14 +44,12 @@ class SpectralDensity:
         return self.fn(s)
 
 
-def bubble_density(m1: float, m2: float, scale: float | None = None) -> SpectralDensity:
+def bubble_density(m1: float, m2: float) -> SpectralDensity:
     """Two-particle spectral density of the one-loop bubble.
 
     rho(s) = w * phase_space(m1, m2, s) with the combinatorial weight w
     taken from the complete-pairing count of the underlying squared-field
-    contraction (two pairings), and threshold (m1 + m2)^2.  An optional
-    exp(-s/scale^2) weight models the test-function falloff for densities
-    that would otherwise have no ultraviolet cutoff.
+    contraction (two pairings), and threshold (m1 + m2)^2.
     """
     from .model_registry import builtin
     from .symbolic_fields import Generator, index_of
@@ -66,19 +64,10 @@ def bubble_density(m1: float, m2: float, scale: float | None = None) -> Spectral
     )
     s0 = (m1 + m2) ** 2
 
-    if scale is None:
-        def fn(s):
-            return w * two_body_phase_space(m1, m2, s) if s > s0 else 0.0
+    def fn(s):
+        return w * two_body_phase_space(m1, m2, s) if s > s0 else 0.0
 
-        growth, c = 0.0, w / (8.0 * math.pi)
-    else:
-        def fn(s):
-            if s <= s0:
-                return 0.0
-            return w * two_body_phase_space(m1, m2, s) * math.exp(-s / scale**2)
-
-        growth, c = -math.inf, w / (8.0 * math.pi)
-    return SpectralDensity(fn, s0, growth, c, label=f"bubble({m1},{m2})")
+    return SpectralDensity(fn, s0, 0.0, w / (8.0 * math.pi), label=f"bubble({m1},{m2})")
 
 
 # --------------------------------------------------------------------------- self-energy
@@ -265,13 +254,11 @@ class SdEstimate:
     note: str = ""
 
 
-def default_probe_base(dim: int):
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum(x * x, axis=-1) if x.ndim > 0 and x.shape[-1] == dim else x * x
-        return np.exp(-0.5 * r2)
-
-    return g
+def _tilted_probe(x):
+    """exp(-|x|^2/2)(1 + x0): the x0 tilt keeps odd distributions visible."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.sum(x * x, axis=-1)
+    return np.exp(-0.5 * r2) * (1.0 + x[..., 0])
 
 
 def scaling_degree_estimate(
@@ -288,7 +275,7 @@ def scaling_degree_estimate(
     """
     if lambdas is None:
         lambdas = tuple(0.5 * 2.0 ** (-k / 2.0) for k in range(12))
-    base = base or default_probe_base(dim)
+    base = base or _tilted_probe
     vals = []
     for lam in lambdas:
         vals.append(complex(pairing(ScaledProbe(base, lam))))

@@ -135,6 +135,17 @@ def _n_sub(spec: str) -> str:
     return spec
 
 
+def _dim(spec: str) -> int:
+    """argparse type of --dim: a dimension >= 1."""
+    try:
+        dim = int(spec)
+    except ValueError:
+        dim = 0
+    if dim < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {spec!r}")
+    return dim
+
+
 def _parse_counts(spec: str | None) -> dict[str, int]:
     """name=count pairs of --ext and --der."""
     out = {}
@@ -376,11 +387,7 @@ def _family(kind: str, neps: int | None):
     eps = DEFAULT_EPSILONS if neps is None else tuple(
         0.3 * 2.0 ** (-k / 2.0) for k in range(neps)
     )
-    if kind == "gauss":
-        return gaussian_family(4, epsilons=eps)
-    if kind == "asym":
-        return asymmetric_family(4, epsilons=eps)
-    raise AdiabaticError(f"unknown family {kind!r} (gauss, asym)")
+    return (gaussian_family if kind == "gauss" else asymmetric_family)(4, epsilons=eps)
 
 
 def _limit_report_json(rep):
@@ -469,12 +476,7 @@ def _cmd_sdestimate(args):
             vals = np.exp(-np.sum(x * x, axis=1) / 8) * p(x)
             return p.lam**dim * float(np.dot(weights, vals))
 
-    def tilted(x):
-        x = np.asarray(x, dtype=float)
-        r2 = np.sum(x * x, axis=-1)
-        return np.exp(-0.5 * r2) * (1.0 + x[..., 0])
-
-    est = scaling_degree_estimate(pairing, dim, base=tilted)
+    est = scaling_degree_estimate(pairing, dim)
     params = {"target": args.target, "dim": dim}
     if args.format == "json":
         return None, params, [{
@@ -554,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True)
     p.add_argument("--cmis", type=float, default=0.0)
-    p.add_argument("--family", default="gauss")
+    p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--fprofile", choices=("one", "vanishing"), default="one")
     p.add_argument("--neps", type=int, default=None, help="length of the epsilon schedule")
     common(p, default_format="json")
@@ -567,13 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True)
     p.add_argument("--cmis", type=float, default=0.0)
-    p.add_argument("--family", default="gauss")
+    p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--neps", type=int, default=None, help="length of the epsilon schedule")
     common(p)
 
     p = sub.add_parser("sdestimate", help="numeric Steinmann scaling-degree estimate")
     p.add_argument("--target", choices=("delta", "ddelta", "smooth"), default="delta")
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--dim", type=_dim, default=4)
     common(p)
 
     return ap

@@ -5,7 +5,9 @@ fermion number and charge, together with the scaling-bound constant c used
 by the power counting (c = 4 - dim(vertex) for every vertex of an
 eligible model).  Builtins: spinor QED (massive/massless), scalar QED
 (massive/massless), and the two-scalar cubic model with one massive and one
-massless field.
+massless field, each declared as model text; the QED vertices, which the
+scalar grammar of model files cannot express, are built over the parsed
+field table.
 """
 from __future__ import annotations
 
@@ -25,15 +27,6 @@ from .symbolic_fields import (
     adjoint,
     canonical_dim,
 )
-
-BUILTIN_NAMES = (
-    "spinor_qed_massive",
-    "spinor_qed_massless",
-    "scalar_qed_massive",
-    "scalar_qed_massless",
-    "scalar_model",
-)
-
 
 class ModelError(ValueError):
     pass
@@ -77,68 +70,12 @@ class ModelVerdict:
     reasons: list[str] = field(default_factory=list)
 
 
-# --------------------------------------------------------------------------- field table builders
+# --------------------------------------------------------------------------- builtins
 
 
-def _scalar_entry(name, species, comp, mass, charge, fermion, adjoint):
-    return FieldEntry(
-        name=name,
-        kind="scalar",
-        species=species,
-        component=comp,
-        numbers=QuantumNumbers(fermion, charge, Fraction(1), mass, "bose"),
-        adjoint=adjoint,
-    )
-
-
-def _qed_field_table(kind: str, electron_mass: float) -> FieldTable:
-    entries = []
-    for mu in range(4):
-        entries.append(
-            FieldEntry(
-                name=f"A_{mu}",
-                kind="vector",
-                species="A",
-                component=mu,
-                numbers=QuantumNumbers(0, 0, Fraction(1), 0.0, "bose"),
-                adjoint=mu,
-            )
-        )
-    if kind == "dirac":
-        for a in range(4):
-            entries.append(
-                FieldEntry(
-                    name=f"psi_{a + 1}",
-                    kind="dirac",
-                    species="psi",
-                    component=a,
-                    numbers=QuantumNumbers(1, -1, Fraction(3, 2), electron_mass, "fermi"),
-                    adjoint=8 + a,
-                )
-            )
-        for a in range(4):
-            entries.append(
-                FieldEntry(
-                    name=f"psi*_{a + 1}",
-                    kind="dirac",
-                    species="psi*",
-                    component=a,
-                    numbers=QuantumNumbers(-1, 1, Fraction(3, 2), electron_mass, "fermi"),
-                    adjoint=4 + a,
-                )
-            )
-    else:
-        entries.append(_scalar_entry("phi", "phi", 0, electron_mass, -1, 0, 5))
-        entries.append(_scalar_entry("phi*", "phi*", 0, electron_mass, 1, 0, 4))
-    return FieldTable(entries)
-
-
-def _spinor_qed(massive: bool) -> ModelSpec:
-    m = 1.0 if massive else 0.0
-    table = _qed_field_table("dirac", m)
-    psi = lambda a: Polynomial.of_field(table, f"psi_{a + 1}")
-    psistar = lambda a: Polynomial.of_field(table, f"psi*_{a + 1}")
-    A = lambda mu: Polynomial.of_field(table, f"A_{mu}")
+def _spinor_qed_vertex(table: FieldTable) -> Polynomial:
+    """psibar gamma^mu psi A_mu, with psibar = psi* gamma^0."""
+    field = lambda name: Polynomial.of_field(table, name)
     vertex = Polynomial.zero(table)
     for mu in range(4):
         g0gmu = mat_mul(GAMMA0, gamma(mu))
@@ -147,14 +84,12 @@ def _spinor_qed(massive: bool) -> ModelSpec:
                 c = g0gmu[a][b]
                 if c.is_zero():
                     continue
-                vertex = vertex + (psistar(a) * psi(b) * A(mu)).scale(c)
-    name = "spinor_qed_massive" if massive else "spinor_qed_massless"
-    return ModelSpec(name, table, (("e", vertex),), 0)
+                term = field(f"psi*_{a + 1}") * field(f"psi_{b + 1}") * field(f"A_{mu}")
+                vertex = vertex + term.scale(c)
+    return vertex
 
 
-def _scalar_qed(massive: bool) -> ModelSpec:
-    m = 1.0 if massive else 0.0
-    table = _qed_field_table("scalar", m)
+def _scalar_qed_vertex(table: FieldTable) -> Polynomial:
     phi = Polynomial.of_field(table, "phi")
     phistar = Polynomial.of_field(table, "phi*")
     vertex = Polynomial.zero(table)
@@ -165,38 +100,45 @@ def _scalar_qed(massive: bool) -> ModelSpec:
         # current j^mu = i (phi* d phi - (d phi*) phi), index raised with the metric
         jmu = (phistar * dphi - dphistar * phi).scale(I * METRIC[mu])
         vertex = vertex + Polynomial.of_field(table, f"A_{mu}") * jmu
-    name = "scalar_qed_massive" if massive else "scalar_qed_massless"
-    return ModelSpec(name, table, (("e", vertex),), 0)
+    return vertex
 
 
-def _scalar_model() -> ModelSpec:
-    table = FieldTable(
-        [
-            _scalar_entry("phi", "phi", 0, 0.0, 0, 0, 0),
-            _scalar_entry("psi", "psi", 0, 1.0, 0, 0, 1),
-        ]
-    )
-    phi = Polynomial.of_field(table, "phi")
-    psi = Polynomial.of_field(table, "psi")
-    vertex = (phi * psi * psi).scale(Fraction(1, 2))
-    return ModelSpec("scalar_model", table, (("e", vertex),), 1)
+def _qed(matter: str, vertex):
+    """A massless photon A and one matter field of charge -1, with c = 0."""
+    return f"[fields]\nA  vector  0.0  0  0\n{matter}\n[options]\nc = 0\n", vertex
+
+
+_SCALAR_MODEL = """\
+[fields]
+phi  scalar  0.0  0  0
+psi  scalar  1.0  0  0
+[vertices]
+e = 1/2 * phi*psi^2
+[options]
+c = 1
+"""
+
+# name -> (model text, builder of the vertex 'e' over the parsed field table
+# when that vertex lies outside the scalar grammar of [vertices])
+_BUILTINS = {
+    "spinor_qed_massive": _qed("psi  dirac  1.0  -1  1", _spinor_qed_vertex),
+    "spinor_qed_massless": _qed("psi  dirac  0.0  -1  1", _spinor_qed_vertex),
+    "scalar_qed_massive": _qed("phi  scalar  1.0  -1  0", _scalar_qed_vertex),
+    "scalar_qed_massless": _qed("phi  scalar  0.0  -1  0", _scalar_qed_vertex),
+    "scalar_model": (_SCALAR_MODEL, None),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, c_const: int | None = None) -> ModelSpec:
     """Builtin model by name; c_const overrides the default scaling constant."""
-    builders = {
-        "spinor_qed_massive": lambda: _spinor_qed(True),
-        "spinor_qed_massless": lambda: _spinor_qed(False),
-        "scalar_qed_massive": lambda: _scalar_qed(True),
-        "scalar_qed_massless": lambda: _scalar_qed(False),
-        "scalar_model": _scalar_model,
-    }
-    if name not in builders:
+    if name not in _BUILTINS:
         raise ModelError(f"unknown builtin model {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    m = builders[name]()
-    if c_const is not None and c_const != m.c_const:
-        m = replace(m, name=f"{name}", c_const=c_const)
-    return m
+    text, vertex = _BUILTINS[name]
+    m = replace(parse_model_spec(text), name=name)
+    if vertex is not None:
+        m = replace(m, vertices=(("e", vertex(m.fields)),))
+    return m if c_const is None else replace(m, c_const=c_const)
 
 
 # --------------------------------------------------------------------------- validation
@@ -224,6 +166,7 @@ def _verdict(m: ModelSpec) -> ModelVerdict:
         raise ModelError(f"c must be 0 or 1, got {m.c_const}")
     dims = []
     all_massive_ok = True
+    conserving = True  # every vertex conserves fermion number and charge and is self-adjoint
     for cname, poly in m.vertices:
         if poly.table != m.fields:
             raise ModelError(f"vertex {cname!r} built over a foreign field table")
@@ -236,12 +179,14 @@ def _verdict(m: ModelSpec) -> ModelVerdict:
                         f"{g.d_order}; vertices are capped at two derivatives "
                         f"per generator to bound the enumeration"
                     )
-        if poly.fermion_number() != 0:
-            reasons.append(f"vertex {cname!r} has nonzero fermion number")
-        if poly.charge() != 0:
-            reasons.append(f"vertex {cname!r} has nonzero charge")
-        if adjoint(poly) != poly:
-            reasons.append(f"vertex {cname!r} is not self-adjoint")
+        for holds, defect in (
+            (poly.fermion_number() == 0, "has nonzero fermion number"),
+            (poly.charge() == 0, "has nonzero charge"),
+            (adjoint(poly) == poly, "is not self-adjoint"),
+        ):
+            if not holds:
+                conserving = False
+                reasons.append(f"vertex {cname!r} {defect}")
         d = canonical_dim(poly)
         dims.append(d)
         if d > 4:
@@ -256,9 +201,7 @@ def _verdict(m: ModelSpec) -> ModelVerdict:
     reasons.append("Lorentz-scalar property of vertices: not checked")
 
     renorm = power_counting.classify(m)
-    wal = bool(m.vertices)
-    if any("fermion" in r or "charge" in r or "self-adjoint" in r for r in reasons):
-        wal = False
+    wal = bool(m.vertices) and conserving
     if len(set(dims)) > 1:
         wal = False
         reasons.append("vertices of mixed dimension; eligibility needs all dim 3 or all dim 4")
@@ -292,18 +235,20 @@ _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def _split_factors(expr: str):
-    """Split a monomial on '*', re-attaching stars that conjugate a field name."""
-    parts = expr.split("*")
+    """Split a monomial on '*', re-attaching stars that conjugate a field
+    name: a star followed by another star, by the end or by a power ^n."""
+    if not expr.strip():
+        raise ModelParseError("empty monomial")
     factors: list[str] = []
-    for raw in parts:
+    for raw in expr.split("*"):
         tok = raw.strip()
-        if tok == "":
-            if not factors:
-                raise ModelParseError("monomial starts with '*'")
-            factors[-1] += "*"
+        if factors and (tok == "" or tok.startswith("^")):
+            factors[-1] += "*" + tok
+        elif tok == "":
+            raise ModelParseError("monomial starts with '*'")
         else:
             factors.append(tok)
-    return [f for f in factors if f]
+    return factors
 
 
 def _parse_fields_line(tokens, line):
@@ -326,66 +271,38 @@ def _parse_fields_line(tokens, line):
 
 
 def _entries_for(name, kind, mass, charge, fermion, base, line):
-    if kind == "scalar":
-        if fermion % 2:
-            raise ModelParseError("scalar fields need even fermion number (use ghost)", line)
-        if charge == 0:
-            return [_scalar_entry(name, name, 0, mass, charge, fermion, base)]
-        return [
-            _scalar_entry(name, name, 0, mass, charge, fermion, base + 1),
-            _scalar_entry(name + "*", name + "*", 0, mass, -charge, -fermion, base),
-        ]
-    if kind == "ghost":
-        if fermion % 2 == 0:
-            raise ModelParseError("ghost fields need odd fermion number", line)
-        stat = "fermi"
-        q = QuantumNumbers(fermion, charge, Fraction(1), mass, stat)
-        qbar = QuantumNumbers(-fermion, -charge, Fraction(1), mass, stat)
-        return [
-            FieldEntry(name, "ghost", name, 0, q, base + 1),
-            FieldEntry(name + "~", "ghost", name + "~", 0, qbar, base),
-        ]
-    if kind == "vector":
-        if charge != 0 or fermion != 0:
-            raise ModelParseError("vector fields must be neutral with fermion 0", line)
-        return [
-            FieldEntry(
-                f"{name}_{mu}",
-                "vector",
-                name,
-                mu,
-                QuantumNumbers(0, 0, Fraction(1), mass, "bose"),
-                base + mu,
-            )
-            for mu in range(4)
-        ]
-    # dirac
-    if fermion % 2 == 0:
-        raise ModelParseError("dirac fields need odd fermion number", line)
-    out = []
-    for a in range(4):
-        out.append(
-            FieldEntry(
-                f"{name}_{a + 1}",
-                "dirac",
-                name,
-                a,
-                QuantumNumbers(fermion, charge, Fraction(3, 2), mass, "fermi"),
-                base + 4 + a,
-            )
+    """Field-table entries of one [fields] declaration, the first at index base.
+
+    Vector and dirac fields have four components (A_0..A_3, psi_1..psi_4).
+    A vector field, or a scalar of charge 0, is its own adjoint; any other
+    field is a particle block followed by its conjugate block (name* for
+    scalar and dirac, name~ for ghost), each the other's adjoint.
+    """
+    if kind == "scalar" and fermion % 2:
+        raise ModelParseError("scalar fields need even fermion number (use ghost)", line)
+    if kind in ("ghost", "dirac") and fermion % 2 == 0:
+        raise ModelParseError(f"{kind} fields need odd fermion number", line)
+    if kind == "vector" and (charge != 0 or fermion != 0):
+        raise ModelParseError("vector fields must be neutral with fermion 0", line)
+    n = 4 if kind in ("vector", "dirac") else 1
+    dim = Fraction(3, 2) if kind == "dirac" else Fraction(1)
+    stat = "fermi" if fermion % 2 else "bose"
+    if kind == "vector" or (kind == "scalar" and charge == 0):
+        blocks = [(name, 1, base)]
+    else:
+        blocks = [(name, 1, base + n), (name + ("~" if kind == "ghost" else "*"), -1, base)]
+    return [
+        FieldEntry(
+            species if n == 1 else f"{species}_{a + 1 if kind == 'dirac' else a}",
+            kind,
+            species,
+            a,
+            QuantumNumbers(sign * fermion, sign * charge, dim, mass, stat),
+            adjoint + a,
         )
-    for a in range(4):
-        out.append(
-            FieldEntry(
-                f"{name}*_{a + 1}",
-                "dirac",
-                name + "*",
-                a,
-                QuantumNumbers(-fermion, -charge, Fraction(3, 2), mass, "fermi"),
-                base + a,
-            )
-        )
-    return out
+        for species, sign, adjoint in blocks
+        for a in range(n)
+    ]
 
 
 def parse_polynomial(table: FieldTable, expr: str) -> Polynomial:
@@ -430,16 +347,16 @@ def parse_model_spec(text: str) -> ModelSpec:
 
     Sections: [fields] (name kind mass charge fermion), [vertices]
     (coupling = rational * monomial, scalar-sector factors only, derivative
-    tags d[mu]), [options] (c = 0|1), or a single [builtin] section
-    (name = <builtin>).  '#' starts a comment.  A '*' directly after a field
-    name is conjugation when that conjugate field exists, otherwise a
-    multiplication separator.
+    tags d[mu]), [options] (c = 0|1, name), or a single [builtin] section
+    (name = <builtin>, optionally c = 0|1).  '#' starts a comment.  A '*'
+    followed by another '*', by the end of the monomial or by a power ^n
+    conjugates the field name before it (phi**psi, phi*^2); any other '*'
+    separates factors.
     """
     section = None
     raw_fields: list[tuple] = []
     raw_vertices: list[tuple[str, str, int]] = []
-    options: dict[str, str] = {}
-    builtin_name = None
+    options: dict[str, str | int] = {}
     sections_seen = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -463,21 +380,29 @@ def parse_model_spec(text: str) -> ModelSpec:
             if not cname:
                 raise ModelParseError("empty coupling name", lineno)
             raw_vertices.append((cname, expr, lineno))
-        elif section == "options":
-            if "=" not in line:
-                raise ModelParseError("option line needs 'key = value'", lineno)
-            k, v = (s.strip() for s in line.split("=", 1))
+        else:  # [options] or [builtin]: key = value
+            k, eq, v = (s.strip() for s in line.partition("="))
+            if not eq:
+                raise ModelParseError(
+                    "option line needs 'key = value'" if section == "options"
+                    else "builtin section needs 'name = <model>'",
+                    lineno,
+                )
+            if section == "builtin" and k not in ("name", "c"):
+                raise ModelParseError(f"unknown [builtin] key {k!r}; it takes name and c", lineno)
+            if k == "c":
+                try:
+                    v = int(v)
+                except ValueError:
+                    raise ModelParseError(f"c must be an integer, got {v!r}", lineno) from None
             options[k] = v
-        else:  # builtin
-            if "=" not in line:
-                raise ModelParseError("builtin section needs 'name = <model>'", lineno)
-            _, v = (s.strip() for s in line.split("=", 1))
-            builtin_name = v
 
-    if builtin_name is not None:
+    if "builtin" in sections_seen:
         if sections_seen - {"builtin"}:
             raise ModelParseError("[builtin] cannot be combined with other sections", 1)
-        return builtin(builtin_name)
+        if "name" not in options:
+            raise ModelParseError("builtin section needs 'name = <model>'", 0)
+        return builtin(options["name"], options.get("c"))
 
     entries: list[FieldEntry] = []
     for (name, kind, mass, charge, fermion), lineno in raw_fields:
@@ -494,53 +419,51 @@ def parse_model_spec(text: str) -> ModelSpec:
         except ModelParseError as exc:
             raise ModelParseError(exc.msg, lineno, exc.col) from None
 
-    c = 1 if not raw_vertices else None
-    if "c" in options:
-        try:
-            c = int(options["c"])
-        except ValueError:
-            raise ModelParseError(f"c must be an integer, got {options['c']!r}", 0) from None
-    if c is None:
+    c = options.get("c")
+    if c is None:  # 4 - dim when all vertices have dim 3 or all dim 4, 1 for a free model, else 0
         dims = {canonical_dim(p) for _, p in vertices}
-        c = 0 if dims == {Fraction(4)} else 1 if dims == {Fraction(3)} else 0
+        c = 1 if dims <= {Fraction(3)} else 0
     return ModelSpec(options.get("name", "custom"), table, tuple(vertices), c)
 
 
+def _vertex_line(table: FieldTable, cname: str, poly: Polynomial) -> str:
+    """The [vertices] line of one vertex; ModelError outside the scalar grammar."""
+    if len(poly.terms) != 1:
+        raise ModelError(f"vertex {cname!r} is not a single monomial; cannot serialize")
+    idx, coeff = poly.terms[0]
+    if coeff.im != 0:
+        raise ModelError(f"vertex {cname!r} has a non-real coefficient; cannot serialize")
+    if any(table.entry(g.field).kind not in ("scalar", "ghost") for g, _ in idx.entries):
+        raise ModelError(f"vertex {cname!r} has a spinor or vector factor; cannot serialize")
+    factors = (table.gen_name(g) + (f"^{mult}" if mult > 1 else "") for g, mult in idx.entries)
+    return f"{cname} = {coeff.re} * " + "*".join(factors)
+
+
 def serialize_model_spec(m: ModelSpec) -> str:
-    """Inverse of parse_model_spec; non-scalar builtins serialize by name."""
-    if m.name in BUILTIN_NAMES:
-        ref = builtin(m.name, c_const=m.c_const)
-        if ref == m:
-            if any(e.kind in ("dirac", "vector") for e in m.fields.entries):
-                return f"[builtin]\nname = {m.name}\n"
+    """Inverse of parse_model_spec.
+
+    Each [fields] declaration is written from its first entry: component 0
+    and not the adjoint partner of an earlier entry.  A builtin whose
+    vertices the scalar grammar cannot express serializes by name, with a
+    c line when its c differs from the builtin's own.
+    """
+    try:
+        vertex_lines = [_vertex_line(m.fields, cname, poly) for cname, poly in m.vertices]
+    except ModelError:
+        if m.name not in _BUILTINS:
+            raise
+        text = f"[builtin]\nname = {m.name}\n"
+        if m.c_const != parse_model_spec(_BUILTINS[m.name][0]).c_const:
+            text += f"c = {m.c_const}\n"
+        return text
     lines = ["[fields]"]
-    skip = set()
+    partners = set()
     for i, e in enumerate(m.fields.entries):
-        if i in skip:
-            continue
-        if e.kind not in ("scalar", "ghost"):
-            return f"[builtin]\nname = {m.name}\n"
-        if e.adjoint != i:
-            skip.add(e.adjoint)
-        mass = repr(e.numbers.mass)
-        lines.append(
-            f"{e.name}  {e.kind}  {mass}  {e.numbers.charge}  {e.numbers.fermion}"
-        )
-    lines.append("[vertices]")
-    for cname, poly in m.vertices:
-        if len(poly.terms) != 1:
-            raise ModelError(f"vertex {cname!r} is not a single monomial; cannot serialize")
-        idx, coeff = poly.terms[0]
-        if coeff.im != 0:
-            raise ModelError(f"vertex {cname!r} has a non-real coefficient; cannot serialize")
-        factors = []
-        for g, mult in idx.entries:
-            name = m.fields.gen_name(g)
-            factors.append(name + (f"^{mult}" if mult > 1 else ""))
-        lines.append(f"{cname} = {coeff.re} * " + "*".join(factors))
-    lines.append("[options]")
-    lines.append(f"c = {m.c_const}")
-    lines.append(f"name = {m.name}")
+        if e.component == 0 and i not in partners:
+            q = e.numbers
+            lines.append(f"{e.species}  {e.kind}  {q.mass!r}  {q.charge}  {q.fermion}")
+        partners.add(e.adjoint)
+    lines += ["[vertices]", *vertex_lines, "[options]", f"c = {m.c_const}", f"name = {m.name}"]
     return "\n".join(lines) + "\n"
 
 

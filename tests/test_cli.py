@@ -193,9 +193,14 @@ def test_glcheck_cli_csv(capsys):
         (["omega", "--model", "scalar_model", "--ext", "phi=1", "--der", "phi"], "--der"),
         (["selfenergy", "--model", "scalar_model", "--q2grid=0:1:2", "--nsub", "x"], "--nsub"),
         (["selfenergy", "--model", "scalar_model", "--q2grid=0:1:2", "--nsub", "-1"], "--nsub"),
+        (["sdestimate", "--dim", "0"], "--dim"),
+        (["sdestimate", "--dim", "-1"], "--dim"),
+        (["adiabatic", "--model", "scalar_model", "--family", "foo"], "--family"),
+        (["glcheck", "--model", "scalar_model", "--family", "foo"], "--family"),
     ],
     ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count",
-         "nsub-not-a-count", "nsub-negative"],
+         "nsub-not-a-count", "nsub-negative", "dim-zero", "dim-negative",
+         "adiabatic-family-unknown", "glcheck-family-unknown"],
 )
 def test_malformed_option_is_a_usage_error(capsys, argv, option):
     code, out, err = _run(capsys, argv)
@@ -232,6 +237,30 @@ def test_freeform_error_names_the_argument(capsys):
     code, out, err = _run(capsys, ["wick", "--model", "scalar_model", "--args", "phi*zz"])
     assert code == 1 and out == ""
     assert "'zz'" in err and "'phi*zz'" in err and "line" not in err
+
+
+@pytest.mark.parametrize("option", ["--args", "--left", "--right"])
+def test_empty_argument_is_an_empty_monomial(capsys, option):
+    argv = {
+        "--args": ["wick", "--model", "scalar_model", "--args", ","],
+        "--left": ["pairings", "--model", "scalar_model", "--left", ",", "--right", "L"],
+        "--right": ["pairings", "--model", "scalar_model", "--left", "L", "--right", "L,"],
+    }[option]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"egqft {argv[0]}: argument '': empty monomial\n"
+
+
+def test_dirac_model_files_hash_apart(tmp_path, capsys):
+    fields = "[fields]\nA vector 0.0 0 0\npsi dirac 1.0 -1 1\nphi scalar 1.0 0 0\n"
+    hashes = set()
+    for vertex, c in (("phi^3", 1), ("phi^4", 0)):
+        path, man = tmp_path / f"c{c}.model", tmp_path / f"c{c}.json"
+        path.write_text(f"{fields}[vertices]\ng = 1 * {vertex}\n[options]\nc = {c}\n")
+        code, _, _ = _run(capsys, ["classify", "--model", str(path), "--manifest", str(man)])
+        assert code == 0
+        hashes.add(json.loads(man.read_text())["model_hash"])
+    assert len(hashes) == 2 and "8222cd4be3a76a1b" not in hashes
 
 
 def test_domain_error_leaves_no_out_file(tmp_path, capsys):

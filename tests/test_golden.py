@@ -47,6 +47,7 @@ _BASE = {
     "sdestimate-delta": ["sdestimate", "--target", "delta"],
     "sdestimate-ddelta": ["sdestimate", "--target", "ddelta"],
     "modelfile-wick": ["wick", "--model", "two_scalar.model", "--args", "L,chi*phi"],
+    "modelfile-dirac-classify": ["classify", "--model", "dirac.model"],
     "ghosts-pairings": [
         "pairings", "--model", "ghosts.model", "--left", "u*u~,u", "--right", "u~*u,u~"],
     "ghosts-wick": ["wick", "--model", "ghosts.model", "--args", "L,L,u*u~"],

@@ -1,7 +1,10 @@
 """Model table, validation, and text-format tests."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egqft.exact import QRat
 from egqft.model_registry import (
@@ -132,6 +135,24 @@ c = 1
     assert any("massive" in r for r in verdict.reasons)
 
 
+@pytest.mark.parametrize(
+    "fields, vertex, defects",
+    [
+        ("chi scalar 1.0 -1 0", "chi^4", ["has nonzero charge", "is not self-adjoint"]),
+        ("u ghost 1.0 0 1\nphi scalar 1.0 0 0", "u*phi^3",
+         ["has nonzero fermion number", "is not self-adjoint"]),
+    ],
+    ids=["charge", "fermion-number"],
+)
+def test_nonconserving_vertex_is_not_eligible(fields, vertex, defects):
+    m = parse_model_spec(f"[fields]\n{fields}\n[vertices]\ng = 1 * {vertex}\n[options]\nc = 0\n")
+    verdict = validate(m)
+    assert not verdict.wal_eligible
+    assert verdict.reasons == [f"vertex 'g' {d}" for d in defects] + [
+        "Lorentz-scalar property of vertices: not checked"
+    ]
+
+
 SCALAR_TEXT = """\
 # two-scalar cubic model
 [fields]
@@ -223,6 +244,13 @@ c = 0
     assert canonical_dim(v) == 2
 
 
+def test_conjugate_power_roundtrips():
+    text = "[fields]\nchi scalar 1.0 -1 0\n[vertices]\ng = 1 * chi**chi*\n[options]\nc = 0\n"
+    m = parse_model_spec(text)
+    assert "g = 1 * chi*^2\n" in serialize_model_spec(m)
+    assert parse_model_spec(serialize_model_spec(m)) == m
+
+
 def test_derivative_tags():
     text = """
 [fields]
@@ -284,3 +312,71 @@ def test_validate_dangling_field_index():
     broken = replace(m, vertices=(("e", bad_poly),))
     with pytest.raises(Exception, match="dangling"):
         validate(broken)
+
+
+def test_builtin_section_takes_name_and_c():
+    m = builtin("spinor_qed_massive", c_const=1)
+    text = serialize_model_spec(m)
+    assert text == "[builtin]\nname = spinor_qed_massive\nc = 1\n"
+    assert parse_model_spec(text) == m
+    assert serialize_model_spec(builtin("spinor_qed_massive")) == "[builtin]\nname = spinor_qed_massive\n"
+    with pytest.raises(ModelParseError, match="line 3, col 0: unknown \\[builtin\\] key 'mass'"):
+        parse_model_spec("[builtin]\nname = scalar_model\nmass = 2\n")
+
+
+def test_dirac_model_files_serialize_their_fields_and_vertices():
+    fields = "[fields]\nA vector 0.0 0 0\npsi dirac 1.0 -1 1\nphi scalar 1.0 0 0\n"
+    cubic = parse_model_spec(fields + "[vertices]\ng = 1 * phi^3\n[options]\nc = 1\n")
+    quartic = parse_model_spec(fields + "[vertices]\ng = 1 * phi^4\n[options]\nc = 0\n")
+    text = serialize_model_spec(cubic)
+    assert text.startswith("[fields]\nA  vector  0.0  0  0\npsi  dirac  1.0  -1  1\nphi  scalar")
+    assert text != serialize_model_spec(quartic)
+    for m in (cubic, quartic):
+        assert parse_model_spec(serialize_model_spec(m)) == m
+
+
+def test_serialize_refuses_a_custom_vertex_outside_the_grammar():
+    m = builtin("scalar_qed_massive")
+    with pytest.raises(ModelError, match="not a single monomial"):
+        serialize_model_spec(replace(m, name="custom"))
+
+
+# --------------------------------------------------------------------------- parse . serialize (hypothesis)
+
+
+@st.composite
+def model_texts(draw):
+    """Model texts over all four field kinds with scalar-sector vertices."""
+    lines, bosons, ghosts = ["[fields]"], [], []
+    for name in draw(st.lists(st.sampled_from("abhuvwd"), min_size=1, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(("scalar", "dirac", "vector", "ghost")))
+        mass = draw(st.floats(0, 10, allow_nan=False))
+        charge, fermion = 0, 0
+        if kind != "vector":
+            charge = draw(st.integers(-2, 2))
+            fermion = draw(st.sampled_from((-2, 0, 2) if kind == "scalar" else (-1, 1)))
+        lines.append(f"{name} {kind} {mass!r} {charge} {fermion}")
+        if kind == "scalar":
+            bosons += [name] if charge == 0 else [name, name + "*"]
+        elif kind == "ghost":
+            ghosts += [name, name + "~"]
+    lines.append("[vertices]")
+    tags = st.sampled_from(("", "d[0]", "d[1]d[3]", "d[2]d[2]"))
+    for k in range(draw(st.integers(0, 2)) if bosons or ghosts else 0):
+        names = draw(st.lists(st.sampled_from(bosons + ghosts), min_size=1, max_size=4).filter(
+            lambda ns: len(set(ns) & set(ghosts)) == sum(n in ghosts for n in ns)))
+        factors = [
+            draw(tags) + n + (draw(st.sampled_from(("", "^2", "^3"))) if n in bosons else "")
+            for n in names
+        ]
+        coeff = draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
+        lines.append(f"g{k} = {coeff} * " + "*".join(factors))
+    c = draw(st.sampled_from(("", "c = 0", "c = 1")))
+    return "\n".join(lines + ["[options]", c]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_texts())
+def test_parse_serialize_roundtrip(text):
+    m = parse_model_spec(text)
+    assert parse_model_spec(serialize_model_spec(m)) == m

@@ -10,6 +10,9 @@ deterministic order.
 Each subcommand runs its library calls and returns (model, manifest params,
 records); run() then writes the records, dicts as JSON or preformatted
 lines, so a domain error leaves no --out file behind.
+
+Only the numeric subcommands (selfenergy, adiabatic, glcheck, sdestimate)
+import numpy, scipy and the numeric modules; the exact ones start without.
 """
 from __future__ import annotations
 
@@ -23,18 +26,7 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
-
 from . import __version__
-from .causal_splitting import (
-    SelfEnergy,
-    SplittingError,
-    bubble_density,
-    central_normalize,
-    dispersion_eval,
-    scaling_degree_estimate,
-)
 from .model_registry import (
     ModelError,
     load_model,
@@ -49,7 +41,6 @@ from .power_counting import (
     omega_general,
     omega_massless,
 )
-from .propagators_kinematics import KinematicsError
 from .symbolic_fields import (
     AlgebraError,
     Generator,
@@ -60,24 +51,28 @@ from .symbolic_fields import (
     subpolynomials,
 )
 from .wick_pairing import WickError, complete_pairings, wick_expand
-from .adiabatic_limits import (
-    DEFAULT_EPSILONS,
-    AdiabaticError,
-    appendix_c_demo,
-    asymmetric_family,
-    gaussian_family,
-    gl_vs_eg_second_order,
-)
+from .wightman import KinematicsError
 
 DOMAIN_ERRORS = (
     AlgebraError,
     ModelError,
     CountingError,
     WickError,
-    SplittingError,
-    AdiabaticError,
     KinematicsError,
 )
+
+# Numeric library calls held as attributes of this module, which the
+# package resolves on first access (PEP 562).  The numeric commands look them
+# up on the module at call time, so that a wrapper set over one
+# (bench/tracer.py times them) takes effect.
+_NUMERIC_CALLS = ("dispersion_eval", "appendix_c_demo", "gl_vs_eg_second_order")
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _NUMERIC_CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 def _model_hash(model) -> str:
@@ -112,8 +107,10 @@ def _csv_quoted(text: str) -> str:
 # --------------------------------------------------------------------------- option types
 
 
-def _q2_points(spec: str) -> np.ndarray:
-    """The grid a:b:n of --q2grid (n >= 1 points)."""
+def _q2_points(spec: str):
+    """The grid a:b:n of --q2grid (n >= 1 points), as a numpy array."""
+    import numpy as np
+
     try:
         a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
@@ -361,6 +358,8 @@ def _cmd_pairings(args):
 
 
 def _cmd_selfenergy(args):
+    from .causal_splitting import SelfEnergy, bubble_density, central_normalize
+
     model = load_model(args.model)
     q2s = _q2_points(args.q2grid)
     m = max((e.numbers.mass for e in model.fields.entries), default=0.0)
@@ -372,7 +371,7 @@ def _cmd_selfenergy(args):
         se = central_normalize(se, om if om is not VANISHING_SECTOR else 0)
     else:
         se = SelfEnergy(se.density, n_sub=int(args.nsub))
-    rows = list(zip(q2s, dispersion_eval(se, q2s, args.mode)))
+    rows = list(zip(q2s, _cli.dispersion_eval(se, q2s, args.mode)))
     params = {"model": args.model, "q2grid": args.q2grid, "nsub": args.nsub, "mode": args.mode}
     if args.format == "json":
         return model, params, [
@@ -384,6 +383,8 @@ def _cmd_selfenergy(args):
 
 
 def _family(kind: str, neps: int | None):
+    from .adiabatic_limits import DEFAULT_EPSILONS, asymmetric_family, gaussian_family
+
     eps = DEFAULT_EPSILONS if neps is None else tuple(
         0.3 * 2.0 ** (-k / 2.0) for k in range(neps)
     )
@@ -404,7 +405,7 @@ def _limit_report_json(rep):
 
 def _cmd_adiabatic(args):
     model = load_model(args.model)
-    rep = appendix_c_demo(
+    rep = _cli.appendix_c_demo(
         model, args.cmis, family=_family(args.family, args.neps),
         f_profile=args.fprofile,
     )
@@ -426,7 +427,7 @@ def _cmd_adiabatic(args):
 
 def _cmd_glcheck(args):
     model = load_model(args.model)
-    rep = gl_vs_eg_second_order(
+    rep = _cli.gl_vs_eg_second_order(
         model, family=_family(args.family, args.neps), c_mis=args.cmis
     )
     params = {"model": args.model, "cmis": args.cmis, "family": args.family}
@@ -447,6 +448,11 @@ def _cmd_glcheck(args):
 
 
 def _cmd_sdestimate(args):
+    import numpy as np
+    from numpy.polynomial.hermite_e import hermegauss
+
+    from .causal_splitting import SplittingError, scaling_degree_estimate
+
     dim = args.dim
 
     if args.target == "delta":
@@ -593,6 +599,9 @@ _DISPATCH = {
     "glcheck": (_cmd_glcheck, 2),
     "sdestimate": (_cmd_sdestimate, None),
 }
+# the subcommands that import the numeric half, whose errors are domain
+# errors too
+_NUMERIC_COMMANDS = frozenset({"selfenergy", "adiabatic", "glcheck", "sdestimate"})
 
 
 def run(argv) -> int:
@@ -603,9 +612,15 @@ def run(argv) -> int:
         return int(exc.code or 0)
     t0 = time.monotonic()
     command, indent = _DISPATCH[args.cmd]
+    errors = DOMAIN_ERRORS
+    if args.cmd in _NUMERIC_COMMANDS:
+        from .adiabatic_limits import AdiabaticError
+        from .causal_splitting import SplittingError
+
+        errors += (SplittingError, AdiabaticError)
     try:
         model, params, records = command(args)
-    except DOMAIN_ERRORS as exc:
+    except errors as exc:
         print(f"egqft {args.cmd}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -629,3 +644,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

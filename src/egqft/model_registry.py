@@ -12,14 +12,13 @@ field table.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import I, QRat
-from .propagators_kinematics import GAMMA0, METRIC, gamma, mat_mul
 from .symbolic_fields import (
-    AlgebraError,
     FieldEntry,
     FieldTable,
     Polynomial,
@@ -27,6 +26,8 @@ from .symbolic_fields import (
     adjoint,
     canonical_dim,
 )
+from .wightman import GAMMA0, METRIC, gamma, mat_mul
+
 
 class ModelError(ValueError):
     pass
@@ -265,6 +266,8 @@ def _parse_fields_line(tokens, line):
         fermion = int(fermion_s)
     except ValueError as exc:
         raise ModelParseError(str(exc), line) from None
+    if not math.isfinite(mass):
+        raise ModelParseError(f"mass must be finite, got {mass_s!r}", line)
     if mass < 0:
         raise ModelParseError("mass must be nonnegative", line)
     return name, kind, mass, charge, fermion
@@ -405,12 +408,16 @@ def parse_model_spec(text: str) -> ModelSpec:
         return builtin(options["name"], options.get("c"))
 
     entries: list[FieldEntry] = []
+    declared: dict[str, int] = {}  # field name -> line of its declaration
     for (name, kind, mass, charge, fermion), lineno in raw_fields:
-        entries.extend(_entries_for(name, kind, mass, charge, fermion, len(entries), lineno))
-    try:
-        table = FieldTable(entries)
-    except AlgebraError as exc:
-        raise ModelParseError(str(exc), 0) from None
+        for e in _entries_for(name, kind, mass, charge, fermion, len(entries), lineno):
+            if e.name in declared:
+                raise ModelParseError(
+                    f"field name {e.name!r} is already declared on line {declared[e.name]}", lineno
+                )
+            declared[e.name] = lineno
+            entries.append(e)
+    table = FieldTable(entries)
 
     vertices = []
     for cname, expr, lineno in raw_vertices:

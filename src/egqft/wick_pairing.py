@@ -22,8 +22,8 @@ from typing import Sequence
 
 from .exact import QRat
 from .power_counting import SList
-from .propagators_kinematics import two_point
 from .symbolic_fields import Generator, Polynomial, SuperQuadriIndex, permutation_sign, subpolynomials
+from .wightman import two_point
 
 
 class WickError(ValueError):

@@ -10,6 +10,19 @@ import pytest
 from egqft.cli import run
 
 SHORT_EPS_NOTE = "CLI demos use the full default schedule; tests keep commands light."
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def _env():
+    """The environment of a fresh interpreter that imports egqft from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def _python(*args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_env(), timeout=120
+    )
 
 
 def _run(capsys, argv):
@@ -211,12 +224,10 @@ def test_malformed_option_is_a_usage_error(capsys, argv, option):
 
 def test_closed_stdout_ends_quietly_with_exit_1():
     # the reader closes the pipe after one line, as `egqft wick ... | head -1` does
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from egqft.cli import main; main()",
          "wick", "--model", "spinor_qed_massive", "--args", "L,L"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
     )
     assert proc.stdout.readline().startswith(b'{"normal_monomials"')
     proc.stdout.close()
@@ -273,3 +284,114 @@ def test_domain_error_leaves_no_out_file(tmp_path, capsys):
         code, out, err = _run(capsys, argv + ["--out", str(path)])
         assert code == 1 and err.startswith(f"egqft {argv[0]}: "), err
         assert not path.exists(), argv
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf", "-inf"])
+def test_selfenergy_on_a_nonfinite_mass_is_a_domain_error(tmp_path, capsys, mass):
+    path = tmp_path / "nonfinite.model"
+    path.write_text(f"[fields]\nphi scalar {mass} 0 0\n[vertices]\ng = 1 * phi^3\n")
+    code, out, err = _run(capsys, ["selfenergy", "--model", str(path), "--q2grid=0:1:2"])
+    assert code == 1 and out == ""
+    assert err == f"egqft selfenergy: line 2, col 0: mass must be finite, got '{mass}'\n"
+
+
+# --------------------------------------------------------------------------- cold start
+
+EXACT_COMMANDS = [
+    ["classify", "--model", "scalar_model"],
+    ["subpolys", "--model", "spinor_qed_massive", "--view", "all"],
+    ["omega", "--model", "scalar_model", "--ext", "phi=2,psi=0"],
+    ["wick", "--model", "spinor_qed_massive", "--args", "L,L"],
+    ["pairings", "--model", "ghosts.model", "--left", "u*u~,u", "--right", "u~*u,u~"],
+]
+
+# every name the package exported when its __init__ imported each module
+PACKAGE_NAMES = """
+    QRat
+    FieldTable Generator Polynomial QuantumNumbers SuperQuadriIndex adjoint
+    canonical_dim derive permutation_sign subpolynomials
+    ModelSpec ModelVerdict builtin parse_model_spec validate
+    VANISHING_SECTOR IrIndex SList classify der ext ir_index_product
+    ir_index_split omega_general omega_massless sd_bound
+    OpProductExpansion PairingTerm WickTerm complete_pairings expand_aT
+    expand_adv expand_dif expand_dif_commutator expand_ret isserlis_oracle
+    momentum_support_vanishes wick_expand
+    MassShellMeasure TwoPointKey feynman_propagator gamma_trace riesz_check
+    riesz_s two_body_phase_space two_point
+    FreedomBasis SelfEnergy SpectralDensity bubble_density central_normalize
+    dispersion_eval freedom_basis scaling_degree_estimate
+    LimitReport ScaledTestFamily SplittingTheta appendix_c_demo cone_contains
+    gamma_cone_member gl_vs_eg_second_order lemma51_check lojasiewicz_value
+    theta_eval
+""".split()
+
+
+def test_exact_half_starts_without_numpy_or_scipy():
+    code = f"""
+import contextlib, io, sys
+
+def numerics():
+    return sorted({{m.split('.')[0] for m in sys.modules}} & {{'numpy', 'scipy'}})
+
+import egqft
+assert not numerics(), ('import egqft', numerics())
+from egqft import cli
+for argv in {EXACT_COMMANDS!r}:
+    sys.argv = ['egqft', *argv]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            cli.main()
+        except SystemExit as exc:
+            assert exc.code == 0, (argv, exc.code)
+    assert out.getvalue(), argv
+    assert not numerics(), (argv, numerics())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_env(),
+        cwd=GOLDEN, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_on_first_access():
+    code = f"""
+import egqft
+names = {PACKAGE_NAMES!r}
+assert sorted(egqft.__all__) == sorted(names)
+listed = dir(egqft)
+for name in names:
+    assert name in listed, name
+    getattr(egqft, name)
+assert 'causal_splitting' in listed and egqft.causal_splitting.SelfEnergy is egqft.SelfEnergy
+from egqft import adiabatic_limits, causal_splitting, cli, propagators_kinematics, wightman
+assert cli.dispersion_eval is causal_splitting.dispersion_eval
+assert cli.appendix_c_demo is adiabatic_limits.appendix_c_demo
+assert cli.gl_vs_eg_second_order is adiabatic_limits.gl_vs_eg_second_order
+for name in ('GAMMA0', 'METRIC', 'KinematicsError', 'MomentumPoly', 'gamma', 'mat_mul', 'two_point'):
+    assert getattr(propagators_kinematics, name) is getattr(wightman, name), name
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["egqft", "egqft.cli"])
+def test_python_m_runs_the_cli(module):
+    expected = json.loads((GOLDEN / "classify-scalar_model-csv.json").read_text())
+    proc = _python("-m", module, "classify", "--model", "scalar_model")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected["stdout"], "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["selfenergy", "--model", "spinor_qed_massless", "--q2grid=0:1:2"], "needs a mass gap"),
+        (["sdestimate", "--target", "smooth", "--dim", "8"], "--dim <= 7"),
+        (["adiabatic", "--model", "scalar_model", "--neps", "3"], "family too coarse"),
+    ],
+    ids=["splitting", "sdestimate", "adiabatic"],
+)
+def test_numeric_domain_errors_exit_1_from_a_fresh_process(argv, message):
+    proc = _python("-m", "egqft", *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"egqft {argv[0]}: ") and message in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1

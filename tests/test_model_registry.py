@@ -207,6 +207,28 @@ def test_parse_errors_carry_line_numbers():
         parse_model_spec("[fields]\nphi scalar 0.0 0 0\n[vertices]\ne = 1 * chi^2\n")
 
 
+@pytest.mark.parametrize("mass", ["nan", "inf", "-inf"])
+def test_nonfinite_mass_is_rejected_on_its_line(mass):
+    with pytest.raises(ModelParseError) as exc:
+        parse_model_spec(f"[fields]\nphi scalar 1.0 0 0\npsi scalar {mass} 0 0\n")
+    assert str(exc.value) == f"line 3, col 0: mass must be finite, got '{mass}'"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ("A vector 0 0 0\nA_0 scalar 0 0 0", "line 3, col 0: field name 'A_0' is already declared on line 2"),
+        ("phi scalar 1 0 0\n\npsi dirac 0 -1 1\nphi scalar 0 0 0",
+         "line 5, col 0: field name 'phi' is already declared on line 2"),
+    ],
+    ids=["component-collision", "redeclared"],
+)
+def test_field_name_collision_names_the_field_and_the_line(fields, message):
+    with pytest.raises(ModelParseError) as exc:
+        parse_model_spec(f"[fields]\n{fields}\n")
+    assert str(exc.value) == message
+
+
 def test_parse_polynomial_matches_vertex_and_names_the_factor():
     m = parse_model_spec(SCALAR_TEXT)
     assert parse_polynomial(m.fields, "1/2 * phi*psi^2") == m.vertex("e")

@@ -281,6 +281,22 @@ def _cmd_wick(args):
     polys = [_resolve_arg_poly(model, tok) for tok in args.args.split(",")]
     terms = wick_expand(polys)
     params = {"model": args.model, "args": args.args}
+    if args.format == "json":
+        # the line json.dumps(record, sort_keys=True) writes for the record
+        # {s_list, sign, weight, vev_args, normal_monomials, vev_forced_zero}
+        lines = _wick_lines(
+            terms,
+            sqi=lambda s: json.dumps(_sqi_json(model, s), sort_keys=True),
+            arg=lambda p: json.dumps(repr(p)),
+            weight=lambda w: json.dumps(repr(w)),
+            line=lambda sign, w, s, n, zero, a: (
+                f'{{"normal_monomials": [{n}], "s_list": [{s}], "sign": {sign}, '
+                f'"vev_args": [{a}], "vev_forced_zero": {("false", "true")[zero]}, '
+                f'"weight": {w}}}'
+            ),
+            sep=", ",
+        )
+        return model, params, lines
 
     def sqi_str(s):
         return "*".join(
@@ -288,27 +304,48 @@ def _cmd_wick(args):
             for g, m in s.entries
         ) or "1"
 
-    if args.format == "json":
-        return model, params, (
-            {
-                "s_list": [_sqi_json(model, s) for s in t.s_list.items],
-                "sign": t.sign,
-                "weight": repr(t.weight),
-                "vev_args": [repr(p) for p in t.vev_args],
-                "normal_monomials": [_sqi_json(model, s) for s in t.normal_monomials],
-                "vev_forced_zero": t.vev_forced_zero,
-            }
-            for t in terms
+    lines = _wick_lines(
+        terms,
+        sqi=sqi_str,
+        # _csv_quoted of the ';'-joined arguments, one argument at a time
+        arg=lambda p: repr(p).replace('"', "'"),
+        weight=repr,
+        line=lambda sign, w, s, n, zero, a: f'{sign},{w},{s},{n},{int(zero)},"{a}"',
+        sep=";",
+    )
+    header = "sign,weight,s_list,normal_monomials,vev_forced_zero,vev_args"
+    return model, params, itertools.chain([header], lines)
+
+
+def _wick_lines(terms, sqi, arg, weight, line, sep):
+    """One output line per Wick term.  Terms share their candidates' objects,
+    so each s, B^(s) and weight is rendered once, on first sight, and a line
+    joins rendered fragments."""
+    sqi, arg, weight = _rendered_once(sqi), _rendered_once(arg), _rendered_once(weight)
+    for t in terms:
+        yield line(
+            t.sign,
+            weight(t.weight),
+            sep.join(map(sqi, t.s_list.items)),
+            sep.join(map(sqi, t.normal_monomials)),
+            t.vev_forced_zero,
+            sep.join(map(arg, t.vev_args)),
         )
 
-    def csv_line(t):
-        s_str = ";".join(sqi_str(s) for s in t.s_list.items)
-        n_str = ";".join(sqi_str(s) for s in t.normal_monomials)
-        a_str = _csv_quoted(";".join(repr(p) for p in t.vev_args))
-        return f"{t.sign},{t.weight!r},{s_str},{n_str},{int(t.vev_forced_zero)},{a_str}"
 
-    header = "sign,weight,s_list,normal_monomials,vev_forced_zero,vev_args"
-    return model, params, itertools.chain([header], map(csv_line, terms))
+def _rendered_once(render):
+    """render, computed once per object.  The cache is keyed on id():
+    hashing a Polynomial costs more than rendering it, and the caller keeps
+    every rendered object alive."""
+    cache = {}
+
+    def rendered(obj):
+        text = cache.get(id(obj))
+        if text is None:
+            text = cache[id(obj)] = render(obj)
+        return text
+
+    return rendered
 
 
 def _monomial_index(model, token: str) -> SuperQuadriIndex:
@@ -623,8 +660,11 @@ def run(argv) -> int:
     except errors as exc:
         print(f"egqft {args.cmd}: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        records = (json.dumps(r, sort_keys=True, indent=indent) for r in records)
+    # dicts are JSON records; strings are lines, written as they are
+    records = (
+        json.dumps(r, sort_keys=True, indent=indent) if isinstance(r, dict) else r
+        for r in records
+    )
     out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
         for line in records:

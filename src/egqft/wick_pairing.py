@@ -14,6 +14,7 @@ and the graded symmetry property rather than by a closed formula.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -100,7 +101,7 @@ def _derive_vs_extraction(poly: Polynomial, s: SuperQuadriIndex, derived: Polyno
     return rho
 
 
-def _species_content(p: Polynomial, table) -> set:
+def _species_content(p: Polynomial, table) -> frozenset:
     """The species multisets of the monomials of p, as sorted (species, count) tuples."""
     sigs = set()
     for idx, _ in p.terms:
@@ -109,10 +110,10 @@ def _species_content(p: Polynomial, table) -> set:
             sp = table.entry(g.field).species
             acc[sp] = acc.get(sp, 0) + m
         sigs.add(tuple(sorted(acc.items())))
-    return sigs
+    return frozenset(sigs)
 
 
-def _species_balance_possible(per_arg: Sequence[set], table) -> bool:
+def _species_balance_possible(per_arg: Sequence[frozenset], table) -> bool:
     """Can some choice of monomials (one per argument) balance all species?
 
     per_arg holds each argument's _species_content.  Balance:
@@ -169,35 +170,43 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
     for p in polys:
         if p.table != table:
             raise WickError("arguments over different field tables")
-    # one record per (argument, candidate): s, B^(s), rho, s!, parity of s,
-    # species content of B^(s).  Candidate lists are key-sorted with distinct
-    # keys, so the product below already runs in lexicographic order of the
-    # s-lists.
-    per_arg = [
-        [
-            (s, d, _derive_vs_extraction(p, s, d, table), s.factorial(),
-             _index_parity(s, table), _species_content(d, table))
-            for s, d in subpolynomials(p, view="all")
-        ]
-        for p in polys
-    ]
+    # one record per (distinct argument, candidate): s, B^(s), rho, s!, parity
+    # of s, species content of B^(s).  Candidate lists are key-sorted with
+    # distinct keys, so the product below already runs in lexicographic order
+    # of the s-lists.
+    priced: dict[Polynomial, list] = {}
+    for p in polys:
+        if p not in priced:
+            priced[p] = [
+                (s, d, _derive_vs_extraction(p, s, d, table), s.factorial(),
+                 _index_parity(s, table), _species_content(d, table))
+                for s, d in subpolynomials(p, view="all")
+            ]
+    per_arg = [priced[p] for p in polys]
     ppar = [p.parity() for p in polys]
     # cross sign: the blocks (internal_1, external_1, ..., internal_n,
     # external_n) regrouped as all internals, then all externals
     regroup = list(range(0, 2 * len(polys), 2)) + list(range(1, 2 * len(polys), 2))
 
+    # a term's cross sign, verdict and weight depend only on small classes of
+    # its candidates (parities, species contents, factorial product), so each
+    # is computed once per tuple of classes
+    cross = functools.cache(lambda spars: permutation_sign(
+        [b for par, spar in zip(ppar, spars) for b in ((par - spar) % 2, spar)], regroup))
+    forced_zero = functools.cache(lambda contents: not _species_balance_possible(contents, table))
+    weight = functools.cache(lambda fact: QRat(Fraction(1, fact)))
+
     out = []
     for choice in itertools.product(*per_arg):
         s_list, args, rhos, facts, spars, contents = zip(*choice)
-        blocks = [b for par, spar in zip(ppar, spars) for b in ((par - spar) % 2, spar)]
         out.append(
             WickTerm(
                 s_list=SList(s_list),
-                sign=permutation_sign(blocks, regroup) * math.prod(rhos),
-                weight=QRat(Fraction(1, math.prod(facts))),
+                sign=cross(spars) * math.prod(rhos),
+                weight=weight(math.prod(facts)),
                 vev_args=args,
                 normal_monomials=s_list,
-                vev_forced_zero=not _species_balance_possible(contents, table),
+                vev_forced_zero=forced_zero(contents),
             )
         )
     return out

@@ -1,4 +1,5 @@
 """CLI behavior: outputs, determinism, exit codes, manifests."""
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from egqft.cli import run
+from egqft.cli import _resolve_arg_poly, _sqi_json, run
+from egqft.model_registry import load_model
+from egqft.wick_pairing import wick_expand
 
 SHORT_EPS_NOTE = "CLI demos use the full default schedule; tests keep commands light."
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -395,3 +398,78 @@ def test_numeric_domain_errors_exit_1_from_a_fresh_process(argv, message):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"egqft {argv[0]}: ") and message in proc.stderr, proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+# --------------------------------------------------------------------------- wick renderer oracle
+
+
+def _dict_rendered_wick(model_arg, args, fmt):
+    """The wick stream as a dict per term through json.dumps (JSON) and a
+    per-term f-string (CSV): the rendering the fragment joiner replaced."""
+    model = load_model(model_arg)
+    terms = wick_expand([_resolve_arg_poly(model, tok) for tok in args.split(",")])
+    if fmt == "json":
+        return [
+            json.dumps(
+                {
+                    "s_list": [_sqi_json(model, s) for s in t.s_list.items],
+                    "sign": t.sign,
+                    "weight": repr(t.weight),
+                    "vev_args": [repr(p) for p in t.vev_args],
+                    "normal_monomials": [_sqi_json(model, s) for s in t.normal_monomials],
+                    "vev_forced_zero": t.vev_forced_zero,
+                },
+                sort_keys=True,
+            )
+            for t in terms
+        ]
+
+    def sqi_str(s):
+        return "*".join(
+            model.fields.gen_name(g) + (f"^{m}" if m > 1 else "") for g, m in s.entries
+        ) or "1"
+
+    def csv_line(t):
+        s_str = ";".join(sqi_str(s) for s in t.s_list.items)
+        n_str = ";".join(sqi_str(s) for s in t.normal_monomials)
+        a_str = '"' + ";".join(repr(p) for p in t.vev_args).replace('"', "'") + '"'
+        return f"{t.sign},{t.weight!r},{s_str},{n_str},{int(t.vev_forced_zero)},{a_str}"
+
+    header = "sign,weight,s_list,normal_monomials,vev_forced_zero,vev_args"
+    return [header] + [csv_line(t) for t in terms]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "model, args",
+    [
+        ("spinor_qed_massive", "L,L"),
+        (str(GOLDEN / "ghosts.model"), "L,L,u*u~"),
+        ("scalar_model", "psi^2,phi*psi"),
+    ],
+    ids=["spinor-L-L", "ghosts-odd", "scalar-freeform"],
+)
+def test_wick_lines_equal_the_dict_rendering(capsys, model, args, fmt):
+    code, out, err = _run(capsys, ["wick", "--model", model, "--args", args, "--format", fmt])
+    assert code == 0 and err == ""
+    want = _dict_rendered_wick(model, args, fmt)
+    got = out.split("\n")
+    assert got.pop() == ""
+    assert len(got) == len(want)
+    for line, expected in zip(got, want):
+        assert line == expected
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "01b636122c001e9d2067d28305ce810fe730c3637e02fa2a375e2b2c739d2561"),
+        ("csv", "e95def05ff280eb90cb8b6b84e95485364a1339ddda97df9116261040d4d4ced"),
+    ],
+)
+def test_spinor_wick_stream_bytes_are_pinned(capsys, fmt, digest):
+    code, out, _ = _run(
+        capsys, ["wick", "--model", "spinor_qed_massive", "--args", "L,L", "--format", fmt]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,6 +13,7 @@ from egqft.symbolic_fields import (
     Generator,
     Polynomial,
     SuperQuadriIndex,
+    _derive_one,
     adjoint,
     canonical_dim,
     canonicalize_word,
@@ -300,6 +301,36 @@ def test_property_adjoint_involution_and_anti_homomorphism(a, b):
     pa, pb = a[0], b[0]
     assert adjoint(adjoint(pa)) == pa
     assert adjoint(pa * pb) == adjoint(pb) * adjoint(pa)
+
+
+@st.composite
+def leibniz_cases(draw):
+    """(p, parity), (q, parity), g: p and q are sums of up to two monomials
+    of one parity, with g appended to about half of the words so that d_g
+    acts on them."""
+    g = draw(generators)
+
+    def factor():
+        terms, parity = {}, None
+        for word in draw(st.lists(st.lists(generators, max_size=3, unique=True), min_size=1, max_size=2)):
+            if g not in word and draw(st.booleans()):
+                word = word + [g]
+            parity = _word_parity(word) if parity is None else parity
+            if _word_parity(word) == parity:
+                terms[canonicalize_word(word, TOY)[1]] = draw(coefficients)
+        return Polynomial(TOY, terms), parity
+
+    return factor(), factor(), g
+
+
+@settings(deadline=None)
+@given(leibniz_cases())
+def test_property_derivation_leibniz_rule(case):
+    """d_g(pq) = (d_g p) q + (-1)^(|g||p|) p (d_g q) for the graded left
+    derivation d_g."""
+    (p, fp), (q, _), g = case
+    sign = QRat((-1) ** (TOY.parity(g.field) * fp))
+    assert _derive_one(p * q, g) == _derive_one(p, g) * q + (p * _derive_one(q, g)).scale(sign)
 
 
 @settings(max_examples=300, deadline=None)

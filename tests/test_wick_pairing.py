@@ -1,19 +1,24 @@
 """Wick/pairing combinatorics tests."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egqft.exact import QRat
-from egqft.model_registry import builtin
+from egqft.model_registry import builtin, parse_model_spec
 from egqft.propagators_kinematics import GAMMA0, gamma, mat_mul
 from egqft.symbolic_fields import (
     Generator,
     Polynomial,
     SuperQuadriIndex,
+    canonicalize_word,
     derive,
     index_of,
+    permutation_sign,
     subpolynomials,
 )
 from egqft import wick_pairing
@@ -217,8 +222,141 @@ def test_wick_expand_prices_each_candidate_once(monkeypatch):
     L = QED.vertex("e")
     n_cand = len(subpolynomials(L, view="all"))
     assert n_cand == 73
+    # the same polynomial twice is priced once
     assert len(wick_expand([L, L])) == n_cand**2
-    assert len(calls) == 2 * n_cand
+    assert len(calls) == n_cand
+    # distinct arguments are each priced once, however often they repeat
+    calls.clear()
+    j0 = derive(L, index_of(Generator(QED.fields.index("A_0"))))
+    n_j0 = len(subpolynomials(j0, view="all"))
+    assert len(wick_expand([j0, L, j0])) == n_j0**2 * n_cand
+    assert len(calls) == n_cand + n_j0
+
+
+def _internal_species(vertex, s):
+    """Species counts of B^(s) for a vertex whose monomials all share one
+    species content: the vertex's counts minus those of s."""
+    table = vertex.table
+
+    def species(idx):
+        acc = {}
+        for g, m in idx.entries:
+            sp = table.entry(g.field).species
+            acc[sp] = acc.get(sp, 0) + m
+        return acc
+
+    acc = species(vertex.terms[0][0])
+    assert all(species(idx) == acc for idx, _ in vertex.terms)
+    for g, m in s.entries:
+        acc[table.entry(g.field).species] -= m
+    return acc
+
+
+@pytest.mark.parametrize(
+    "model, n, terms, forced_zero",
+    [
+        ("spinor_qed_massive", 2, 5329, 4216),
+        ("scalar_qed_massive", 2, 2209, 1806),
+        # L = phi psi^2/2: s_j = phi^a_j psi^b_j leaves phi^(1-a_j) psi^(2-b_j)
+        # inside, so a term survives iff an even number of the a_j are 0
+        # (2^(n-1) of 2^n) and an even number of the b_j are 1 ((3^n + 1)/2
+        # of 3^n): 6^n - 2^(n-2) (3^n + 1) = 160 are forced zero at n = 3
+        ("scalar_model", 3, 216, 6**3 - 2 * (3**3 + 1)),
+    ],
+)
+def test_wick_forced_zero_counts(model, n, terms, forced_zero):
+    """Each term's verdict against species balance counted from its s-list:
+    a self-conjugate species (A, the real scalars) occurs an even number of
+    times, a charged one as often as its conjugate."""
+    m = builtin(model)
+    L = m.vertex("e")
+    conj = {e.species: m.fields.entry(e.adjoint).species for e in m.fields.entries}
+    expansion = wick_expand([L] * n)
+    for t in expansion:
+        total = {}
+        for s in t.s_list.items:
+            for sp, c in _internal_species(L, s).items():
+                total[sp] = total.get(sp, 0) + c
+        balanced = all(
+            c % 2 == 0 if conj[sp] == sp else c == total.get(conj[sp], 0)
+            for sp, c in total.items()
+        )
+        assert t.vev_forced_zero == (not balanced), t.s_list
+    assert len(expansion) == terms
+    assert sum(t.vev_forced_zero for t in expansion) == forced_zero
+
+
+# a real scalar, a charged massive scalar and a ghost pair
+TOY = parse_model_spec(
+    """
+[fields]
+phi scalar 0.0 0 0
+chi scalar 1.0 -1 0
+u ghost 0.0 0 1
+[vertices]
+[options]
+c = 0
+"""
+).fields
+
+
+@st.composite
+def fermion_homogeneous_polynomials(draw):
+    """Sums of up to two monomials of degree 1..3 in the toy fields, with
+    one fermion number (monomials of any other are dropped)."""
+    gens = st.builds(Generator, st.integers(0, len(TOY) - 1), st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0)]))
+    terms, fermion = {}, None
+    for word in draw(st.lists(st.lists(gens, min_size=1, max_size=3), min_size=1, max_size=2)):
+        res = canonicalize_word(word, TOY)
+        f = sum(TOY.entry(g.field).numbers.fermion for g in word)
+        fermion = f if fermion is None else fermion
+        if res is not None and f == fermion:
+            terms[res[1]] = QRat(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(-1, 1)))
+    return Polynomial(TOY, terms)
+
+
+def _per_term_wick(polys):
+    """wick_expand as it was before memoization: every argument priced, and
+    every term's cross sign, weight and verdict computed on its own."""
+    table = polys[0].table
+    per_arg = [
+        [
+            (s, d, wick_pairing._derive_vs_extraction(p, s, d, table), s.factorial(),
+             wick_pairing._index_parity(s, table), wick_pairing._species_content(d, table))
+            for s, d in subpolynomials(p, view="all")
+        ]
+        for p in polys
+    ]
+    ppar = [p.parity() for p in polys]
+    regroup = list(range(0, 2 * len(polys), 2)) + list(range(1, 2 * len(polys), 2))
+    out = []
+    for choice in itertools.product(*per_arg):
+        s_list, args, rhos, facts, spars, contents = zip(*choice)
+        blocks = [b for par, spar in zip(ppar, spars) for b in ((par - spar) % 2, spar)]
+        out.append((
+            tuple(s.key() for s in s_list),
+            permutation_sign(blocks, regroup) * math.prod(rhos),
+            QRat(Fraction(1, math.prod(facts))),
+            args,
+            not wick_pairing._species_balance_possible(contents, table),
+        ))
+    return out
+
+
+@settings(deadline=None)
+@given(
+    st.lists(fermion_homogeneous_polynomials(), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), min_size=2, max_size=3),
+)
+def test_property_memoized_wick_equals_per_term_reference(pool, picks):
+    """Repeated and distinct arguments: the memoized expansion equals the
+    per-term one in order, sign, weight, VEV arguments and verdict."""
+    polys = [pool[k % len(pool)] for k in picks]
+    got = [
+        (tuple(s.key() for s in t.s_list.items), t.sign, t.weight, t.vev_args, t.vev_forced_zero)
+        for t in wick_expand(polys)
+    ]
+    assert got == _per_term_wick(polys)
 
 
 # --------------------------------------------------------------------------- sign references

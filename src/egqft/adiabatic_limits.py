@@ -599,6 +599,8 @@ def gl_vs_eg_second_order(
     family = family or gaussian_family(4)
     if len(family.epsilons) < 2:
         raise AdiabaticError("cannot fit a decay exponent from fewer than 2 samples")
+    if any(abs(x) > 0 for c in family.centers for x in c[1:]):
+        raise AdiabaticError("the light-cone reduction needs time-directed centers")
     mass = max(e.numbers.mass for e in model.fields.entries)
     kit = _kit(mass, uv_scale)
     normalized = c_mis == 0.0
@@ -622,24 +624,25 @@ def gl_vs_eg_second_order(
     h, wh = np.polynomial.hermite.hermgauss(n_q)
     tl, wl = roots_laguerre(n_q)
 
+    W = np.einsum("i,j,k->ijk", wh / math.sqrt(math.pi), wh / math.sqrt(math.pi), wl)
+
     def phi(eps, kap, sgn):
+        # one Gaussian per component of the family, centered at eps * c0 in time
         s = eps * family.sigma
-        q0 = s * math.sqrt(2.0) * h
         qp = s * math.sqrt(2.0) * h
         qt = s * np.sqrt(2.0 * tl)
-        Q0, QP, QT = np.meshgrid(q0, qp, qt, indexing="ij")
-        W = (
-            np.einsum(
-                "i,j,k->ijk", wh / math.sqrt(math.pi), wh / math.sqrt(math.pi), wl
-            )
-        )
-        q2 = Q0**2 - QP**2 - QT**2
-        arg = q2 + 2.0 * sgn * kap * (Q0 - QP)
-        if sgn > 0:
-            vals = kit.normalized_bubble(arg) + c_mis
-        else:
-            vals = kit.feynman_pair(arg)
-        return complex(np.sum(W * vals))
+        total = 0.0
+        for c, wc in zip(family.centers, family.weights):
+            q0 = eps * c[0] + s * math.sqrt(2.0) * h
+            Q0, QP, QT = np.meshgrid(q0, qp, qt, indexing="ij")
+            q2 = Q0**2 - QP**2 - QT**2
+            arg = q2 + 2.0 * sgn * kap * (Q0 - QP)
+            if sgn > 0:
+                vals = kit.normalized_bubble(arg) + c_mis
+            else:
+                vals = kit.feynman_pair(arg)
+            total += wc * complex(np.sum(W * vals))
+        return total
 
     def delta_at(eps: float) -> complex:
         tot = 0.0 + 0.0j

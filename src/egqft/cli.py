@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -107,15 +108,26 @@ def _csv_quoted(text: str) -> str:
 # --------------------------------------------------------------------------- option types
 
 
+def _finite(spec: str) -> float:
+    """A finite float: the argparse type of --cmis and the bounds of --q2grid."""
+    try:
+        x = float(spec)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {spec!r}")
+    return x
+
+
 def _q2_points(spec: str):
     """The grid a:b:n of --q2grid (n >= 1 points), as a numpy array."""
     import numpy as np
 
     try:
         a, b, n = spec.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a:b:n, got {spec!r}") from None
+        a, b, n = _finite(a), _finite(b), int(n)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"expected a:b:n with finite a and b, got {spec!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"need n >= 1 grid points, got {spec!r}")
     return np.linspace(a, b, n)
@@ -598,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: eps, re_adv, im_adv, re_ret, im_ret.",
     )
     p.add_argument("--model", required=True)
-    p.add_argument("--cmis", type=float, default=0.0)
+    p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--fprofile", choices=("one", "vanishing"), default="one")
     p.add_argument("--neps", type=int, default=None, help="length of the epsilon schedule")
@@ -611,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trailing comment line.",
     )
     p.add_argument("--model", required=True)
-    p.add_argument("--cmis", type=float, default=0.0)
+    p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--neps", type=int, default=None, help="length of the epsilon schedule")
     common(p)

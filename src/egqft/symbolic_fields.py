@@ -97,6 +97,7 @@ class FieldTable:
                 raise AlgebraError(f"dangling adjoint index for {e.name}")
             if self.entries[e.adjoint].adjoint != i:
                 raise AlgebraError(f"adjoint pairing of {e.name} is not an involution")
+        self._hash = hash(self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -105,7 +106,7 @@ class FieldTable:
         return isinstance(other, FieldTable) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash
 
     def index(self, name: str) -> int:
         try:
@@ -249,7 +250,7 @@ def canonicalize_word(word: Sequence[Generator], table: FieldTable):
 class Polynomial:
     """Exact linear combination of monomials A^r over one field table."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "_hash")
 
     def __init__(self, table: FieldTable, terms: Mapping[SuperQuadriIndex, QRat] | None = None):
         self.table = table
@@ -331,7 +332,12 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.table, self.terms))
+        # computed on first use: most polynomials are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.table, self.terms))
+            return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms

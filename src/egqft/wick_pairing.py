@@ -8,9 +8,13 @@ Sign conventions.  Every graded sign here is
 factor (-1)^f multiplying a Wick-expansion term is fixed by a word
 construction: each argument's canonical generator word is split into an
 internal part (entering the VEV factor) and an external part (the
-normal-ordered remainder), and the externals are moved to the right.  This
-is one consistent realization; it is pinned by the Gaussian-moment oracle
-and the graded symmetry property rather than by a closed formula.
+normal-ordered remainder), and the externals are moved to the right.  The
+term sign regroups the blocks (internal_1, external_1, ..., internal_n,
+external_n) as all internals, then all externals, and multiplies per
+argument rho = (-1)^(C(j, 2) + j r), with j the number of odd letters of s
+and r the parity of B^(s): derive takes the odd letters off highest first,
+so against the extraction they come out reversed, past a block of parity r.
+This is pinned by the Gaussian-moment oracle and the graded symmetry property.
 """
 from __future__ import annotations
 
@@ -42,63 +46,6 @@ class WickTerm:
     vev_args: tuple[Polynomial, ...]
     normal_monomials: tuple[SuperQuadriIndex, ...]
     vev_forced_zero: bool
-
-
-def _extraction_sign(r: SuperQuadriIndex, s: SuperQuadriIndex, table) -> int:
-    """Sign of moving the s-content of the canonical word of r to the right.
-
-    For each generator the rightmost s(g) occurrences are marked external;
-    the sign is that of the rearrangement "internal positions, then external
-    positions", each in original order.
-    """
-    word = r.word()
-    external = set()
-    remaining = dict(s.entries)
-    for pos in range(len(word) - 1, -1, -1):
-        g = word[pos]
-        if remaining.get(g, 0) > 0:
-            remaining[g] -= 1
-            external.add(pos)
-    internal = [pos for pos in range(len(word)) if pos not in external]
-    parities = [table.parity(g.field) for g in word]
-    return permutation_sign(parities, internal + sorted(external))
-
-
-def _binomial_weight(r: SuperQuadriIndex, s: SuperQuadriIndex) -> int:
-    return math.prod(math.comb(r.get(g), k) for g, k in s.entries)
-
-
-def _derive_vs_extraction(poly: Polynomial, s: SuperQuadriIndex, derived: Polynomial, table) -> int:
-    """Relative sign rho between derive(poly, s) and the explicit right-extraction.
-
-    rho * derive(poly, s) = sum_monomials sigma * C(r,s) * s! * coeff * A^(r-s);
-    well-defined for homogeneous poly (asserted across monomials).
-    """
-    rho = None
-    sfact = s.factorial()
-    for idx, coeff in poly.terms:
-        if not idx.ge(s):
-            continue
-        target = idx.sub(s)
-        x = derived.coeff(target)
-        if x.is_zero():
-            continue
-        sigma = _extraction_sign(idx, s, table)
-        y = coeff * (sigma * _binomial_weight(idx, s) * sfact)
-        ratio = y / x
-        if ratio == QRat(1):
-            r = 1
-        elif ratio == QRat(-1):
-            r = -1
-        else:
-            raise WickError(f"extraction/derivative mismatch: ratio {ratio!r}")
-        if rho is None:
-            rho = r
-        elif rho != r:
-            raise WickError("extraction sign is not uniform over the monomials")
-    if rho is None:
-        raise WickError("empty derivative in sign computation")
-    return rho
 
 
 def _species_content(p: Polynomial, table) -> frozenset:
@@ -147,7 +94,8 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
     """All terms of the causal Wick expansion of F(B_1(x_1), ..., B_n(x_n)).
 
     Enumerates every list (s_1, ..., s_n) with derive(B_j, s_j) != 0, with
-    the exact sign from the word construction and weight 1/(s_1!...s_n!).
+    the sign of the module docstring and weight 1/(s_1!...s_n!).  Each
+    argument must be fermion-homogeneous (Polynomial.parity).
     Terms whose internal field content cannot balance are flagged
     vev_forced_zero.
     """
@@ -170,16 +118,16 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
     for p in polys:
         if p.table != table:
             raise WickError("arguments over different field tables")
-    # one record per (distinct argument, candidate): s, B^(s), rho, s!, parity
-    # of s, species content of B^(s).  Candidate lists are key-sorted with
-    # distinct keys, so the product below already runs in lexicographic order
-    # of the s-lists.
+    # one record per (distinct argument, candidate): s, B^(s), the number j
+    # of odd letters in s, s!, species content of B^(s).  Candidate lists are
+    # key-sorted with distinct keys, so the product below already runs in
+    # lexicographic order of the s-lists.
     priced: dict[Polynomial, list] = {}
     for p in polys:
         if p not in priced:
             priced[p] = [
-                (s, d, _derive_vs_extraction(p, s, d, table), s.factorial(),
-                 _index_parity(s, table), _species_content(d, table))
+                (s, d, sum(m * table.parity(g.field) for g, m in s.entries), s.factorial(),
+                 _species_content(d, table))
                 for s, d in subpolynomials(p, view="all")
             ]
     per_arg = [priced[p] for p in polys]
@@ -188,21 +136,27 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
     # external_n) regrouped as all internals, then all externals
     regroup = list(range(0, 2 * len(polys), 2)) + list(range(1, 2 * len(polys), 2))
 
-    # a term's cross sign, verdict and weight depend only on small classes of
-    # its candidates (parities, species contents, factorial product), so each
-    # is computed once per tuple of classes
-    cross = functools.cache(lambda spars: permutation_sign(
-        [b for par, spar in zip(ppar, spars) for b in ((par - spar) % 2, spar)], regroup))
+    @functools.cache
+    def sign(js):
+        # rho per argument: the j odd letters reversed, then moved past B^(s)
+        inner = [(par - j) % 2 for par, j in zip(ppar, js)]
+        cross = permutation_sign([b for r, j in zip(inner, js) for b in (r, j)], regroup)
+        return cross * math.prod(
+            permutation_sign([1] * j + [r], range(j, -1, -1)) for r, j in zip(inner, js))
+
+    # a term's verdict and weight depend only on small classes of its
+    # candidates (species contents, factorial product), so each is computed
+    # once per tuple of classes
     forced_zero = functools.cache(lambda contents: not _species_balance_possible(contents, table))
     weight = functools.cache(lambda fact: QRat(Fraction(1, fact)))
 
     out = []
     for choice in itertools.product(*per_arg):
-        s_list, args, rhos, facts, spars, contents = zip(*choice)
+        s_list, args, js, facts, contents = zip(*choice)
         out.append(
             WickTerm(
                 s_list=SList(s_list),
-                sign=cross(spars) * math.prod(rhos),
+                sign=sign(js),
                 weight=weight(math.prod(facts)),
                 vev_args=args,
                 normal_monomials=s_list,
@@ -210,10 +164,6 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
             )
         )
     return out
-
-
-def _index_parity(s: SuperQuadriIndex, table) -> int:
-    return sum(m * table.parity(g.field) for g, m in s.entries) % 2
 
 
 # --------------------------------------------------------------------------- complete pairings
@@ -558,28 +508,21 @@ def flatten_to_T(terms: Sequence[ExpansionTerm]) -> dict[tuple, int]:
         f, rest = pending[0], pending[1:]
         if f.kind == "T":
             rec(rest, factors_done + [f], structural, term)
-        elif f.kind == "aT":
-            content = f.content
-            sub = expand_aT(len(content), [term.parities[i] for i in content])
-            for st in sub.terms:
-                mapped = [
-                    Factor("T", tuple(content[i] for i in g.content))
-                    for g in st.factors
-                ]
-                rec(mapped + rest, factors_done, structural * st.structural, term)
+            return
+        inner = tuple(x for x in f.content if x != "J")
+        parities = [term.parities[i] for i in inner]
+        if f.kind == "aT":
+            sub = expand_aT(len(inner), parities)
         elif f.kind == "Adv":
-            inner = tuple(x for x in f.content if x != "J")
-            sub = expand_adv(
-                len(inner), [term.parities[i] for i in inner], term.j_parity
-            )
-            for st in sub.terms:
-                mapped = [
-                    Factor(g.kind, tuple(x if x == "J" else inner[x] for x in g.content))
-                    for g in st.factors
-                ]
-                rec(mapped + rest, factors_done, structural * st.structural, term)
+            sub = expand_adv(len(inner), parities, term.j_parity)
         else:
             raise WickError(f"cannot flatten factor kind {f.kind!r}")
+        for st in sub.terms:
+            mapped = [
+                Factor(g.kind, tuple(x if x == "J" else inner[x] for x in g.content))
+                for g in st.factors
+            ]
+            rec(mapped + rest, factors_done, structural * st.structural, term)
 
     for t in terms:
         rec(list(t.factors), [], t.structural, t)

@@ -6,6 +6,7 @@ import pytest
 
 from egqft.adiabatic_limits import (
     AdiabaticError,
+    ScaledTestFamily,
     SplittingTheta,
     appendix_c_demo,
     asymmetric_family,
@@ -262,3 +263,27 @@ def test_gl_check_warns_when_not_normalized():
     with pytest.warns(UserWarning, match="not normalized"):
         rep = gl_vs_eg_second_order(SM, family=fam, c_mis=0.3, n_kappa=8, n_q=8)
     assert rep.exponent < 0.5
+
+
+def test_gl_check_reads_the_family_components():
+    eps = tuple(0.3 * 2 ** (-k / 2) for k in range(6))
+
+    def samples(family):
+        return gl_vs_eg_second_order(SM, family=family, n_kappa=8, n_q=8).samples
+
+    # the asymmetric family is not its centered sigma = 0.7 core
+    centered = samples(gaussian_family(4, sigma=0.7, epsilons=eps))
+    assert samples(asymmetric_family(4, epsilons=eps)) != centered
+    # two equal halves of one component weigh as the component itself
+    c = (0.5, 0.0, 0.0, 0.0)
+    one = samples(ScaledTestFamily(4, 0.7, (c,), (1.0,), eps))
+    halves = samples(ScaledTestFamily(4, 0.7, (c, c), (0.5, 0.5), eps))
+    assert one != centered
+    for (_, a), (_, b) in zip(one, halves):
+        assert b == pytest.approx(a, rel=1e-12)
+
+
+def test_gl_check_refuses_spatial_centers():
+    fam = ScaledTestFamily(4, 0.7, ((0.0, 1.0, 0.0, 0.0),), (1.0,))
+    with pytest.raises(AdiabaticError, match="time-directed centers"):
+        gl_vs_eg_second_order(SM, family=fam)

@@ -213,10 +213,16 @@ def test_glcheck_cli_csv(capsys):
         (["sdestimate", "--dim", "-1"], "--dim"),
         (["adiabatic", "--model", "scalar_model", "--family", "foo"], "--family"),
         (["glcheck", "--model", "scalar_model", "--family", "foo"], "--family"),
+        (["adiabatic", "--model", "scalar_model", "--cmis", "nan"], "--cmis"),
+        (["adiabatic", "--model", "scalar_model", "--cmis", "inf"], "--cmis"),
+        (["glcheck", "--model", "scalar_model", "--cmis", "nan"], "--cmis"),
+        (["selfenergy", "--model", "scalar_model", "--q2grid=nan:1:3"], "--q2grid"),
+        (["selfenergy", "--model", "scalar_model", "--q2grid=0:inf:3"], "--q2grid"),
     ],
     ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count",
          "nsub-not-a-count", "nsub-negative", "dim-zero", "dim-negative",
-         "adiabatic-family-unknown", "glcheck-family-unknown"],
+         "adiabatic-family-unknown", "glcheck-family-unknown", "adiabatic-cmis-nan",
+         "adiabatic-cmis-inf", "glcheck-cmis-nan", "q2grid-nan", "q2grid-inf"],
 )
 def test_malformed_option_is_a_usage_error(capsys, argv, option):
     code, out, err = _run(capsys, argv)

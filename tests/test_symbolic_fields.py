@@ -252,6 +252,18 @@ def test_odd_generator_squares_to_zero():
     assert (p * p).is_zero()
 
 
+def test_equal_tables_and_polynomials_hash_alike():
+    # two builds of one model share no objects, only values
+    t1, t2 = builtin("spinor_qed_massive").fields, builtin("spinor_qed_massive").fields
+    assert t1 is not t2 and t1 == t2 and hash(t1) == hash(t2)
+    p1 = builtin("spinor_qed_massive").vertex("e")
+    p2 = QED.vertex("e")
+    assert p1 is not p2 and p1 == p2 and hash(p1) == hash(p2)
+    assert {t1: "table", p1: "vertex"}[t2] == "table"
+    assert {t1: "table", p1: "vertex"}[p2] == "vertex"
+    assert len({t1, t2}) == 1 and len({p1, p2}) == 1
+
+
 # --------------------------------------------------------------------------- properties (hypothesis)
 
 TOY = _toy_mixed().fields  # b, c even; eta, eta~ odd
@@ -269,16 +281,23 @@ def _word_parity(word):
     return sum(TOY.parity(g.field) for g in word) % 2
 
 
+# words without a repeated odd generator, whose square would vanish
+nonvanishing_words = words.map(
+    lambda w: [g for k, g in enumerate(w) if not (TOY.parity(g.field) and g in w[:k])]
+)
+nonzero_coefficients = coefficients.filter(lambda c: not c.is_zero())
+
+
 @st.composite
 def graded_polynomials(draw):
-    """Sums of up to three monomials of one parity, with complex rational
-    coefficients, built without Polynomial.__mul__."""
-    parity = draw(st.integers(0, 1))
-    terms = {}
-    for word in draw(st.lists(words, max_size=3)):
-        res = canonicalize_word(word, TOY)
-        if res is not None and _word_parity(word) == parity:
-            terms[res[1]] = draw(coefficients)
+    """Nonzero sums of up to three monomials of one parity (that of the first
+    word), with nonzero complex rational coefficients, built without
+    Polynomial.__mul__."""
+    terms, parity = {}, None
+    for word in draw(st.lists(nonvanishing_words, min_size=1, max_size=3)):
+        parity = _word_parity(word) if parity is None else parity
+        if _word_parity(word) == parity:
+            terms[canonicalize_word(word, TOY)[1]] = draw(nonzero_coefficients)
     return Polynomial(TOY, terms), parity
 
 

@@ -212,25 +212,25 @@ def test_wick_expand_runs_in_lexicographic_order():
 
 def test_wick_expand_prices_each_candidate_once(monkeypatch):
     calls = []
-    priced = wick_pairing._derive_vs_extraction
+    enumerate_candidates = wick_pairing.subpolynomials
 
-    def counted(*args):
-        calls.append(args[1])
-        return priced(*args)
+    def counted(p, view="all"):
+        calls.append(p)
+        return enumerate_candidates(p, view)
 
-    monkeypatch.setattr(wick_pairing, "_derive_vs_extraction", counted)
+    monkeypatch.setattr(wick_pairing, "subpolynomials", counted)
     L = QED.vertex("e")
-    n_cand = len(subpolynomials(L, view="all"))
+    n_cand = len(enumerate_candidates(L, view="all"))
     assert n_cand == 73
     # the same polynomial twice is priced once
     assert len(wick_expand([L, L])) == n_cand**2
-    assert len(calls) == n_cand
+    assert calls == [L]
     # distinct arguments are each priced once, however often they repeat
     calls.clear()
     j0 = derive(L, index_of(Generator(QED.fields.index("A_0"))))
-    n_j0 = len(subpolynomials(j0, view="all"))
+    n_j0 = len(enumerate_candidates(j0, view="all"))
     assert len(wick_expand([j0, L, j0])) == n_j0**2 * n_cand
-    assert len(calls) == n_cand + n_j0
+    assert calls == [j0, L]
 
 
 def _internal_species(vertex, s):
@@ -316,13 +316,15 @@ def fermion_homogeneous_polynomials(draw):
 
 
 def _per_term_wick(polys):
-    """wick_expand as it was before memoization: every argument priced, and
-    every term's cross sign, weight and verdict computed on its own."""
+    """wick_expand as it was before memoization: every candidate's rho taken
+    from the extraction reference, and every term's cross sign, weight and
+    verdict computed on its own."""
     table = polys[0].table
     per_arg = [
         [
-            (s, d, wick_pairing._derive_vs_extraction(p, s, d, table), s.factorial(),
-             wick_pairing._index_parity(s, table), wick_pairing._species_content(d, table))
+            (s, d, _reference_rho(p, s), s.factorial(),
+             sum(m * table.parity(g.field) for g, m in s.entries) % 2,
+             wick_pairing._species_content(d, table))
             for s, d in subpolynomials(p, view="all")
         ]
         for p in polys
@@ -397,20 +399,50 @@ def _reference_contraction_sign(n_total, parities, pairs):
     return sign
 
 
-def test_extraction_sign_matches_reference():
+def _reference_rho(p, s):
+    """The sign rho relating derive(p, s) to the right-extraction of s:
+    rho * derive(p, s) = sum over monomials A^t of sigma C(t, s) s! c A^(t-s),
+    with sigma the extraction sign; asserted uniform over the monomials."""
+    table, d = p.table, derive(p, s)
+    rhos = set()
+    for t, c in p.terms:
+        if not t.ge(s):
+            continue
+        binomial = math.prod(math.comb(t.get(g), k) for g, k in s.entries)
+        ratio = c * (_reference_extraction_sign(t, s, table) * binomial * s.factorial()) / d.coeff(t.sub(s))
+        assert ratio in (QRat(1), QRat(-1)), (p, s, ratio)
+        rhos.add(ratio)
+    (rho,) = rhos
+    return 1 if rho == QRat(1) else -1
+
+
+def test_wick_rho_matches_extraction_reference():
+    """rho = (-1)^(C(j, 2) + j r) against the extraction reference, read off
+    wick_expand([B, 1]): the unit argument adds no sign, so the term of
+    (s, 1) carries rho of B and s alone."""
     rng = random.Random(23)
     table = QED.fields
-    checked = 0
-    for _ in range(400):
-        gens = rng.sample(range(len(table)), rng.randint(1, 6))
+    unit = Polynomial.unit(table)
+    vertex = QED.vertex("e")
+    cases = [(vertex, [s for s, _ in subpolynomials(vertex, view="all")])]
+    for _ in range(120):
+        gens = rng.sample(range(len(table)), rng.randint(1, 7))
         r = SuperQuadriIndex.from_pairs(
-            (Generator(f), 1 if table.parity(f) else rng.randint(1, 3)) for f in gens
+            (Generator(f), 1 if table.parity(f) else rng.randint(1, 2)) for f in gens
         )
         s = SuperQuadriIndex.from_pairs((g, rng.randint(0, m)) for g, m in r.entries)
-        got = wick_pairing._extraction_sign(r, s, table)
-        assert got == _reference_extraction_sign(r, s, table), (r, s)
-        checked += got == -1
-    assert checked > 50
+        cases.append((Polynomial.monomial(table, r, QRat(rng.randint(1, 5), rng.randint(-2, 2))), [s]))
+    seen = set()
+    for p, subs in cases:
+        signs = {t.s_list.items[0]: t.sign for t in wick_expand([p, unit])}
+        for s in subs:
+            assert signs[s] == _reference_rho(p, s), (p, s)
+            j = sum(m * table.parity(g.field) for g, m in s.entries)
+            seen.add((j, (p.parity() - j) % 2, signs[s]))
+    # both terms of the exponent matter: C(j, 2) is odd at j = 2, 3 and
+    # j r is odd at odd j over an odd B^(s); every j up to 4 with both r
+    assert {(j, r) for j, r, _ in seen} >= {(j, r) for j in range(5) for r in (0, 1)}
+    assert {sign for j, _, sign in seen if j >= 3} == {-1, 1}
 
 
 def test_contraction_sign_matches_crossing_count_for_equal_parity_pairs():

@@ -81,7 +81,7 @@ def _model_hash(model) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _write_manifest(path, subcommand, model, params, t0):
+def _write_manifest(fh, subcommand, model, params, t0):
     manifest = {
         "subcommand": subcommand,
         "model_hash": _model_hash(model) if model is not None else None,
@@ -89,7 +89,7 @@ def _write_manifest(path, subcommand, model, params, t0):
         "tool_version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -156,16 +156,21 @@ def _dim(spec: str) -> int:
 
 
 def _parse_counts(spec: str | None) -> dict[str, int]:
-    """name=count pairs of --ext and --der."""
+    """name=count pairs of --ext and --der: each name once, each count >= 0."""
     out = {}
     for item in spec.split(",") if spec else ():
         name, _, val = item.partition("=")
+        name = name.strip()
         try:
-            out[name.strip()] = int(val)
+            count = int(val)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected name=count[,name=count...], got {spec!r}"
             ) from None
+        if name in out or count < 0:
+            why = "given twice" if name in out else f"has a negative count {count}"
+            raise argparse.ArgumentTypeError(f"field {name!r} {why} in {spec!r}")
+        out[name] = count
     return out
 
 
@@ -376,33 +381,30 @@ def _cmd_pairings(args):
     )
     params = {"model": args.model, "left": args.left, "right": args.right, "full": args.full}
     name = model.fields.gen_name
+    # each shared pair, residual and const is rendered once; a line joins fragments
     if args.format == "json":
+        # the line json.dumps(record, sort_keys=True) writes for the record
+        # {pairs, residual_left, residual_right, const, classification}
+        const = _rendered_once(lambda c: json.dumps(repr(c)))
+        pair = _rendered_once(lambda p: json.dumps({
+            "left_slot": p.left_slot, "left": name(p.left_gen), "right_slot": p.right_slot,
+            "right": name(p.right_gen), "mass": p.mass}, sort_keys=True))
+        residual = _rendered_once(
+            lambda sl: json.dumps([_sqi_json(model, s) for s in sl.items], sort_keys=True)
+        )
         return model, params, (
-            {
-                "pairs": [
-                    {
-                        "left_slot": p.left_slot,
-                        "left": name(p.left_gen),
-                        "right_slot": p.right_slot,
-                        "right": name(p.right_gen),
-                        "mass": p.mass,
-                    }
-                    for p in t.pairs
-                ],
-                "residual_left": [_sqi_json(model, s) for s in t.residual_left.items],
-                "residual_right": [_sqi_json(model, s) for s in t.residual_right.items],
-                "const": repr(t.const),
-                "classification": t.classification,
-            }
+            f'{{"classification": "{t.classification}", "const": {const(t.const)}, '
+            f'"pairs": [{", ".join(map(pair, t.pairs))}], '
+            f'"residual_left": {residual(t.residual_left)}, '
+            f'"residual_right": {residual(t.residual_right)}}}'
             for t in terms
         )
+    const = _rendered_once(repr)
+    pair = _rendered_once(
+        lambda p: f"{p.left_slot}:{name(p.left_gen)}-{p.right_slot}:{name(p.right_gen)}"
+    )
     return model, params, itertools.chain(["const,classification,pairs"], (
-        f"{t.const!r},{t.classification},"
-        + ";".join(
-            f"{p.left_slot}:{name(p.left_gen)}-{p.right_slot}:{name(p.right_gen)}"
-            for p in t.pairs
-        )
-        for t in terms
+        f"{const(t.const)},{t.classification},{';'.join(map(pair, t.pairs))}" for t in terms
     ))
 
 
@@ -677,12 +679,31 @@ def run(argv) -> int:
         json.dumps(r, sort_keys=True, indent=indent) if isinstance(r, dict) else r
         for r in records
     )
-    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
-    with out as fh:
-        for line in records:
-            fh.write(line + "\n")
-    if args.manifest:
-        _write_manifest(args.manifest, args.cmd, model, params, t0)
+    # both destinations open before any record is written, so an unwritable
+    # one leaves neither file behind
+    opened = []
+    try:
+        for path in (args.out, args.manifest):
+            opened.append(path and open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        for fh in filter(None, opened):
+            fh.close()
+            os.remove(fh.name)
+        print(f"egqft {args.cmd}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    out, manifest = opened
+    try:
+        with out or contextlib.nullcontext(sys.stdout) as fh:
+            for line in records:
+                fh.write(line + "\n")
+    except OSError:
+        # e.g. the reader closed stdout: an unfinished run leaves no manifest
+        if manifest:
+            manifest.close()
+            os.remove(manifest.name)
+        raise
+    if manifest:
+        _write_manifest(manifest, args.cmd, model, params, t0)
     return 0
 
 

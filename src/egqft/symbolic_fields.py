@@ -525,11 +525,19 @@ def subpolynomials(p: Polynomial, view: str = "all"):
                     counting used for the structural tallies: 8 for the
                     spinor-QED vertex, 6 for the scalar-model vertex).
     """
-    found = []
-    for s in _candidate_subindices(p):
-        q = derive(p, s)
-        if not q.is_zero():
-            found.append((s, q))
+    # B^(s) = d/d(low) B^(s - low), with low the lowest generator of s:
+    # derive applies the lowest generator last, and s - low is a candidate too
+    memo = {(): p}
+
+    def sub(s: SuperQuadriIndex) -> Polynomial:
+        q = memo.get(s.key())
+        if q is None:
+            (low, m), rest = s.entries[0], s.entries[1:]
+            q = sub(SuperQuadriIndex(((low, m - 1),) + rest if m > 1 else rest))
+            q = memo[s.key()] = q if q.is_zero() else _derive_one(q, low)
+        return q
+
+    found = [(s, q) for s in _candidate_subindices(p) if not (q := sub(s)).is_zero()]
     found.sort(key=lambda t: t[0].key())
     if view == "all":
         return found

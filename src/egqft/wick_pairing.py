@@ -234,6 +234,9 @@ def complete_pairings(
     sides are produced.  Enumeration order is lexicographic in (left slot,
     left generator, right slot); occurrences of identical generators count
     separately, so a full phi^3-phi^3 contraction yields 3! terms.
+
+    Terms share one Pair per admissible (left, right) occurrence pair and
+    one residual SList per set of used positions on each side.
     """
     locc = _occurrences(left)
     rocc = _occurrences(right)
@@ -247,88 +250,56 @@ def complete_pairings(
         return []
 
     table = model.fields
-    parities = [table.parity(g.field) for _, g in locc] + [
-        table.parity(g.field) for _, g in rocc
-    ]
-    nl = len(locc)
-
-    admissible: dict[tuple[int, int], float] = {}
-    for i, (_, gl) in enumerate(locc):
-        for j, (_, gr) in enumerate(rocc):
+    parities = [table.parity(g.field) for _, g in locc + rocc]
+    nl, nr = len(locc), len(rocc)
+    # per left position, its admissible (right position, Pair)
+    options = [[] for _ in locc]
+    for i, (ls, gl) in enumerate(locc):
+        for j, (rs, gr) in enumerate(rocc):
             key = two_point(model, gl, gr)
             if key is not None:
-                admissible[(i, j)] = key.mass
-
+                options[i].append((j, Pair(ls, gl, rs, gr, key.mass)))
+    # a side's residual depends only on its set of used positions (a bit mask)
+    residual_l = functools.cache(lambda used: _residual(left, locc, used, table))
+    residual_r = functools.cache(lambda used: _residual(right, rocc, used, table))
+    const = {1: QRat(1), -1: QRat(-1)}
+    odd = any(parities)
+    # no pairs and nothing left over
+    vacuum = not (locc or rocc)
     out: list[PairingTerm] = []
 
-    def emit(assign: dict[int, int]):
-        pairs = []
-        pos_pairs = []
-        for i in sorted(assign):
-            j = assign[i]
-            ls, lg = locc[i]
-            rs, rg = rocc[j]
-            pairs.append(Pair(ls, lg, rs, rg, admissible[(i, j)]))
-            pos_pairs.append((i, nl + j))
-        sign = _contraction_sign(nl + len(rocc), parities, pos_pairs)
-        used_r = set(assign.values())
-        res_l = _residuals(left, locc, set(assign))
-        res_r = _residuals(right, rocc, used_r)
-        cls = _classify(pairs, res_l, res_r, table)
-        out.append(
-            PairingTerm(
-                pairs=tuple(pairs),
-                residual_left=res_l,
-                residual_right=res_r,
-                const=QRat(sign),
-                classification=cls,
-            )
-        )
-
-    def recurse(i: int, assign: dict[int, int], free_r: list[bool]):
+    def recurse(i, chosen, used_l, used_r, heavy):
+        # with require_full every left position pairs, so every right one does
         if i == nl:
-            if not require_full or len(assign) == len(rocc):
-                emit(assign)
+            (res_l, massive_l), (res_r, massive_r) = residual_l(used_l), residual_r(used_r)
+            sign = 1
+            if odd:
+                sign = _contraction_sign(nl + nr, parities, [(k, nl + j) for k, j, _ in chosen])
+            cls = "vacuum" if vacuum else "massive" if heavy or massive_l or massive_r else "massless"
+            out.append(PairingTerm(tuple(p for _, _, p in chosen), res_l, res_r, const[sign], cls))
             return
         if not require_full:
-            recurse(i + 1, assign, free_r)
-        for j in range(len(rocc)):
-            if free_r[j] and (i, j) in admissible:
-                free_r[j] = False
-                assign[i] = j
-                recurse(i + 1, assign, free_r)
-                del assign[i]
-                free_r[j] = True
+            recurse(i + 1, chosen, used_l, used_r, heavy)
+        for j, pair in options[i]:
+            if not used_r >> j & 1:
+                chosen.append((i, j, pair))
+                recurse(i + 1, chosen, used_l | 1 << i, used_r | 1 << j, heavy or pair.mass > 0)
+                chosen.pop()
 
-    recurse(0, {}, [True] * len(rocc))
+    recurse(0, [], 0, 0, False)
     return out
 
 
-def _residuals(slots, occ, used_positions) -> SList:
+def _residual(slots, occ, used, table) -> tuple[SList, bool]:
+    """The unused occurrences of a side, per slot, and whether one is massive."""
     per_slot = [[] for _ in slots]
     for pos, (slot, g) in enumerate(occ):
-        if pos not in used_positions:
+        if not used >> pos & 1:
             per_slot[slot].append(g)
-    return SList(
-        tuple(
-            SuperQuadriIndex.from_pairs((g, 1) for g in gens) for gens in per_slot
-        )
+    return (
+        SList(tuple(SuperQuadriIndex.from_pairs((g, 1) for g in gens) for gens in per_slot)),
+        any(table.entry(g.field).numbers.mass > 0 for gens in per_slot for g in gens),
     )
-
-
-def _classify(pairs, res_l: SList, res_r: SList, table) -> str:
-    res_empty = all(not s.entries for s in res_l.items) and all(
-        not s.entries for s in res_r.items
-    )
-    if not pairs and res_empty:
-        return "vacuum"
-    massive = any(p.mass > 0 for p in pairs)
-    for sl in (res_l, res_r):
-        for s in sl.items:
-            for g, _ in s.entries:
-                if table.entry(g.field).numbers.mass > 0:
-                    massive = True
-    return "massive" if massive else "massless"
 
 
 def momentum_support_vanishes(term: PairingTerm) -> bool:

@@ -218,11 +218,15 @@ def test_glcheck_cli_csv(capsys):
         (["glcheck", "--model", "scalar_model", "--cmis", "nan"], "--cmis"),
         (["selfenergy", "--model", "scalar_model", "--q2grid=nan:1:3"], "--q2grid"),
         (["selfenergy", "--model", "scalar_model", "--q2grid=0:inf:3"], "--q2grid"),
+        (["omega", "--model", "scalar_model", "--ext", "phi=1,phi=2"], "--ext"),
+        (["omega", "--model", "scalar_model", "--ext", "phi=-1"], "--ext"),
+        (["omega", "--model", "scalar_model", "--ext", "phi=2", "--der", "phi=1,phi=1"], "--der"),
     ],
     ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count",
          "nsub-not-a-count", "nsub-negative", "dim-zero", "dim-negative",
          "adiabatic-family-unknown", "glcheck-family-unknown", "adiabatic-cmis-nan",
-         "adiabatic-cmis-inf", "glcheck-cmis-nan", "q2grid-nan", "q2grid-inf"],
+         "adiabatic-cmis-inf", "glcheck-cmis-nan", "q2grid-nan", "q2grid-inf",
+         "ext-repeated", "ext-negative", "der-repeated"],
 )
 def test_malformed_option_is_a_usage_error(capsys, argv, option):
     code, out, err = _run(capsys, argv)
@@ -231,18 +235,50 @@ def test_malformed_option_is_a_usage_error(capsys, argv, option):
     assert "Traceback" not in err
 
 
-def test_closed_stdout_ends_quietly_with_exit_1():
-    # the reader closes the pipe after one line, as `egqft wick ... | head -1` does
+@pytest.mark.parametrize("ext", ["phi=1,phi=2", "phi=-1"])
+def test_count_error_names_the_field(capsys, ext):
+    code, _, err = _run(capsys, ["omega", "--model", "scalar_model", "--ext", ext])
+    assert code == 2 and f"argument --ext: field 'phi' " in err
+
+
+@pytest.mark.parametrize(
+    "bad, good",
+    [("--manifest", None), ("--manifest", "--out"), ("--out", "--manifest")],
+    ids=["manifest", "manifest-with-good-out", "out-with-good-manifest"],
+)
+def test_unwritable_destination_is_a_usage_error(tmp_path, capsys, bad, good):
+    missing = tmp_path / "missing" / "file"
+    argv = ["classify", "--model", "scalar_model", bad, str(missing)]
+    if good:
+        argv += [good, str(tmp_path / "good")]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"egqft classify: cannot write {missing}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _closed_after_one_line(*options):
+    """Run `egqft wick` on spinor QED L,L and close the pipe after one line,
+    as `egqft wick ... | head -1` does; returns the exit code and stderr."""
     proc = subprocess.Popen(
         [sys.executable, "-c", "from egqft.cli import main; main()",
-         "wick", "--model", "spinor_qed_massive", "--args", "L,L"],
+         "wick", "--model", "spinor_qed_massive", "--args", "L,L", *options],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
     )
     assert proc.stdout.readline().startswith(b'{"normal_monomials"')
     proc.stdout.close()
     err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    return proc.wait(timeout=60), err
+
+
+def test_closed_stdout_ends_quietly_with_exit_1():
+    assert _closed_after_one_line() == (1, b"")
+
+
+def test_closed_stdout_leaves_no_manifest(tmp_path):
+    path = tmp_path / "m.json"
+    assert _closed_after_one_line("--manifest", str(path)) == (1, b"")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("args", ["L9", "L,L0"])
@@ -477,5 +513,31 @@ def test_spinor_wick_stream_bytes_are_pinned(capsys, fmt, digest):
     code, out, _ = _run(
         capsys, ["wick", "--model", "spinor_qed_massive", "--args", "L,L", "--format", fmt]
     )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--model", "scalar_model", "--left", "L,L", "--right", "L,L", "--format", "json"],
+         "d0fe216d95a58c74d6e2709b5ec94d71e7186f5a9b5218a3a162868c5f2ecab0"),
+        (["--model", "scalar_model", "--left", "L,L", "--right", "L,L", "--format", "csv"],
+         "aa5560d4f0180605a6954e3219578999446e04aee84f4dfbdd94b4087ddae587"),
+        (["--model", "scalar_model", "--left", "L,L", "--right", "L,L", "--format", "json", "--full"],
+         "bf6700c8590c5afdb794eb56000f3ea8419e33aec485a1d9b97d1667255896d0"),
+        (["--model", "scalar_model", "--left", "L,L", "--right", "L,L", "--format", "csv", "--full"],
+         "99042718094c343e28b9fce99404c9bf4c8f63828b871cf270b42e70682d3566"),
+        (["--model", str(GOLDEN / "ghosts.model"), "--left", "u*u~,u", "--right", "u~*u,u~",
+          "--format", "json"], "acbd6d0173fe634bb1b100b6a6739acd0bb4c68df6345f874e69c26074b7886a"),
+        (["--model", str(GOLDEN / "ghosts.model"), "--left", "u*u~,u", "--right", "u~*u,u~",
+          "--format", "csv"], "b9634bb227affcc12b701badd89a82d58efa48b85d11efaa7c739b7ba176cc03"),
+    ],
+    ids=["scalar-json", "scalar-csv", "scalar-full-json", "scalar-full-csv", "ghosts-json", "ghosts-csv"],
+)
+def test_pairings_stream_bytes_are_pinned(capsys, argv, digest):
+    """Digests recorded from the per-term renderer, before pairs, residuals
+    and consts were shared and rendered once."""
+    code, out, _ = _run(capsys, ["pairings", *argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,13 +1,15 @@
 """Field-algebra unit tests: sign calculus, derivations, sub-polynomials."""
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egqft.exact import QRat
-from egqft.model_registry import builtin, parse_model_spec
+from egqft.model_registry import BUILTIN_NAMES, builtin, load_model, parse_model_spec
 from egqft.symbolic_fields import (
     AlgebraError,
     Generator,
@@ -171,6 +173,30 @@ def test_subpolynomial_counts():
     assert len(subs) == 1 and subs[0][1] == const
 
 
+def _subpolynomials_by_derive(p):
+    """(s, derive(p, s)) for every sub-index s of a monomial of p with a
+    nonzero derivative, in key order: each candidate derived from the whole
+    polynomial."""
+    subs = {}
+    for idx, _ in p.terms:
+        for mults in itertools.product(*(range(m + 1) for _, m in idx.entries)):
+            s = SuperQuadriIndex.from_pairs((g, k) for (g, _), k in zip(idx.entries, mults))
+            subs[s.key()] = s
+    found = [(s, derive(p, s)) for s in subs.values()]
+    return sorted([(s, q) for s, q in found if not q.is_zero()], key=lambda t: t[0].key())
+
+
+def test_subpolynomials_equal_derive_on_every_vertex():
+    """Each B^(s) derived from the candidate one letter smaller equals
+    derive(p, s), on the vertices of every builtin and golden model file."""
+    golden = sorted(Path(__file__).with_name("golden").glob("*.model"))
+    models = [builtin(n) for n in BUILTIN_NAMES] + [load_model(str(f)) for f in golden]
+    vertices = [p for m in models for _, p in m.vertices]
+    assert len(golden) == 3 and len(vertices) >= len(models)
+    for p in vertices:
+        assert subpolynomials(p, view="all") == _subpolynomials_by_derive(p), p
+
+
 def test_permutation_sign_examples_and_oracle():
     assert permutation_sign([0, 0, 0], [2, 0, 1]) == 1
     assert permutation_sign([1, 0, 1], [2, 1, 0]) == -1
@@ -320,6 +346,12 @@ def test_property_adjoint_involution_and_anti_homomorphism(a, b):
     pa, pb = a[0], b[0]
     assert adjoint(adjoint(pa)) == pa
     assert adjoint(pa * pb) == adjoint(pb) * adjoint(pa)
+
+
+@settings(deadline=None)
+@given(graded_polynomials())
+def test_property_subpolynomials_equal_derive(a):
+    assert subpolynomials(a[0], view="all") == _subpolynomials_by_derive(a[0])
 
 
 @st.composite

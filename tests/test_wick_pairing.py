@@ -3,13 +3,15 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egqft.exact import QRat
-from egqft.model_registry import builtin, parse_model_spec
+from egqft.model_registry import builtin, load_model, parse_model_spec
+from egqft.power_counting import SList
 from egqft.propagators_kinematics import GAMMA0, gamma, mat_mul
 from egqft.symbolic_fields import (
     Generator,
@@ -23,6 +25,8 @@ from egqft.symbolic_fields import (
 )
 from egqft import wick_pairing
 from egqft.wick_pairing import (
+    Pair,
+    PairingTerm,
     WickError,
     complete_pairings,
     expand_aT,
@@ -35,9 +39,11 @@ from egqft.wick_pairing import (
     telescoping_sum,
     wick_expand,
 )
+from egqft.wightman import two_point
 
 QED = builtin("spinor_qed_massive")
 SM = builtin("scalar_model")
+GHOSTS = load_model(str(Path(__file__).with_name("golden") / "ghosts.model"))
 
 
 # --------------------------------------------------------------------------- expansions
@@ -663,6 +669,90 @@ def test_pairing_guard():
     phi7 = SuperQuadriIndex.from_pairs([(Generator(0), 13)])
     with pytest.raises(WickError, match="force"):
         complete_pairings([phi7], [phi7], SM, require_full=True)
+
+
+def _per_term_pairings(left, right, model, require_full):
+    """complete_pairings as it was before terms shared their objects: a Pair
+    per contracted line, the crossing-count sign, both residuals and the
+    classification built for every term on its own."""
+    locc = [(slot, g) for slot, idx in enumerate(left) for g in idx.word()]
+    rocc = [(slot, g) for slot, idx in enumerate(right) for g in idx.word()]
+    if require_full and len(locc) != len(rocc):
+        return []
+    table = model.fields
+    parities = [table.parity(g.field) for _, g in locc + rocc]
+    admissible = {}
+    for i, (_, gl) in enumerate(locc):
+        for j, (_, gr) in enumerate(rocc):
+            key = two_point(model, gl, gr)
+            if key is not None:
+                admissible[(i, j)] = key.mass
+
+    def residual(slots, occ, used):
+        per_slot = [[] for _ in slots]
+        for pos, (slot, g) in enumerate(occ):
+            if pos not in used:
+                per_slot[slot].append(g)
+        return SList(tuple(SuperQuadriIndex.from_pairs((g, 1) for g in gens) for gens in per_slot))
+
+    out = []
+
+    def emit(assign):
+        pairs = tuple(Pair(*locc[i], *rocc[assign[i]], admissible[(i, assign[i])]) for i in sorted(assign))
+        sign = _reference_contraction_sign(
+            len(parities), parities, [(i, len(locc) + j) for i, j in assign.items()])
+        res_l = residual(left, locc, set(assign))
+        res_r = residual(right, rocc, set(assign.values()))
+        leftover = [g for sl in (res_l, res_r) for s in sl.items for g, _ in s.entries]
+        if not pairs and not leftover:
+            cls = "vacuum"
+        elif any(p.mass > 0 for p in pairs) or any(table.entry(g.field).numbers.mass > 0 for g in leftover):
+            cls = "massive"
+        else:
+            cls = "massless"
+        out.append(PairingTerm(pairs, res_l, res_r, QRat(sign), cls))
+
+    def recurse(i, assign):
+        if i == len(locc):
+            if not require_full or len(assign) == len(rocc):
+                emit(assign)
+            return
+        if not require_full:
+            recurse(i + 1, assign)
+        for j in range(len(rocc)):
+            if j not in assign.values() and (i, j) in admissible:
+                recurse(i + 1, {**assign, i: j})
+
+    recurse(0, {})
+    return out
+
+
+@st.composite
+def pairing_cases(draw):
+    """(left, right, model, require_full): up to two monomials a side, each
+    of one to three letters with or without a derivative, over the scalar
+    model or the ghost model (no odd letter twice)."""
+    model = draw(st.sampled_from([SM, GHOSTS]))
+    table = model.fields
+    letters = st.builds(
+        Generator, st.integers(0, len(table) - 1), st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0)]))
+
+    def monomial(word):
+        return SuperQuadriIndex.from_pairs(
+            (g, 1) for k, g in enumerate(word) if not (table.parity(g.field) and g in word[:k]))
+
+    side = st.lists(st.lists(letters, min_size=1, max_size=3).map(monomial), max_size=2)
+    return draw(side), draw(side), model, draw(st.booleans())
+
+
+@settings(deadline=None)
+@given(pairing_cases())
+def test_property_shared_pairings_equal_per_term_reference(case):
+    """Terms that share pairs, residuals and consts equal the per-term
+    construction in order and in every field."""
+    left, right, model, full = case
+    got = complete_pairings(left, right, model, require_full=full)
+    assert got == _per_term_pairings(left, right, model, full)
 
 
 def test_isserlis_examples():

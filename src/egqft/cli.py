@@ -679,31 +679,34 @@ def run(argv) -> int:
         json.dumps(r, sort_keys=True, indent=indent) if isinstance(r, dict) else r
         for r in records
     )
-    # both destinations open before any record is written, so an unwritable
-    # one leaves neither file behind
-    opened = []
+    # a file this run creates is removed unless the run finishes: an
+    # unwritable destination leaves neither file, an unfinished run neither
+    opened, created, writing = [], [], False
     try:
         for path in (args.out, args.manifest):
+            new = path and not os.path.lexists(path)
             opened.append(path and open(path, "w", encoding="utf-8"))
-    except OSError as exc:
-        for fh in filter(None, opened):
-            fh.close()
-            os.remove(fh.name)
-        print(f"egqft {args.cmd}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
-    out, manifest = opened
-    try:
+            created += [path] if new else []
+        out, manifest = opened
+        same = out and manifest and os.path.isfile(out.name)
+        if same and os.path.samefile(out.name, manifest.name):
+            raise OSError(0, "the same file as --out", manifest.name)
+        writing = True
         with out or contextlib.nullcontext(sys.stdout) as fh:
             for line in records:
                 fh.write(line + "\n")
-    except OSError:
-        # e.g. the reader closed stdout: an unfinished run leaves no manifest
         if manifest:
-            manifest.close()
-            os.remove(manifest.name)
-        raise
-    if manifest:
-        _write_manifest(manifest, args.cmd, model, params, t0)
+            _write_manifest(manifest, args.cmd, model, params, t0)
+    except BaseException as exc:
+        for fh in filter(None, opened):
+            fh.close()
+        for path in created:
+            os.remove(path)
+        # e.g. the reader closed stdout, or an interrupt
+        if writing or not isinstance(exc, OSError):
+            raise
+        print(f"egqft {args.cmd}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

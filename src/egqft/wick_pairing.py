@@ -264,7 +264,6 @@ def complete_pairings(
     residual_r = functools.cache(lambda used: _residual(right, rocc, used, table))
     const = {1: QRat(1), -1: QRat(-1)}
     odd = any(parities)
-    # no pairs and nothing left over
     vacuum = not (locc or rocc)
     out: list[PairingTerm] = []
 

@@ -242,18 +242,51 @@ def test_count_error_names_the_field(capsys, ext):
 
 
 @pytest.mark.parametrize(
-    "bad, good",
-    [("--manifest", None), ("--manifest", "--out"), ("--out", "--manifest")],
-    ids=["manifest", "manifest-with-good-out", "out-with-good-manifest"],
+    "bad, good, exists",
+    [("--manifest", None, False), ("--manifest", "--out", False),
+     ("--out", "--manifest", False), ("--manifest", "--out", True)],
+    ids=["manifest", "manifest-with-good-out", "out-with-good-manifest",
+         "manifest-with-existing-out"],
 )
-def test_unwritable_destination_is_a_usage_error(tmp_path, capsys, bad, good):
+def test_unwritable_destination_is_a_usage_error(tmp_path, capsys, bad, good, exists):
     missing = tmp_path / "missing" / "file"
     argv = ["classify", "--model", "scalar_model", bad, str(missing)]
     if good:
         argv += [good, str(tmp_path / "good")]
+    if exists:
+        (tmp_path / "good").write_text("kept\n")
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"egqft classify: cannot write {missing}: No such file or directory\n"
+    # only a file the run created is removed
+    assert [p.name for p in tmp_path.iterdir()] == (["good"] if exists else [])
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_same_out_and_manifest_is_a_usage_error(tmp_path, capsys, exists):
+    path = tmp_path / "f"
+    if exists:
+        path.write_text("kept\n")
+    argv = ["classify", "--model", "scalar_model", "--out", str(path), "--manifest", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"egqft classify: cannot write {path}: the same file as --out\n"
+    # a file the run did not create is never removed
+    assert path.exists() == exists
+
+
+def test_unfinished_run_leaves_no_manifest(tmp_path, monkeypatch):
+    from egqft import cli
+
+    def records():
+        yield "first"
+        raise KeyboardInterrupt
+
+    _, indent = cli._DISPATCH["classify"]
+    monkeypatch.setitem(cli._DISPATCH, "classify", (lambda args: (None, {}, records()), indent))
+    out, man = tmp_path / "out", tmp_path / "m.json"
+    with pytest.raises(KeyboardInterrupt):
+        run(["classify", "--model", "scalar_model", "--out", str(out), "--manifest", str(man)])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -275,10 +308,14 @@ def test_closed_stdout_ends_quietly_with_exit_1():
     assert _closed_after_one_line() == (1, b"")
 
 
-def test_closed_stdout_leaves_no_manifest(tmp_path):
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_closed_stdout_leaves_no_manifest(tmp_path, exists):
     path = tmp_path / "m.json"
+    if exists:
+        path.write_text("kept\n")
     assert _closed_after_one_line("--manifest", str(path)) == (1, b"")
-    assert not path.exists()
+    # the run removes only a file it created, never a path that was there
+    assert path.exists() == exists
 
 
 @pytest.mark.parametrize("args", ["L9", "L,L0"])

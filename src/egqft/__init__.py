@@ -7,9 +7,9 @@ numerics (propagators_kinematics), dispersion splitting (causal_splitting),
 adiabatic limits (adiabatic_limits), and the CLI (cli).
 
 The exact half (exact, symbolic_fields, model_registry, power_counting,
-wick_pairing, wightman) imports neither numpy nor scipy.  The names below
-resolve on first access (PEP 562), so `import egqft` loads no module and
-each name loads only its own.
+wick_pairing, wightman) imports no numpy, and no module imports scipy.  The
+names below resolve on first access (PEP 562), so `import egqft` loads no
+module and each name loads only its own.
 """
 
 import importlib

@@ -25,7 +25,7 @@ from .causal_splitting import (
     central_normalize,
     dispersion_eval,
 )
-from .propagators_kinematics import two_body_phase_space
+from .propagators_kinematics import two_body_phase_space, two_body_phase_space_array
 
 
 class AdiabaticError(ValueError):
@@ -401,8 +401,8 @@ class SecondOrderKit:
     @staticmethod
     def build(mass: float = 1.0, uv_scale: float = 3.0, qmax: float = 60.0) -> "SecondOrderKit":
         flat = SpectralDensity(
-            fn=lambda s: (two_body_phase_space(0.0, 0.0, s) * math.exp(-s / uv_scale**2)
-                          if s > 0 else 0.0),
+            fn=lambda s: (two_body_phase_space_array(0.0, 0.0, s)
+                          * np.exp(-np.maximum(s, 0.0) / uv_scale**2)),
             threshold=0.0,
             growth=-math.inf,
             bound_const=1.0 / (8.0 * math.pi),
@@ -464,7 +464,7 @@ def _radial_nodes(family: ScaledTestFamily, eps: float, n0: int = 40, nr: int = 
     s = math.sqrt(2.0) * eps * family.sigma
     h, wh = _hermgauss(n0)
     # r-measure: r^2 exp(-r^2 / 2 s^2) dr -> generalized Laguerre alpha=1/2
-    tl, wl = _laguerre_half(nr)
+    tl, wl = _laguerre(nr, 0.5)
     r = s * np.sqrt(2.0 * tl)
     wr = wl / math.gamma(1.5)
     comps = []
@@ -479,12 +479,34 @@ def _radial_nodes(family: ScaledTestFamily, eps: float, n0: int = 40, nr: int = 
 
 
 @functools.lru_cache(maxsize=None)
-def _laguerre_half(n: int):
-    """Gauss nodes/weights for integral_0^inf f(t) t^(1/2) e^(-t) dt, computed
-    once per order (callers share the arrays and must not modify them)."""
-    from scipy.special import roots_genlaguerre
+def _laguerre(n: int, alpha: float):
+    """Gauss nodes/weights for integral_0^inf f(t) t^alpha e^(-t) dt, computed
+    once per rule (callers share the arrays and must not modify them).
 
-    return roots_genlaguerre(n, 0.5)
+    Nodes: eigenvalues of the Jacobi matrix, polished by two Newton steps.
+    Weights: Gamma(n + alpha + 1) t / (n! (n + 1)^2 L_{n+1}^alpha(t)^2),
+    relatively accurate also where they are tiny (the Golub-Welsch
+    eigenvector weights are only absolutely so).  The three-term recurrence
+    runs on p_k = L_k^alpha / binom(k + alpha, k) and d_k = p_k - p_{k-1},
+    which keeps small t free of cancellation.
+    """
+    k = np.arange(1, n)
+    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + alpha + 1.0)
+                           + np.diag(np.sqrt(k * (k + alpha)), -1))
+
+    def p_d(deg):
+        p, d = np.ones_like(t), np.zeros_like(t)
+        for j in range(deg):
+            d = (j * d - t * p) / (j + alpha + 1.0)
+            p = p + d
+        return p, d
+
+    for _ in range(2):
+        p, d = p_d(n)
+        t = t - t * p / (n * d)  # t L_n' = n L_n - (n + alpha) L_{n-1} = (n + alpha) B_{n-1} d_n
+    scale = math.gamma(alpha + 1.0) ** 2 * math.factorial(n) / (
+        (n + alpha + 1.0) ** 2 * math.gamma(n + alpha + 1.0))
+    return t, scale * t / p_d(n + 1)[0] ** 2
 
 
 def _smear_radial(family, eps, f2d) -> complex:
@@ -616,13 +638,11 @@ def gl_vs_eg_second_order(
     free0 = complex(kit.feynman_pair(-1.0))
     order0 = abs(free0 / 1.0 - free0)
 
-    from scipy.special import roots_laguerre
-
-    tk, wk = roots_laguerre(n_kappa)
+    tk, wk = _laguerre(n_kappa, 0.0)
     kappa = np.sqrt(tk)  # f-weight exp(-kappa^2), measure kappa dkappa
 
     h, wh = np.polynomial.hermite.hermgauss(n_q)
-    tl, wl = roots_laguerre(n_q)
+    tl, wl = _laguerre(n_q, 0.0)
 
     W = np.einsum("i,j,k->ijk", wh / math.sqrt(math.pi), wh / math.sqrt(math.pi), wl)
 

@@ -12,7 +12,8 @@ records); run() then writes the records, dicts as JSON or preformatted
 lines, so a domain error leaves no --out file behind.
 
 Only the numeric subcommands (selfenergy, adiabatic, glcheck, sdestimate)
-import numpy, scipy and the numeric modules; the exact ones start without.
+import numpy and the numeric modules; the exact ones start without.  No
+subcommand imports scipy.
 """
 from __future__ import annotations
 
@@ -162,6 +163,8 @@ def _parse_counts(spec: str | None) -> dict[str, int]:
         name, _, val = item.partition("=")
         name = name.strip()
         try:
+            if not name:
+                raise ValueError
             count = int(val)
         except ValueError:
             raise argparse.ArgumentTypeError(

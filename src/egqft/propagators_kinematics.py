@@ -31,10 +31,6 @@ from .wightman import (  # noqa: F401  (re-exported)
 )
 
 
-def gamma_np(mu: int) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in gamma(mu)])
-
-
 # --------------------------------------------------------------------------- mass shell
 
 
@@ -102,25 +98,23 @@ def feynman_propagator(mass: float, q, iepsilon: float | None = None, mode: str 
 def two_body_phase_space(m1: float, m2: float, s: float) -> float:
     """integral dmu_m1 dmu_m2 (2pi)^4 delta^4(q - p1 - p2) at q^2 = s (rest frame).
 
-    In closed form sqrt(lambda(s, m1^2, m2^2)) / (8 pi s), with the Kallen
-    function factored as (s - (m1 + m2)^2)(s - (m1 - m2)^2) so that it keeps
-    full relative precision at threshold.  Zero at and below threshold.
+    Zero at and below threshold; the closed form is two_body_phase_space_array.
     """
     if s <= 0:
         raise KinematicsError(f"need timelike total momentum, got s = {s}")
-    if s <= (m1 + m2) ** 2:
-        return 0.0
-    lam = (s - (m1 + m2) ** 2) * (s - (m1 - m2) ** 2)
-    return math.sqrt(lam) / (8.0 * math.pi * s)
+    return float(two_body_phase_space_array(m1, m2, s))
 
 
-def two_body_phase_space_vec(m1: float, m2: float, q) -> float:
-    """Same, from a total 4-momentum; zero outside the forward mass shell."""
-    q = np.asarray(q, dtype=float)
-    s = float(q[0] ** 2 - q[1] ** 2 - q[2] ** 2 - q[3] ** 2)
-    if q[0] <= 0 or s <= (m1 + m2) ** 2:
-        return 0.0
-    return two_body_phase_space(m1, m2, s)
+def two_body_phase_space_array(m1: float, m2: float, s) -> np.ndarray:
+    """two_body_phase_space elementwise on an array of s, without the timelike
+    check: sqrt(lambda(s, m1^2, m2^2)) / (8 pi s) above (m1 + m2)^2 and 0 at
+    and below, with the Kallen function factored as
+    (s - (m1 + m2)^2)(s - (m1 - m2)^2) so that it keeps full relative
+    precision at threshold."""
+    s = np.asarray(s, dtype=float)
+    above = s > (m1 + m2) ** 2
+    lam = np.where(above, (s - (m1 + m2) ** 2) * (s - (m1 - m2) ** 2), 0.0)
+    return np.sqrt(lam) / (8.0 * math.pi * np.where(above, s, 1.0))
 
 
 # --------------------------------------------------------------------------- Riesz distribution

@@ -287,3 +287,21 @@ def test_gl_check_refuses_spatial_centers():
     fam = ScaledTestFamily(4, 0.7, ((0.0, 1.0, 0.0, 0.0),), (1.0,))
     with pytest.raises(AdiabaticError, match="time-directed centers"):
         gl_vs_eg_second_order(SM, family=fam)
+
+
+# --------------------------------------------------------------------------- Gauss-Laguerre rules
+
+
+@pytest.mark.parametrize("n, alpha", [(40, 0.5), (20, 0.0), (14, 0.0)])
+def test_laguerre_rule_matches_scipy(n, alpha):
+    """The recurrence-built rules used by the demonstrations against
+    scipy.special, node by node and weight by weight, relatively."""
+    from scipy.special import roots_genlaguerre
+
+    from egqft.adiabatic_limits import _laguerre
+
+    t, w = _laguerre(n, alpha)
+    t_ref, w_ref = roots_genlaguerre(n, alpha)
+    assert t.shape == w.shape == (n,)
+    np.testing.assert_allclose(t, t_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)

@@ -185,9 +185,10 @@ def test_massless_cut_dispersion_matches_exponential_integral():
 
     lam = 3.0
     w0 = 1.0 / (8 * math.pi)
+    # the massless phase space is the constant two_body_phase_space(0, 0, s) = w0
     flat = SpectralDensity(
-        fn=lambda s: (
-            two_body_phase_space(0.0, 0.0, s) * math.exp(-s / lam**2) if s > 0 else 0.0
+        fn=lambda s: np.where(
+            s > 0, two_body_phase_space(0.0, 0.0, 1.0) * np.exp(-s / lam**2), 0.0
         ),
         threshold=0.0,
         growth=-math.inf,
@@ -313,11 +314,29 @@ def test_dispersion_array_matches_scalar_all_modes():
     assert dispersion_eval(se, np.array([])).shape == (0,)
 
 
+def test_near_threshold_sweep_converges_or_names_rounding_reach():
+    """q^2 = 4 + 10^-k on the once-subtracted bubble: each point matches the
+    closed form Sigma_1 = J / (4 pi) or raises naming the threshold's rounding
+    reach; every k <= 8 converges."""
+    se = SelfEnergy(RHO, n_sub=1)
+    for k in range(2, 16):
+        q2 = 4.0 + 10.0**-k
+        try:
+            got = dispersion_eval(se, q2)
+        except SplittingError as exc:
+            assert k > 8 and "within rounding reach of the threshold" in str(exc), (k, exc)
+            continue
+        want = _bubble_two_subtractions(q2) + q2 / (24.0 * math.pi**2)
+        assert abs(got - want) <= 1e-10 * abs(want), (k, got, want)
+
+
 def test_dispersion_nonconvergence_raises():
     """A density with a non-integrable singularity inside the cut: the
     quadrature cannot converge, and says so instead of returning a number."""
     spike = SpectralDensity(
-        fn=lambda s: 1.0 / abs(s - 7.0) if s > 4.0 and s != 7.0 else 0.0,
+        fn=lambda s: np.where(
+            (s > 4.0) & (s != 7.0), 1.0 / np.abs(np.where(s != 7.0, s - 7.0, 1.0)), 0.0
+        ),
         threshold=4.0,
         growth=-math.inf,
     )

@@ -221,12 +221,14 @@ def test_glcheck_cli_csv(capsys):
         (["omega", "--model", "scalar_model", "--ext", "phi=1,phi=2"], "--ext"),
         (["omega", "--model", "scalar_model", "--ext", "phi=-1"], "--ext"),
         (["omega", "--model", "scalar_model", "--ext", "phi=2", "--der", "phi=1,phi=1"], "--der"),
+        (["omega", "--model", "scalar_model", "--ext", "=1"], "--ext"),
+        (["omega", "--model", "scalar_model", "--ext", "phi=1", "--der", "=1"], "--der"),
     ],
     ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count",
          "nsub-not-a-count", "nsub-negative", "dim-zero", "dim-negative",
          "adiabatic-family-unknown", "glcheck-family-unknown", "adiabatic-cmis-nan",
          "adiabatic-cmis-inf", "glcheck-cmis-nan", "q2grid-nan", "q2grid-inf",
-         "ext-repeated", "ext-negative", "der-repeated"],
+         "ext-repeated", "ext-negative", "der-repeated", "ext-empty-name", "der-empty-name"],
 )
 def test_malformed_option_is_a_usage_error(capsys, argv, option):
     code, out, err = _run(capsys, argv)
@@ -427,6 +429,30 @@ for argv in {EXACT_COMMANDS!r}:
             assert exc.code == 0, (argv, exc.code)
     assert out.getvalue(), argv
     assert not numerics(), (argv, numerics())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_env(),
+        cwd=GOLDEN, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+NUMERIC_COMMANDS = [
+    ["selfenergy", "--model", "scalar_model", "--q2grid=-2:6:17"],
+    ["adiabatic", "--model", "scalar_model", "--neps", "6"],
+    ["glcheck", "--model", "scalar_model", "--neps", "6"],
+]
+
+
+def test_numeric_commands_run_without_scipy():
+    code = f"""
+import contextlib, io, sys
+from egqft import cli
+for argv in {NUMERIC_COMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(argv) == 0, argv
+    assert out.getvalue(), argv
+    assert 'scipy' not in sys.modules, (argv, sorted(m for m in sys.modules if 'scipy' in m))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_env(),

@@ -487,8 +487,8 @@ def _laguerre(n: int, alpha: float):
     Weights: Gamma(n + alpha + 1) t / (n! (n + 1)^2 L_{n+1}^alpha(t)^2),
     relatively accurate also where they are tiny (the Golub-Welsch
     eigenvector weights are only absolutely so).  The three-term recurrence
-    runs on p_k = L_k^alpha / binom(k + alpha, k) and d_k = p_k - p_{k-1},
-    which keeps small t free of cancellation.
+    runs on p_k = L_k^alpha / B_k, B_k = binom(k + alpha, k), and on
+    d_k = p_k - p_{k-1}, which keeps small t free of cancellation.
     """
     k = np.arange(1, n)
     t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + alpha + 1.0)
@@ -502,8 +502,10 @@ def _laguerre(n: int, alpha: float):
         return p, d
 
     for _ in range(2):
+        # t L_n' = n L_n - (n + alpha) L_{n-1} = n B_n d_n
         p, d = p_d(n)
-        t = t - t * p / (n * d)  # t L_n' = n L_n - (n + alpha) L_{n-1} = (n + alpha) B_{n-1} d_n
+        t = t - t * p / (n * d)
+    # the weight formula with L_{n+1} = B_{n+1} p_{n+1}
     scale = math.gamma(alpha + 1.0) ** 2 * math.factorial(n) / (
         (n + alpha + 1.0) ** 2 * math.gamma(n + alpha + 1.0))
     return t, scale * t / p_d(n + 1)[0] ** 2

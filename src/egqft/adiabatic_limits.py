@@ -365,15 +365,13 @@ class _Curve:
         umax = math.asinh(qmax / delta)
         u = np.linspace(-umax, umax, npts)
         q2 = delta * np.sinh(u)
-        vals = np.asarray(fn(q2), dtype=complex)
         self.u = u
-        self.re = vals.real
-        self.im = vals.imag
+        self.vals = np.asarray(fn(q2), dtype=complex)
+        self.re, self.im = self.vals.real, self.vals.imag
 
     def __call__(self, q2):
-        q2 = np.asarray(q2, dtype=float)
-        u = np.arcsinh(q2 / self.delta)
-        return np.interp(u, self.u, self.re) + 1j * np.interp(u, self.u, self.im)
+        # np.interp takes complex values directly: one search per point
+        return np.interp(np.arcsinh(np.asarray(q2, dtype=float) / self.delta), self.u, self.vals)
 
 
 # --------------------------------------------------------------------------- second-order kit
@@ -511,14 +509,21 @@ def _laguerre(n: int, alpha: float):
     return t, scale * t / p_d(n + 1)[0] ** 2
 
 
-def _smear_radial(family, eps, f2d) -> complex:
+def _smear_radial(family, eps, f2d) -> tuple[complex, complex]:
+    """Smearings of the advanced and retarded values: f2d(q0, r) returns the
+    pair of arrays for time signs -1 and +1.  Components with the same time
+    center share one evaluation; each still adds its own weighted term."""
     comps, r, wr = _radial_nodes(family, eps)
-    total = 0.0 + 0.0j
+    adv = ret = 0.0 + 0.0j
+    smeared = {}
     for wc, q0, w0 in comps:
-        Q0, R = np.meshgrid(q0, r, indexing="ij")
-        vals = np.asarray(f2d(Q0, R), dtype=complex)
-        total += wc * complex(np.einsum("i,j,ij->", w0, wr, vals))
-    return total
+        key = q0.tobytes()
+        if key not in smeared:
+            Q0, R = np.meshgrid(q0, r, indexing="ij")
+            smeared[key] = [complex(np.einsum("i,j,ij->", w0, wr, v)) for v in f2d(Q0, R)]
+        a, b = smeared[key]
+        adv, ret = adv + wc * a, ret + wc * b
+    return adv, ret
 
 
 # --------------------------------------------------------------------------- appendix demos
@@ -563,20 +568,17 @@ def appendix_c_demo(
     mass = max(e.numbers.mass for e in model.fields.entries)
     kit = _kit(mass, uv_scale)
 
-    def make_f(time_sign):
-        def f(q0, r):
-            q2 = q0**2 - r**2
-            out = kit.normalized_bubble(q2)
-            if c_mis:
-                out = out + c_mis * (
-                    kit.feynman_pair(q2) - kit.onshell_pair(q0, r, time_sign, f_profile)
-                )
-            return out
+    def f(q0, r):
+        # only the on-shell pair depends on the time sign
+        q2 = q0**2 - r**2
+        bub = kit.normalized_bubble(q2)
+        if not c_mis:
+            return bub, bub
+        pair = kit.feynman_pair(q2)
+        return [bub + c_mis * (pair - kit.onshell_pair(q0, r, sign, f_profile))
+                for sign in (-1, +1)]
 
-        return f
-
-    adv_samples = [_smear_radial(family, e, make_f(-1)) for e in family.epsilons]
-    ret_samples = [_smear_radial(family, e, make_f(+1)) for e in family.epsilons]
+    adv_samples, ret_samples = zip(*(_smear_radial(family, e, f) for e in family.epsilons))
     diff = [a - b for a, b in zip(adv_samples, ret_samples)]
     return NormalizationDemoReport(
         advanced=fit_limit(family.epsilons, adv_samples, family=family.label + "/adv"),
@@ -643,36 +645,39 @@ def gl_vs_eg_second_order(
     tk, wk = _laguerre(n_kappa, 0.0)
     kappa = np.sqrt(tk)  # f-weight exp(-kappa^2), measure kappa dkappa
 
-    h, wh = np.polynomial.hermite.hermgauss(n_q)
+    h, wh = _hermgauss(n_q)
     tl, wl = _laguerre(n_q, 0.0)
 
     W = np.einsum("i,j,k->ijk", wh / math.sqrt(math.pi), wh / math.sqrt(math.pi), wl)
 
-    def phi(eps, kap, sgn):
-        # one Gaussian per component of the family, centered at eps * c0 in time
+    def grids(eps):
+        # one Gaussian per component of the family, centered at eps * c0 in
+        # time; q^2 and q0 - q_par do not depend on kappa
         s = eps * family.sigma
         qp = s * math.sqrt(2.0) * h
         qt = s * np.sqrt(2.0 * tl)
-        total = 0.0
+        out = []
         for c, wc in zip(family.centers, family.weights):
             q0 = eps * c[0] + s * math.sqrt(2.0) * h
             Q0, QP, QT = np.meshgrid(q0, qp, qt, indexing="ij")
-            q2 = Q0**2 - QP**2 - QT**2
-            arg = q2 + 2.0 * sgn * kap * (Q0 - QP)
-            if sgn > 0:
-                vals = kit.normalized_bubble(arg) + c_mis
-            else:
-                vals = kit.feynman_pair(arg)
+            out.append((wc, Q0**2 - QP**2 - QT**2, Q0 - QP))
+        return out
+
+    def phi(comps, kap, sgn):
+        total = 0.0
+        for wc, q2, d in comps:
+            arg = q2 + 2.0 * sgn * kap * d
+            vals = kit.normalized_bubble(arg) + c_mis if sgn > 0 else kit.feynman_pair(arg)
             total += wc * complex(np.sum(W * vals))
         return total
 
-    def delta_at(eps: float) -> complex:
+    def delta_at(comps) -> complex:
         tot = 0.0 + 0.0j
         for kap, w in zip(kappa, wk):
-            tot += 0.5 * w * phi(eps, kap, +1) * phi(eps, kap, -1)
+            tot += 0.5 * w * phi(comps, kap, +1) * phi(comps, kap, -1)
         return tot / (4.0 * math.pi**2)
 
-    deltas = [delta_at(e) for e in family.epsilons]
+    deltas = [delta_at(grids(e)) for e in family.epsilons]
 
     eps = np.asarray(family.epsilons)
     mags = np.array([abs(d) for d in deltas])

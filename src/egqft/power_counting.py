@@ -53,10 +53,7 @@ class SList:
         return SList(tuple(items))
 
     def total(self) -> SuperQuadriIndex:
-        out = SuperQuadriIndex()
-        for s in self.items:
-            out = out.add(s)
-        return out
+        return SuperQuadriIndex.from_pairs(e for s in self.items for e in s.entries)
 
     def __len__(self):
         return len(self.items)

@@ -1,5 +1,6 @@
 """Adiabatic machinery: splitting function, cones, point values, demos."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from egqft.adiabatic_limits import (
     AdiabaticError,
     ScaledTestFamily,
     SplittingTheta,
+    _Curve,
+    _kit,
+    _laguerre,
+    _radial_nodes,
     appendix_c_demo,
     asymmetric_family,
     cone_contains,
@@ -188,10 +193,6 @@ def test_wal_zero_orders_via_derivative_probes():
     se1 = SelfEnergy(bubble_density(1.0, 1.0), n_sub=1)
 
     def curve(se):
-        import numpy as np
-
-        from egqft.adiabatic_limits import _Curve
-
         return _Curve(lambda q2: dispersion_eval(se, q2, "feynman"), 40.0)
 
     c2, c1 = curve(se2), curve(se1)
@@ -298,10 +299,142 @@ def test_laguerre_rule_matches_scipy(n, alpha):
     scipy.special, node by node and weight by weight, relatively."""
     from scipy.special import roots_genlaguerre
 
-    from egqft.adiabatic_limits import _laguerre
-
     t, w = _laguerre(n, alpha)
     t_ref, w_ref = roots_genlaguerre(n, alpha)
     assert t.shape == w.shape == (n,)
     np.testing.assert_allclose(t, t_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
+
+# --------------------------------------------------------------------------- shared evaluations
+
+
+def _agree(got, want, rel=1e-13):
+    """Real and imaginary parts each agree to rel; a part that is exactly zero
+    in the reference must come out zero up to an absolute floor."""
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        assert abs(g - w) <= rel * abs(w) + 1e-300, (got, want)
+
+
+def _demo_reference(family, c_mis, f_profile, time_sign):
+    """One time sign of appendix_c_demo, evaluated per component on the
+    radial nodes and summed in component order."""
+    kit = _kit(1.0)
+    out = []
+    for eps in family.epsilons:
+        comps, r, wr = _radial_nodes(family, eps)
+        total = 0.0 + 0.0j
+        for wc, q0, w0 in comps:
+            Q0, R = np.meshgrid(q0, r, indexing="ij")
+            q2 = Q0**2 - R**2
+            vals = kit.normalized_bubble(q2)
+            if c_mis:
+                vals = vals + c_mis * (
+                    kit.feynman_pair(q2) - kit.onshell_pair(Q0, R, time_sign, f_profile))
+            total += wc * complex(np.einsum("i,j,ij->", w0, wr, vals))
+        out.append(total)
+    return out
+
+
+def _gl_reference(family, c_mis, n_kappa=20, n_q=14):
+    """|Delta(eps)| of gl_vs_eg_second_order with the grids rebuilt for every
+    kappa and time sign."""
+    kit = _kit(1.0)
+    tk, wk = _laguerre(n_kappa, 0.0)
+    h, wh = np.polynomial.hermite.hermgauss(n_q)
+    tl, wl = _laguerre(n_q, 0.0)
+    W = np.einsum("i,j,k->ijk", wh / math.sqrt(math.pi), wh / math.sqrt(math.pi), wl)
+
+    def phi(eps, kap, sgn):
+        s = eps * family.sigma
+        total = 0.0
+        for c, wc in zip(family.centers, family.weights):
+            q0 = eps * c[0] + s * math.sqrt(2.0) * h
+            Q0, QP, QT = np.meshgrid(q0, s * math.sqrt(2.0) * h, s * np.sqrt(2.0 * tl),
+                                     indexing="ij")
+            arg = Q0**2 - QP**2 - QT**2 + 2.0 * sgn * kap * (Q0 - QP)
+            vals = kit.normalized_bubble(arg) + c_mis if sgn > 0 else kit.feynman_pair(arg)
+            total += wc * complex(np.sum(W * vals))
+        return total
+
+    mags = []
+    for eps in family.epsilons:
+        tot = 0.0 + 0.0j
+        for kap, w in zip(np.sqrt(tk), wk):
+            tot += 0.5 * w * phi(eps, kap, +1) * phi(eps, kap, -1)
+        mags.append(abs(tot / (4.0 * math.pi**2)))
+    return mags
+
+
+_EPS6 = tuple(0.3 * 2.0 ** (-k / 2.0) for k in range(6))
+
+
+@pytest.mark.parametrize("c_mis", [0.0, 0.7])
+@pytest.mark.parametrize("profile", ["one", "vanishing"])
+@pytest.mark.parametrize("family", [gaussian_family(4, epsilons=_EPS6),
+                                    asymmetric_family(4, epsilons=_EPS6)],
+                         ids=["gauss", "asym"])
+def test_appendix_demo_matches_per_sign_reference(family, profile, c_mis):
+    """Both time signs from one evaluation of the shared curves per time
+    center agree with a separate evaluation per sign and per component."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = appendix_c_demo(SM, c_mis, family=family, f_profile=profile)
+    for side, sign in ((rep.advanced, -1), (rep.retarded, +1)):
+        want = _demo_reference(family, c_mis, profile, sign)
+        assert len(side.samples) == len(want)
+        for (_, got), w in zip(side.samples, want):
+            _agree(got, w)
+
+
+@pytest.mark.parametrize("c_mis", [0.0, 1.0])
+def test_gl_check_matches_per_kappa_reference(c_mis):
+    fam = gaussian_family(4, epsilons=_EPS6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = gl_vs_eg_second_order(SM, family=fam, c_mis=c_mis)
+    for (_, got), want in zip(rep.samples, _gl_reference(fam, c_mis)):
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_curve_lookup_matches_two_real_interpolations():
+    """One complex interpolation against separate real and imaginary ones,
+    also beyond qmax = 60, where both clamp to the end values."""
+    kit = _kit(1.0)
+    rng = np.random.default_rng(12)
+    q2 = np.concatenate([rng.uniform(-90.0, 90.0, 4000), rng.normal(scale=1e-3, size=1000),
+                         rng.uniform(3.9, 4.1, 1000), [-1e4, -60.5, 60.5, 1e4]])
+    for curve in (kit.pair_curve, kit.bubble_curve):
+        u = np.arcsinh(q2 / curve.delta)
+        want = np.interp(u, curve.u, curve.re) + 1j * np.interp(u, curve.u, curve.im)
+        got = curve(q2)
+        assert got.shape == q2.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        out = np.abs(q2) > 60.0
+        assert out.sum() >= 4
+        assert np.array_equal(got[out], want[out])
+        assert np.array_equal(got[q2 > 60.0], np.full((q2 > 60.0).sum(), curve.vals[-1]))
+
+
+@pytest.mark.parametrize("c_mis", [0.0, 0.7])
+def test_appendix_demo_reads_each_curve_once_per_time_center(monkeypatch, c_mis):
+    """One lookup per curve, epsilon and distinct time center: 1 for the
+    centered family, 3 for the asymmetric one, whose (i, j) and (j, i)
+    components share their center; the pair curve only when c_mis != 0."""
+    kit = _kit(1.0)
+    lookup = _Curve.__call__
+    calls = {}
+
+    def counting(curve, q2):
+        calls[curve] = calls.get(curve, 0) + 1
+        return lookup(curve, q2)
+
+    monkeypatch.setattr(_Curve, "__call__", counting)
+    for family, centers in ((gaussian_family(4, epsilons=_EPS6), 1),
+                            (asymmetric_family(4, epsilons=_EPS6), 3)):
+        calls.clear()
+        appendix_c_demo(SM, c_mis, family=family)
+        want = {kit.bubble_curve: centers * len(_EPS6)}
+        if c_mis:
+            want[kit.pair_curve] = centers * len(_EPS6)
+        assert calls == want

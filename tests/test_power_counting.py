@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egqft.model_registry import builtin, parse_model_spec
 from egqft.power_counting import (
@@ -44,6 +46,24 @@ def test_ext_der_examples():
     assert ext(sd, phi) == 2 and der(sd, phi) == 2
     empty = SList.of()
     assert ext(empty, phi) == 0 and der(empty, phi) == 0
+
+
+_indices = st.builds(
+    SuperQuadriIndex.from_pairs,
+    st.lists(st.tuples(st.builds(Generator, st.integers(0, 5),
+                                 st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1)])),
+                       st.integers(0, 3)), max_size=4),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_indices, max_size=4))
+def test_property_total_equals_pairwise_add_fold(items):
+    """One merge over every item's entries is the left fold of add."""
+    fold = SuperQuadriIndex()
+    for s in items:
+        fold = fold.add(s)
+    assert SList(tuple(items)).total() == fold
 
 
 def test_omega_general_examples():

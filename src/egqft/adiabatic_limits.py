@@ -25,14 +25,20 @@ from .causal_splitting import (
     central_normalize,
     dispersion_eval,
 )
+from .exact import DomainError
 from .propagators_kinematics import two_body_phase_space, two_body_phase_space_array
 
 
-class AdiabaticError(ValueError):
+class AdiabaticError(DomainError):
     pass
 
 
-DEFAULT_EPSILONS = tuple(0.3 * 2.0 ** (-k / 2.0) for k in range(12))
+def epsilon_schedule(n: int) -> tuple[float, ...]:
+    """The n scales eps_k = 0.3 * 2^(-k/2), k = 0..n-1."""
+    return tuple(0.3 * 2.0 ** (-k / 2.0) for k in range(n))
+
+
+DEFAULT_EPSILONS = epsilon_schedule(12)
 
 
 # --------------------------------------------------------------------------- scaled families

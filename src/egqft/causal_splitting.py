@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exact import DomainError
+
 # bench/tracer.py patches two_body_phase_space here (and the lazy `integrate`
 # below); the densities call the array form
 from .propagators_kinematics import two_body_phase_space  # noqa: F401
@@ -35,7 +37,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class SplittingError(ValueError):
+class SplittingError(DomainError):
     pass
 
 
@@ -66,21 +68,11 @@ class SpectralDensity:
 def bubble_density(m1: float, m2: float) -> SpectralDensity:
     """Two-particle spectral density of the one-loop bubble.
 
-    rho(s) = w * two_body_phase_space(m1, m2, s) with the combinatorial weight w
-    taken from the complete-pairing count of the underlying squared-field
-    contraction (two pairings), and threshold (m1 + m2)^2.
+    rho(s) = w * two_body_phase_space(m1, m2, s) with threshold (m1 + m2)^2 and
+    the combinatorial weight w = 2: the complete contractions of psi^2 with
+    psi^2 (complete_pairings with require_full=True gives two terms).
     """
-    from .model_registry import builtin
-    from .symbolic_fields import Generator, index_of
-    from .wick_pairing import complete_pairings
-
-    sm = builtin("scalar_model")
-    gpsi = Generator(1)
-    w = len(
-        complete_pairings(
-            [index_of(gpsi, gpsi)], [index_of(gpsi, gpsi)], sm, require_full=True
-        )
-    )
+    w = 2
     return SpectralDensity(
         lambda s: w * two_body_phase_space_array(m1, m2, s), (m1 + m2) ** 2, 0.0,
         w / (8.0 * math.pi), label=f"bubble({m1},{m2})",

@@ -3,13 +3,15 @@
 Subcommands: classify, subpolys, omega, wick, pairings, selfenergy,
 adiabatic, glcheck, sdestimate.  Every subcommand supports --format
 json|csv and --manifest out.json.  Exit codes: 0 success, 1 domain error
-(with a diagnostic naming the violated condition), 2 usage error.
+(a DomainError, with a diagnostic naming the violated condition), 2 usage
+error.
 Symbolic term streams are emitted as JSON lines, one term per line, in a
 deterministic order.
 
-Each subcommand runs its library calls and returns (model, manifest params,
-records); run() then writes the records, dicts as JSON or preformatted
-lines, so a domain error leaves no --out file behind.
+Each subcommand runs its library calls and returns (model, records); run()
+then writes the records, dicts as JSON or preformatted lines, so a domain
+error leaves no --out file behind.  The manifest's params are the parsed
+options, every one except --out and --manifest.
 
 Only the numeric subcommands (selfenergy, adiabatic, glcheck, sdestimate)
 import numpy and the numeric modules; the exact ones start without.  No
@@ -29,6 +31,7 @@ import time
 from dataclasses import replace
 
 from . import __version__
+from .exact import DomainError
 from .model_registry import (
     ModelError,
     load_model,
@@ -44,7 +47,6 @@ from .power_counting import (
     omega_massless,
 )
 from .symbolic_fields import (
-    AlgebraError,
     Generator,
     Polynomial,
     SuperQuadriIndex,
@@ -52,16 +54,7 @@ from .symbolic_fields import (
     species_signature,
     subpolynomials,
 )
-from .wick_pairing import WickError, complete_pairings, wick_expand
-from .wightman import KinematicsError
-
-DOMAIN_ERRORS = (
-    AlgebraError,
-    ModelError,
-    CountingError,
-    WickError,
-    KinematicsError,
-)
+from .wick_pairing import complete_pairings, wick_expand
 
 # Numeric library calls held as attributes of this module, which the
 # package resolves on first access (PEP 562).  The numeric commands look them
@@ -196,9 +189,8 @@ def _cmd_classify(args):
     if args.c is not None:
         model = replace(model, c_const=args.c)
     verdict = validate(model)
-    params = {"model": args.model, "c": args.c, "format": args.format}
     if args.format == "json":
-        return model, params, [{
+        return model, [{
             "model": model.name,
             "c": model.c_const,
             "renormalizability": verdict.renormalizability,
@@ -207,7 +199,7 @@ def _cmd_classify(args):
         }]
     flag = "wAL-eligible" if verdict.wal_eligible else "not wAL-eligible"
     lines = [f"{verdict.renormalizability}; {flag}"] + [f"# {r}" for r in verdict.reasons]
-    return model, params, lines
+    return model, lines
 
 
 def _cmd_subpolys(args):
@@ -229,10 +221,9 @@ def _cmd_subpolys(args):
                     "representative": repr(q),
                 }
             )
-    params = {"model": args.model, "view": args.view}
     if args.format == "json":
-        return model, params, rows
-    return model, params, ["vertex,signature,dim,representative"] + [
+        return model, rows
+    return model, ["vertex,signature,dim,representative"] + [
         f"{r['vertex']},{r['signature']},{r['dim']},{_csv_quoted(r['representative'])}"
         for r in rows
     ]
@@ -258,16 +249,15 @@ def _cmd_omega(args):
         raise CountingError(f"derivative counts for fields without occurrences: {sorted(ders)}")
     u = SList.of(SuperQuadriIndex.from_pairs(pairs))
     val = omega_massless(model, u)
-    params = {"model": args.model, "ext": args.ext, "der": args.der}
     if args.format == "json":
-        return model, params, [{
+        return model, [{
             "model": model.name,
             "ext": exts,
             "der": der_counts,
             "omega": None if val is VANISHING_SECTOR else val,
             "vanishing_sector": val is VANISHING_SECTOR,
         }]
-    return model, params, ["vanishing-sector" if val is VANISHING_SECTOR else f"{val}"]
+    return model, ["vanishing-sector" if val is VANISHING_SECTOR else f"{val}"]
 
 
 def _resolve_arg_poly(model, token: str) -> Polynomial:
@@ -300,11 +290,10 @@ def _cmd_wick(args):
     model = load_model(args.model)
     polys = [_resolve_arg_poly(model, tok) for tok in args.args.split(",")]
     terms = wick_expand(polys)
-    params = {"model": args.model, "args": args.args}
     if args.format == "json":
         # the line json.dumps(record, sort_keys=True) writes for the record
         # {s_list, sign, weight, vev_args, normal_monomials, vev_forced_zero}
-        lines = _wick_lines(
+        return model, _wick_lines(
             terms,
             sqi=lambda s: json.dumps(_sqi_json(model, s), sort_keys=True),
             arg=lambda p: json.dumps(repr(p)),
@@ -316,17 +305,10 @@ def _cmd_wick(args):
             ),
             sep=", ",
         )
-        return model, params, lines
-
-    def sqi_str(s):
-        return "*".join(
-            model.fields.gen_name(g) + (f"^{m}" if m > 1 else "")
-            for g, m in s.entries
-        ) or "1"
 
     lines = _wick_lines(
         terms,
-        sqi=sqi_str,
+        sqi=lambda s: model.fields.monomial_name(s) or "1",
         # _csv_quoted of the ';'-joined arguments, one argument at a time
         arg=lambda p: repr(p).replace('"', "'"),
         weight=repr,
@@ -334,7 +316,7 @@ def _cmd_wick(args):
         sep=";",
     )
     header = "sign,weight,s_list,normal_monomials,vev_forced_zero,vev_args"
-    return model, params, itertools.chain([header], lines)
+    return model, itertools.chain([header], lines)
 
 
 def _wick_lines(terms, sqi, arg, weight, line, sep):
@@ -382,7 +364,6 @@ def _cmd_pairings(args):
     terms = complete_pairings(
         left, right, model, require_full=args.full, force=args.force
     )
-    params = {"model": args.model, "left": args.left, "right": args.right, "full": args.full}
     name = model.fields.gen_name
     # each shared pair, residual and const is rendered once; a line joins fragments
     if args.format == "json":
@@ -395,7 +376,7 @@ def _cmd_pairings(args):
         residual = _rendered_once(
             lambda sl: json.dumps([_sqi_json(model, s) for s in sl.items], sort_keys=True)
         )
-        return model, params, (
+        return model, (
             f'{{"classification": "{t.classification}", "const": {const(t.const)}, '
             f'"pairs": [{", ".join(map(pair, t.pairs))}], '
             f'"residual_left": {residual(t.residual_left)}, '
@@ -406,7 +387,7 @@ def _cmd_pairings(args):
     pair = _rendered_once(
         lambda p: f"{p.left_slot}:{name(p.left_gen)}-{p.right_slot}:{name(p.right_gen)}"
     )
-    return model, params, itertools.chain(["const,classification,pairs"], (
+    return model, itertools.chain(["const,classification,pairs"], (
         f"{const(t.const)},{t.classification},{';'.join(map(pair, t.pairs))}" for t in terms
     ))
 
@@ -426,23 +407,20 @@ def _cmd_selfenergy(args):
     else:
         se = SelfEnergy(se.density, n_sub=int(args.nsub))
     rows = list(zip(q2s, _cli.dispersion_eval(se, q2s, args.mode)))
-    params = {"model": args.model, "q2grid": args.q2grid, "nsub": args.nsub, "mode": args.mode}
     if args.format == "json":
-        return model, params, [
+        return model, [
             {"q2": float(q2), "re": v.real, "im": v.imag} for q2, v in rows
         ]
-    return model, params, ["q2,re_sigma,im_sigma"] + [
+    return model, ["q2,re_sigma,im_sigma"] + [
         f"{float(q2):.12g},{v.real:.12g},{v.imag:.12g}" for q2, v in rows
     ]
 
 
 def _family(kind: str, neps: int | None):
-    from .adiabatic_limits import DEFAULT_EPSILONS, asymmetric_family, gaussian_family
+    from .adiabatic_limits import asymmetric_family, epsilon_schedule, gaussian_family
 
-    eps = DEFAULT_EPSILONS if neps is None else tuple(
-        0.3 * 2.0 ** (-k / 2.0) for k in range(neps)
-    )
-    return (gaussian_family if kind == "gauss" else asymmetric_family)(4, epsilons=eps)
+    family = gaussian_family if kind == "gauss" else asymmetric_family
+    return family(4) if neps is None else family(4, epsilons=epsilon_schedule(neps))
 
 
 def _limit_report_json(rep):
@@ -463,9 +441,8 @@ def _cmd_adiabatic(args):
         model, args.cmis, family=_family(args.family, args.neps),
         f_profile=args.fprofile,
     )
-    params = {"model": args.model, "cmis": args.cmis, "family": args.family}
     if args.format == "json":
-        return model, params, [{
+        return model, [{
             "model": model.name,
             "c_mis": args.cmis,
             "f_profile": args.fprofile,
@@ -473,7 +450,7 @@ def _cmd_adiabatic(args):
             "retarded": _limit_report_json(rep.retarded),
             "difference": _limit_report_json(rep.difference),
         }]
-    return model, params, ["eps,re_adv,im_adv,re_ret,im_ret"] + [
+    return model, ["eps,re_adv,im_adv,re_ret,im_ret"] + [
         f"{e:.8g},{va.real:.12g},{va.imag:.12g},{vr.real:.12g},{vr.imag:.12g}"
         for (e, va), (_, vr) in zip(rep.advanced.samples, rep.retarded.samples)
     ]
@@ -484,9 +461,8 @@ def _cmd_glcheck(args):
     rep = _cli.gl_vs_eg_second_order(
         model, family=_family(args.family, args.neps), c_mis=args.cmis
     )
-    params = {"model": args.model, "cmis": args.cmis, "family": args.family}
     if args.format == "json":
-        return model, params, [{
+        return model, [{
             "model": model.name,
             "exponent": rep.exponent,
             "exponent_sigma": rep.exponent_sigma,
@@ -494,7 +470,7 @@ def _cmd_glcheck(args):
             "normalized": rep.normalized,
             "samples": [[e, m] for e, m in rep.samples],
         }]
-    return model, params, (
+    return model, (
         ["eps,abs_difference"]
         + [f"{e:.8g},{mres:.12g}" for e, mres in rep.samples]
         + [f"# fitted decay exponent = {rep.exponent:.6g}"]
@@ -537,9 +513,8 @@ def _cmd_sdestimate(args):
             return p.lam**dim * float(np.dot(weights, vals))
 
     est = scaling_degree_estimate(pairing, dim)
-    params = {"target": args.target, "dim": dim}
     if args.format == "json":
-        return None, params, [{
+        return None, [{
             "target": args.target,
             "dim": dim,
             "estimate": est.value,
@@ -548,7 +523,7 @@ def _cmd_sdestimate(args):
             "ok": est.ok,
             "note": est.note,
         }]
-    return None, params, [
+    return None, [
         f"scaling degree estimate: {est.value:.4f} (residual {est.residual:.2e})"
     ]
 
@@ -653,9 +628,6 @@ _DISPATCH = {
     "glcheck": (_cmd_glcheck, 2),
     "sdestimate": (_cmd_sdestimate, None),
 }
-# the subcommands that import the numeric half, whose errors are domain
-# errors too
-_NUMERIC_COMMANDS = frozenset({"selfenergy", "adiabatic", "glcheck", "sdestimate"})
 
 
 def run(argv) -> int:
@@ -666,15 +638,10 @@ def run(argv) -> int:
         return int(exc.code or 0)
     t0 = time.monotonic()
     command, indent = _DISPATCH[args.cmd]
-    errors = DOMAIN_ERRORS
-    if args.cmd in _NUMERIC_COMMANDS:
-        from .adiabatic_limits import AdiabaticError
-        from .causal_splitting import SplittingError
-
-        errors += (SplittingError, AdiabaticError)
+    params = {k: v for k, v in vars(args).items() if k not in ("cmd", "out", "manifest")}
     try:
-        model, params, records = command(args)
-    except errors as exc:
+        model, records = command(args)
+    except DomainError as exc:
         print(f"egqft {args.cmd}: {exc}", file=sys.stderr)
         return 1
     # dicts are JSON records; strings are lines, written as they are

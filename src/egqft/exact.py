@@ -10,6 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+class DomainError(ValueError):
+    """Base of the errors that name a violated condition of the input (the
+    CLI's exit 1), as opposed to a usage error or a bug."""
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

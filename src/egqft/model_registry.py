@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .exact import I, QRat
+from .exact import DomainError, I, QRat
 from .symbolic_fields import (
     FieldEntry,
     FieldTable,
@@ -26,10 +26,10 @@ from .symbolic_fields import (
     adjoint,
     canonical_dim,
 )
-from .wightman import GAMMA0, METRIC, gamma, mat_mul
+from .wightman import METRIC, gamma0_gamma
 
 
-class ModelError(ValueError):
+class ModelError(DomainError):
     pass
 
 
@@ -79,7 +79,7 @@ def _spinor_qed_vertex(table: FieldTable) -> Polynomial:
     field = lambda name: Polynomial.of_field(table, name)
     vertex = Polynomial.zero(table)
     for mu in range(4):
-        g0gmu = mat_mul(GAMMA0, gamma(mu))
+        g0gmu = gamma0_gamma(mu)
         for a in range(4):
             for b in range(4):
                 c = g0gmu[a][b]
@@ -442,8 +442,7 @@ def _vertex_line(table: FieldTable, cname: str, poly: Polynomial) -> str:
         raise ModelError(f"vertex {cname!r} has a non-real coefficient; cannot serialize")
     if any(table.entry(g.field).kind not in ("scalar", "ghost") for g, _ in idx.entries):
         raise ModelError(f"vertex {cname!r} has a spinor or vector factor; cannot serialize")
-    factors = (table.gen_name(g) + (f"^{mult}" if mult > 1 else "") for g, mult in idx.entries)
-    return f"{cname} = {coeff.re} * " + "*".join(factors)
+    return f"{cname} = {coeff.re} * {table.monomial_name(idx)}"
 
 
 def serialize_model_spec(m: ModelSpec) -> str:

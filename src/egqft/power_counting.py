@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .exact import DomainError
 from .symbolic_fields import SuperQuadriIndex
 
 
-class CountingError(ValueError):
+class CountingError(DomainError):
     pass
 
 

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import ONE, QRat, as_qrat
+from .exact import ONE, DomainError, QRat, as_qrat
 
 Alpha = tuple[int, int, int, int]
 ZERO_ALPHA: Alpha = (0, 0, 0, 0)
 
 
-class AlgebraError(ValueError):
+class AlgebraError(DomainError):
     pass
 
 
@@ -131,6 +131,10 @@ class FieldTable:
             return name
         tags = "".join(f"d[{mu}]" * g.alpha[mu] for mu in range(4))
         return tags + name
+
+    def monomial_name(self, idx: SuperQuadriIndex) -> str:
+        """The factors of idx as name^m joined by '*' ('' for the empty index)."""
+        return "*".join(self.gen_name(g) + (f"^{m}" if m > 1 else "") for g, m in idx.entries)
 
     def star(self, g: Generator) -> Generator:
         return Generator(self.entry(g.field).adjoint, g.alpha)
@@ -359,19 +363,10 @@ class Polynomial:
         return tuple((i.key(), (c / lead).key()) for i, c in self.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx, c in self.terms:
-            if not idx.entries:
-                parts.append(f"({c!r})")
-                continue
-            word = "*".join(
-                self.table.gen_name(g) + (f"^{m}" if m > 1 else "")
-                for g, m in idx.entries
-            )
-            parts.append(f"({c!r})*{word}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({c!r})*{self.table.monomial_name(idx)}" if idx.entries else f"({c!r})"
+            for idx, c in self.terms
+        ) or "0"
 
     # -------------------------------------------------------------- quantum numbers
     def _mono_numbers(self, idx: SuperQuadriIndex):

@@ -25,13 +25,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import QRat
+from .exact import DomainError, QRat
 from .power_counting import SList
 from .symbolic_fields import Generator, Polynomial, SuperQuadriIndex, permutation_sign, subpolynomials
 from .wightman import two_point
 
 
-class WickError(ValueError):
+class WickError(DomainError):
     pass
 
 

@@ -19,16 +19,17 @@ two-point functions are in propagators_kinematics.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import I, ONE, QRat, as_qrat
+from .exact import I, ONE, DomainError, QRat, as_qrat
 from .symbolic_fields import Alpha, FieldTable, Generator, ZERO_ALPHA
 
 METRIC = (1, -1, -1, -1)
 
 
-class KinematicsError(ValueError):
+class KinematicsError(DomainError):
     pass
 
 
@@ -62,6 +63,13 @@ def gamma(mu: int):
     if not 0 <= mu <= 3:
         raise KinematicsError(f"gamma index {mu} out of range")
     return GAMMAS[mu]
+
+
+@functools.cache
+def gamma0_gamma(mu: int):
+    """gamma^0 gamma^mu, built on first use.  In the Dirac representation it
+    equals g_mumu gamma^mu gamma^0, the coefficient of k^mu in kslash gamma^0."""
+    return mat_mul(GAMMA0, gamma(mu))
 
 
 def gamma_trace(indices: Sequence[int]) -> complex:
@@ -189,7 +197,7 @@ def _base_pair(table: FieldTable, fL: int, fR: int):
             b, a, msign = eL.component, eR.component, -1
         pol = MomentumPoly()
         for mu in range(4):
-            c = mat_mul(gamma(mu), GAMMA0)[a][b] * METRIC[mu]
+            c = gamma0_gamma(mu)[a][b]
             if not c.is_zero():
                 pol = pol + MomentumPoly({_unit_alpha(mu): c})
         if m:

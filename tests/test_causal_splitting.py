@@ -37,6 +37,19 @@ def test_bubble_density_examples():
     assert all(v == pytest.approx(2.0 / (8 * math.pi), rel=1e-9) for v in vals)
 
 
+def test_bubble_weight_is_the_complete_contraction_count():
+    """bubble_density's constant weight 2 is the number of complete
+    contractions of psi^2 with psi^2 in scalar_model."""
+    from egqft.model_registry import builtin
+    from egqft.symbolic_fields import Generator, index_of
+    from egqft.wick_pairing import complete_pairings
+
+    psi2 = index_of(Generator(1), Generator(1))
+    terms = complete_pairings([psi2], [psi2], builtin("scalar_model"), require_full=True)
+    assert len(terms) == 2
+    assert RHO(9.0) == pytest.approx(len(terms) * kallen_phase_space(M, M, 9.0), rel=1e-12)
+
+
 def test_dispersion_subtraction_zero_and_reality():
     se = SelfEnergy(RHO, n_sub=1)
     assert dispersion_eval(se, 0.0) == 0.0

@@ -1,4 +1,5 @@
 """CLI behavior: outputs, determinism, exit codes, manifests."""
+import argparse
 import hashlib
 import json
 import os
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from egqft.cli import _resolve_arg_poly, _sqi_json, run
-from egqft.model_registry import load_model
+from egqft.cli import _resolve_arg_poly, _sqi_json, build_parser, run
+from egqft.model_registry import load_model, serialize_model_spec
 from egqft.wick_pairing import wick_expand
 
 SHORT_EPS_NOTE = "CLI demos use the full default schedule; tests keep commands light."
@@ -131,6 +132,74 @@ def test_manifest_equality_modulo_walltime(tmp_path, capsys):
     p1.pop("wall_time_s")
     p2.pop("wall_time_s")
     assert p1 == p2
+
+
+# --------------------------------------------------------------------------- manifest params
+
+# a valid run of each subcommand; each option below is varied against it
+_MANIFEST_BASE = {
+    "classify": ["--model", "scalar_model"],
+    "subpolys": ["--model", "scalar_model"],
+    "omega": ["--model", "scalar_model", "--ext", "phi=2"],
+    "wick": ["--model", "scalar_model", "--args", "phi*psi"],
+    "pairings": ["--model", "scalar_model", "--left", "psi^2", "--right", "psi^2"],
+    "selfenergy": ["--model", "scalar_model", "--q2grid", "0:1:2"],
+    "adiabatic": ["--model", "scalar_model", "--neps", "6"],
+    "glcheck": ["--model", "scalar_model", "--neps", "6"],
+    "sdestimate": [],
+}
+# another valid value of each option that takes a value without choices;
+# "@MODEL" is scalar_model written to a file
+_OTHER_VALUE = {
+    "--model": "@MODEL", "--c": "0", "--ext": "phi=2,psi=0", "--der": "phi=1",
+    "--args": "psi^2", "--left": "phi*psi", "--right": "phi*psi", "--q2grid": "0:1:3",
+    "--nsub": "1", "--cmis": "0.5", "--neps": "7", "--dim": "3",
+}
+
+
+def _options():
+    """(subcommand, option) for every option of every subparser except
+    --out and --manifest."""
+    ap = build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (cmd, action)
+        for cmd, parser in sub.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "out", "manifest")
+    ]
+
+
+def _other_argv(action, argv, model_file):
+    """argv with `action` given another value than in argv (or its default)."""
+    opt = action.option_strings[-1]
+    if action.nargs == 0:  # a flag
+        return argv + [opt]
+    if action.choices:
+        value = next(c for c in action.choices if c != action.default)
+    else:
+        value = _OTHER_VALUE[opt].replace("@MODEL", model_file)
+    if opt in argv:
+        i = argv.index(opt)
+        return argv[:i + 1] + [value] + argv[i + 2:]
+    return argv + [opt, value]
+
+
+@pytest.mark.filterwarnings("ignore:self-energy is not normalized")
+@pytest.mark.parametrize(
+    "cmd, action", _options(), ids=lambda x: x if isinstance(x, str) else x.option_strings[-1]
+)
+def test_every_option_reaches_the_manifest(tmp_path, cmd, action):
+    """Two runs that differ in one option write different manifest params."""
+    model_file = tmp_path / "scalar.model"
+    model_file.write_text(serialize_model_spec(load_model("scalar_model")))
+    base = [cmd] + _MANIFEST_BASE[cmd]
+    params = []
+    for argv in (base, _other_argv(action, base, str(model_file))):
+        man = tmp_path / "m.json"
+        assert run(argv + ["--out", str(tmp_path / "out"), "--manifest", str(man)]) == 0, argv
+        params.append(json.loads(man.read_text())["params"])
+    assert params[0] != params[1]
 
 
 def test_exit_code_domain_error(capsys):
@@ -285,7 +354,7 @@ def test_unfinished_run_leaves_no_manifest(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     _, indent = cli._DISPATCH["classify"]
-    monkeypatch.setitem(cli._DISPATCH, "classify", (lambda args: (None, {}, records()), indent))
+    monkeypatch.setitem(cli._DISPATCH, "classify", (lambda args: (None, records()), indent))
     out, man = tmp_path / "out", tmp_path / "m.json"
     with pytest.raises(KeyboardInterrupt):
         run(["classify", "--model", "scalar_model", "--out", str(out), "--manifest", str(man)])

@@ -96,13 +96,37 @@ def test_golden(case, tmp_path):
         assert got[key] == expected[key], f"{case}: {key} differs"
 
 
+def _diff_keys(old: dict, new: dict) -> str:
+    """The keys whose values differ: +added, -removed, ~changed."""
+    marks = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            marks.append(f"+{key}")
+        elif key not in new:
+            marks.append(f"-{key}")
+        elif old[key] != new[key]:
+            marks.append(f"~{key}")
+    return " ".join(marks) or "none"
+
+
+def _params(rec: dict) -> dict:
+    return (rec.get("manifest") or {}).get("params") or {}
+
+
 def record() -> None:
+    """Overwrite every golden file; print, per case, which top-level keys and
+    which manifest.params keys changed against the file it replaces."""
     with tempfile.TemporaryDirectory() as tmp:
         for case, argv in sorted(CASES.items()):
             rec = capture(argv, tmp)
             path = GOLDEN / f"{case}.json"
+            if path.exists():
+                old = json.loads(path.read_text())
+                change = f"keys {_diff_keys(old, rec)}; params {_diff_keys(_params(old), _params(rec))}"
+            else:
+                change = "new file"
             path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
-            print(f"{case}: exit {rec['exit']}, {len(rec['stdout'])} stdout bytes")
+            print(f"{case}: exit {rec['exit']}, {len(rec['stdout'])} stdout bytes; {change}")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from egqft.propagators_kinematics import (
     two_point,
 )
 from egqft.symbolic_fields import Generator
+from egqft.wightman import gamma0_gamma
 
 QED = builtin("spinor_qed_massive")
 SM = builtin("scalar_model")
@@ -72,6 +73,18 @@ def test_clifford_relations_exact():
             for i in range(4):
                 for j in range(4):
                     assert anti[i][j] == (expect if i == j else QRat(0))
+
+
+def test_gamma0_gamma_table_is_the_reordered_product():
+    """gamma0_gamma(mu) = gamma^0 gamma^mu = g_mumu gamma^mu gamma^0, entry
+    by entry and exactly: the Dirac weight reads the table in that form."""
+    g0 = gamma(0)
+    for mu in range(4):
+        table = gamma0_gamma(mu)
+        assert table == mat_mul(g0, gamma(mu))
+        reordered = mat_mul(gamma(mu), g0)
+        for a, b in itertools.product(range(4), repeat=2):
+            assert table[a][b] == reordered[a][b] * METRIC[mu]
 
 
 def test_gamma_traces():

@@ -51,6 +51,20 @@ def _hermgauss(n: int):
     return np.polynomial.hermite.hermgauss(n)
 
 
+def _gauss_axis(s: float, n: int):
+    """n-point rule for E[f(x)], x ~ N(0, s^2): Gauss-Hermite offsets and
+    weights that sum to one."""
+    h, wh = _hermgauss(n)
+    return s * math.sqrt(2.0) * h, wh / math.sqrt(math.pi)
+
+
+def _gauss_radius(s: float, n: int, alpha: float):
+    """n-point rule for E[f(r)] under the density ~ r^(2 alpha + 1) exp(-r^2 / 2 s^2):
+    Gauss-Laguerre with exponent alpha in t = r^2 / 2 s^2, weights summing to one."""
+    t, w = _laguerre(n, alpha)
+    return s * np.sqrt(2.0 * t), w / math.gamma(alpha + 1.0)
+
+
 @dataclass(frozen=True)
 class ScaledTestFamily:
     """Mixture-of-Gaussians profile g with unit normalization; the scaled
@@ -73,20 +87,11 @@ class ScaledTestFamily:
 
     def nodes(self, eps: float):
         """Quadrature nodes/weights such that <t, g_eps> ~ sum w_i t(x_i)."""
-        h, wh = _hermgauss(self.hermite_order)
-        pts = []
-        wts = []
-        for c, wc in zip(self.centers, self.weights):
-            grids = np.meshgrid(*([h] * self.dim), indexing="ij")
-            wgrids = np.meshgrid(*([wh] * self.dim), indexing="ij")
-            x = np.stack([g.ravel() for g in grids], axis=-1)
-            w = np.ones(x.shape[0])
-            for g in wgrids:
-                w *= g.ravel()
-            w /= math.pi ** (self.dim / 2.0)
-            pts.append(eps * (self.sigma * math.sqrt(2.0) * x + np.asarray(c)))
-            wts.append(wc * w)
-        return np.concatenate(pts), np.concatenate(wts)
+        x1, w1 = _gauss_axis(eps * self.sigma, self.hermite_order)
+        x = np.stack([g.ravel() for g in np.meshgrid(*[x1] * self.dim, indexing="ij")], axis=-1)
+        w = functools.reduce(np.multiply.outer, [w1] * self.dim).ravel()
+        return (np.concatenate([x + eps * np.asarray(c) for c in self.centers]),
+                np.concatenate([wc * w for wc in self.weights]))
 
     def pair(self, t: Callable, eps: float) -> complex:
         x, w = self.nodes(eps)
@@ -409,8 +414,6 @@ class SecondOrderKit:
                           * np.exp(-np.maximum(s, 0.0) / uv_scale**2)),
             threshold=0.0,
             growth=-math.inf,
-            bound_const=1.0 / (8.0 * math.pi),
-            label="massless-pair",
         )
         se_flat = SelfEnergy(flat, n_sub=0)
         pair_curve = _Curve(
@@ -459,26 +462,25 @@ def _kit(mass: float, uv_scale: float = 3.0) -> SecondOrderKit:
 # --------------------------------------------------------------------------- 2d radial smearing
 
 
-def _radial_nodes(family: ScaledTestFamily, eps: float, n0: int = 40, nr: int = 40):
+_N_TIME, _N_RADIUS = 40, 40  # orders of the Hermite and Laguerre rules of _radial_nodes
+
+
+def _radial_nodes(family: ScaledTestFamily, eps: float):
     """Nodes for E[f(q0, |qvec|)] under the two-fold convolution of the
     scaled profile with itself (variance doubles, time-centers add).
 
     Spatial centers must vanish so the radial reduction applies.
     """
     s = math.sqrt(2.0) * eps * family.sigma
-    h, wh = _hermgauss(n0)
+    h, wh = _gauss_axis(s, _N_TIME)
     # r-measure: r^2 exp(-r^2 / 2 s^2) dr -> generalized Laguerre alpha=1/2
-    tl, wl = _laguerre(nr, 0.5)
-    r = s * np.sqrt(2.0 * tl)
-    wr = wl / math.gamma(1.5)
+    r, wr = _gauss_radius(s, _N_RADIUS, 0.5)
     comps = []
     for (ci, wc1) in zip(family.centers, family.weights):
         if any(abs(c) > 0 for c in ci[1:]):
             raise AdiabaticError("radial reduction needs time-directed centers")
         for (cj, wc2) in zip(family.centers, family.weights):
-            c0 = eps * (ci[0] + cj[0])
-            q0 = c0 + s * math.sqrt(2.0) * h
-            comps.append((wc1 * wc2, q0, wh / math.sqrt(math.pi)))
+            comps.append((wc1 * wc2, eps * (ci[0] + cj[0]) + h, wh))
     return comps, r, wr
 
 
@@ -642,34 +644,22 @@ def gl_vs_eg_second_order(
             "runs but is expected to fail"
         )
 
-    # order 0: the ratio definition has numerator <T(phi phi)>-smear over a
-    # unit denominator, the direct definition is the same smear; evaluate one
-    # genuine sample and subtract
-    free0 = complex(kit.feynman_pair(-1.0))
-    order0 = abs(free0 / 1.0 - free0)
-
     tk, wk = _laguerre(n_kappa, 0.0)
     kappa = np.sqrt(tk)  # f-weight exp(-kappa^2), measure kappa dkappa
-
-    h, wh = _hermgauss(n_q)
-    tl, wl = _laguerre(n_q, 0.0)
-
-    W = np.einsum("i,j,k->ijk", wh / math.sqrt(math.pi), wh / math.sqrt(math.pi), wl)
 
     def grids(eps):
         # one Gaussian per component of the family, centered at eps * c0 in
         # time; q^2 and q0 - q_par do not depend on kappa
         s = eps * family.sigma
-        qp = s * math.sqrt(2.0) * h
-        qt = s * np.sqrt(2.0 * tl)
-        out = []
+        qp, wp = _gauss_axis(s, n_q)
+        qt, wt = _gauss_radius(s, n_q, 0.0)
+        comps = []
         for c, wc in zip(family.centers, family.weights):
-            q0 = eps * c[0] + s * math.sqrt(2.0) * h
-            Q0, QP, QT = np.meshgrid(q0, qp, qt, indexing="ij")
-            out.append((wc, Q0**2 - QP**2 - QT**2, Q0 - QP))
-        return out
+            Q0, QP, QT = np.meshgrid(eps * c[0] + qp, qp, qt, indexing="ij")
+            comps.append((wc, Q0**2 - QP**2 - QT**2, Q0 - QP))
+        return np.einsum("i,j,k->ijk", wp, wp, wt), comps
 
-    def phi(comps, kap, sgn):
+    def phi(W, comps, kap, sgn):
         total = 0.0
         for wc, q2, d in comps:
             arg = q2 + 2.0 * sgn * kap * d
@@ -677,13 +667,13 @@ def gl_vs_eg_second_order(
             total += wc * complex(np.sum(W * vals))
         return total
 
-    def delta_at(comps) -> complex:
+    def delta_at(W, comps) -> complex:
         tot = 0.0 + 0.0j
         for kap, w in zip(kappa, wk):
-            tot += 0.5 * w * phi(comps, kap, +1) * phi(comps, kap, -1)
+            tot += 0.5 * w * phi(W, comps, kap, +1) * phi(W, comps, kap, -1)
         return tot / (4.0 * math.pi**2)
 
-    deltas = [delta_at(grids(e)) for e in family.epsilons]
+    deltas = [delta_at(*grids(e)) for e in family.epsilons]
 
     eps = np.asarray(family.epsilons)
     mags = np.array([abs(d) for d in deltas])
@@ -696,6 +686,7 @@ def gl_vs_eg_second_order(
         exponent=float(coef[0].real),
         exponent_sigma=float(sig[0]),
         samples=tuple((float(e), float(m)) for e, m in zip(eps, mags)),
-        order0_difference=float(order0),
+        # order 0: both definitions are the same smear over a unit denominator
+        order0_difference=0.0,
         normalized=normalized,
     )

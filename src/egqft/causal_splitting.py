@@ -47,8 +47,8 @@ class SplittingError(DomainError):
 @dataclass(frozen=True)
 class SpectralDensity:
     """Evaluator s -> rho(s) >= 0 above a threshold s0 (and 0 at and below
-    it), with a large-s bound rho(s) <= bound_const * s^growth used for tail
-    control.
+    it), growing at most like s^growth at large s: the growth sets the least
+    subtraction order that makes the dispersion integral converge.
 
     fn maps an array of s to the array of rho(s), elementwise: the dispersion
     quadrature evaluates it on whole blocks of nodes at once.  Write it as a
@@ -58,8 +58,6 @@ class SpectralDensity:
     fn: Callable[[np.ndarray], np.ndarray]
     threshold: float
     growth: float  # exponent; -inf for cut-off densities
-    bound_const: float = 1.0
-    label: str = "rho"
 
     def __call__(self, s):
         return self.fn(s)
@@ -73,10 +71,7 @@ def bubble_density(m1: float, m2: float) -> SpectralDensity:
     psi^2 (complete_pairings with require_full=True gives two terms).
     """
     w = 2
-    return SpectralDensity(
-        lambda s: w * two_body_phase_space_array(m1, m2, s), (m1 + m2) ** 2, 0.0,
-        w / (8.0 * math.pi), label=f"bubble({m1},{m2})",
-    )
+    return SpectralDensity(lambda s: w * two_body_phase_space_array(m1, m2, s), (m1 + m2) ** 2, 0.0)
 
 
 # --------------------------------------------------------------------------- self-energy
@@ -323,9 +318,6 @@ def freedom_basis(omega: int, n: int) -> FreedomBasis:
     if n < 0:
         raise SplittingError("need n >= 0 arguments")
     dims = 4 * n
-    if omega < 0 or dims == 0:
-        idx = () if omega < 0 else ((),)
-        return FreedomBasis(omega, n, idx if omega >= 0 and dims == 0 else ())
     out = []
     for total in range(omega + 1):
         for comb in itertools.combinations_with_replacement(range(dims), total):

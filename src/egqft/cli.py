@@ -138,15 +138,15 @@ def _n_sub(spec: str) -> str:
     return spec
 
 
-def _dim(spec: str) -> int:
-    """argparse type of --dim: a dimension >= 1."""
+def _positive_int(spec: str) -> int:
+    """argparse type of --dim and --neps: an integer >= 1."""
     try:
-        dim = int(spec)
+        n = int(spec)
     except ValueError:
-        dim = 0
-    if dim < 1:
+        n = 0
+    if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {spec!r}")
-    return dim
+    return n
 
 
 def _parse_counts(spec: str | None) -> dict[str, int]:
@@ -593,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--fprofile", choices=("one", "vanishing"), default="one")
-    p.add_argument("--neps", type=int, default=None, help="length of the epsilon schedule")
+    p.add_argument("--neps", type=_positive_int, default=None, help="length of the epsilon schedule")
     common(p, default_format="json")
 
     p = sub.add_parser(
@@ -605,12 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
-    p.add_argument("--neps", type=int, default=None, help="length of the epsilon schedule")
+    p.add_argument("--neps", type=_positive_int, default=None, help="length of the epsilon schedule")
     common(p)
 
     p = sub.add_parser("sdestimate", help="numeric Steinmann scaling-degree estimate")
     p.add_argument("--target", choices=("delta", "ddelta", "smooth"), default="delta")
-    p.add_argument("--dim", type=_dim, default=4)
+    p.add_argument("--dim", type=_positive_int, default=4)
     common(p)
 
     return ap
@@ -628,6 +628,14 @@ _DISPATCH = {
     "glcheck": (_cmd_glcheck, 2),
     "sdestimate": (_cmd_sdestimate, None),
 }
+
+
+def _emptied(fh):
+    """fh, truncated first when it is a regular file (a device such as
+    /dev/null cannot be truncated)."""
+    if fh and os.path.isfile(fh.name):
+        fh.truncate(0)
+    return fh
 
 
 def run(argv) -> int:
@@ -650,23 +658,24 @@ def run(argv) -> int:
         for r in records
     )
     # a file this run creates is removed unless the run finishes: an
-    # unwritable destination leaves neither file, an unfinished run neither
+    # unwritable destination leaves neither file, an unfinished run neither; a
+    # file that was there is emptied only when its turn to be written comes
     opened, created, writing = [], [], False
     try:
         for path in (args.out, args.manifest):
             new = path and not os.path.lexists(path)
-            opened.append(path and open(path, "w", encoding="utf-8"))
+            opened.append(path and open(path, "a", encoding="utf-8"))
             created += [path] if new else []
         out, manifest = opened
         same = out and manifest and os.path.isfile(out.name)
-        if same and os.path.samefile(out.name, manifest.name):
+        if same and os.path.sameopenfile(out.fileno(), manifest.fileno()):
             raise OSError(0, "the same file as --out", manifest.name)
         writing = True
-        with out or contextlib.nullcontext(sys.stdout) as fh:
+        with _emptied(out) or contextlib.nullcontext(sys.stdout) as fh:
             for line in records:
                 fh.write(line + "\n")
         if manifest:
-            _write_manifest(manifest, args.cmd, model, params, t0)
+            _write_manifest(_emptied(manifest), args.cmd, model, params, t0)
     except BaseException as exc:
         for fh in filter(None, opened):
             fh.close()

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact import DomainError
-from .symbolic_fields import SuperQuadriIndex
+from .symbolic_fields import SuperQuadriIndex, canonical_dim
 
 
 class CountingError(DomainError):
@@ -25,13 +25,6 @@ class CountingError(DomainError):
 
 class _VanishingSector:
     """Marker: half-integer omega, the corresponding VEV vanishes."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "VANISHING_SECTOR"
@@ -113,20 +106,12 @@ def omega_prime(dims: Sequence[Fraction | int], c: int):
 
 def sd_bound(model, polys) -> Fraction:
     """Scaling-degree bound sum_j (dim(B_j) + c) for homogeneous arguments."""
-    from .symbolic_fields import canonical_dim
-
-    return sum(
-        (canonical_dim(p) + model.c_const for p in polys), Fraction(0)
-    )
+    return sum((canonical_dim(p) + model.c_const for p in polys), Fraction(0))
 
 
 def classify(model) -> str:
     """renormalizable iff dim + c <= 4 for every vertex; super- iff strict."""
-    dims = []
-    from .symbolic_fields import canonical_dim
-
-    for _, poly in model.vertices:
-        dims.append(canonical_dim(poly) + model.c_const)
+    dims = [canonical_dim(poly) + model.c_const for _, poly in model.vertices]
     if any(d > 4 for d in dims):
         return "nonrenormalizable"
     if dims and all(d < 4 for d in dims):

@@ -536,20 +536,12 @@ def subpolynomials(p: Polynomial, view: str = "all"):
     found.sort(key=lambda t: t[0].key())
     if view == "all":
         return found
-    if view == "constant":
-        out, seen = [], set()
-        for s, q in found:
-            k = q.normalized_key()
-            if k not in seen:
-                seen.add(k)
-                out.append((s, q))
-        return out
-    if view == "species":
-        out, seen = [], set()
-        for s, q in found:
-            k = species_signature(s, p.table)
-            if k not in seen:
-                seen.add(k)
-                out.append((s, q))
-        return out
-    raise AlgebraError(f"unknown view {view!r}")
+    if view not in ("constant", "species"):
+        raise AlgebraError(f"unknown view {view!r}")
+    out, seen = [], set()
+    for s, q in found:
+        k = q.normalized_key() if view == "constant" else species_signature(s, p.table)
+        if k not in seen:
+            seen.add(k)
+            out.append((s, q))
+    return out

@@ -10,6 +10,8 @@ from egqft.adiabatic_limits import (
     ScaledTestFamily,
     SplittingTheta,
     _Curve,
+    _gauss_axis,
+    _gauss_radius,
     _kit,
     _laguerre,
     _radial_nodes,
@@ -304,6 +306,18 @@ def test_laguerre_rule_matches_scipy(n, alpha):
     assert t.shape == w.shape == (n,)
     np.testing.assert_allclose(t, t_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [14, 40])
+@pytest.mark.parametrize("s", [0.3, 2.5])
+def test_gauss_helpers_reproduce_second_moments(n, s):
+    """The axis rule is N(0, s^2); the radial rule with exponent alpha is the
+    radius of a (2 alpha + 2)-dimensional isotropic Gaussian of variance s^2."""
+    x, w = _gauss_axis(s, n)
+    assert np.sum(w * x**2) == pytest.approx(s**2, rel=1e-14, abs=0)
+    for alpha in (0.0, 0.5):
+        r, wr = _gauss_radius(s, n, alpha)
+        assert np.sum(wr * r**2) == pytest.approx((2 * alpha + 2) * s**2, rel=1e-14, abs=0)
 
 
 # --------------------------------------------------------------------------- shared evaluations

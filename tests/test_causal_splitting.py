@@ -205,7 +205,6 @@ def test_massless_cut_dispersion_matches_exponential_integral():
         ),
         threshold=0.0,
         growth=-math.inf,
-        bound_const=w0,
     )
     se = SelfEnergy(flat, n_sub=0)
 

@@ -292,12 +292,18 @@ def test_glcheck_cli_csv(capsys):
         (["omega", "--model", "scalar_model", "--ext", "phi=2", "--der", "phi=1,phi=1"], "--der"),
         (["omega", "--model", "scalar_model", "--ext", "=1"], "--ext"),
         (["omega", "--model", "scalar_model", "--ext", "phi=1", "--der", "=1"], "--der"),
+        (["adiabatic", "--model", "scalar_model", "--neps", "0"], "--neps"),
+        (["adiabatic", "--model", "scalar_model", "--neps", "-2"], "--neps"),
+        (["glcheck", "--model", "scalar_model", "--neps", "0"], "--neps"),
+        (["glcheck", "--model", "scalar_model", "--neps", "-2"], "--neps"),
     ],
     ids=["q2grid-abc", "q2grid-no-points", "ext-not-a-count", "der-without-count",
          "nsub-not-a-count", "nsub-negative", "dim-zero", "dim-negative",
          "adiabatic-family-unknown", "glcheck-family-unknown", "adiabatic-cmis-nan",
          "adiabatic-cmis-inf", "glcheck-cmis-nan", "q2grid-nan", "q2grid-inf",
-         "ext-repeated", "ext-negative", "der-repeated", "ext-empty-name", "der-empty-name"],
+         "ext-repeated", "ext-negative", "der-repeated", "ext-empty-name", "der-empty-name",
+         "adiabatic-neps-zero", "adiabatic-neps-negative", "glcheck-neps-zero",
+         "glcheck-neps-negative"],
 )
 def test_malformed_option_is_a_usage_error(capsys, argv, option):
     code, out, err = _run(capsys, argv)
@@ -329,8 +335,9 @@ def test_unwritable_destination_is_a_usage_error(tmp_path, capsys, bad, good, ex
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"egqft classify: cannot write {missing}: No such file or directory\n"
-    # only a file the run created is removed
+    # only a file the run created is removed; one that was there is untouched
     assert [p.name for p in tmp_path.iterdir()] == (["good"] if exists else [])
+    assert not exists or (tmp_path / "good").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
@@ -342,8 +349,9 @@ def test_same_out_and_manifest_is_a_usage_error(tmp_path, capsys, exists):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"egqft classify: cannot write {path}: the same file as --out\n"
-    # a file the run did not create is never removed
+    # a file the run did not create is never removed, nor emptied
     assert path.exists() == exists
+    assert not exists or path.read_text() == "kept\n"
 
 
 def test_unfinished_run_leaves_no_manifest(tmp_path, monkeypatch):
@@ -385,8 +393,10 @@ def test_closed_stdout_leaves_no_manifest(tmp_path, exists):
     if exists:
         path.write_text("kept\n")
     assert _closed_after_one_line("--manifest", str(path)) == (1, b"")
-    # the run removes only a file it created, never a path that was there
+    # the run removes only a file it created, never a path that was there,
+    # and leaves that path as it was
     assert path.exists() == exists
+    assert not exists or path.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("args", ["L9", "L,L0"])

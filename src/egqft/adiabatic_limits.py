@@ -573,7 +573,7 @@ def appendix_c_demo(
     family = family or gaussian_family(4)
     if len(family.epsilons) < 6:
         raise AdiabaticError("family too coarse: need at least 6 epsilon points")
-    mass = max(e.numbers.mass for e in model.fields.entries)
+    mass = max((e.numbers.mass for e in model.fields.entries), default=0.0)
     kit = _kit(mass, uv_scale)
 
     def f(q0, r):
@@ -635,7 +635,7 @@ def gl_vs_eg_second_order(
         raise AdiabaticError("cannot fit a decay exponent from fewer than 2 samples")
     if any(abs(x) > 0 for c in family.centers for x in c[1:]):
         raise AdiabaticError("the light-cone reduction needs time-directed centers")
-    mass = max(e.numbers.mass for e in model.fields.entries)
+    mass = max((e.numbers.mass for e in model.fields.entries), default=0.0)
     kit = _kit(mass, uv_scale)
     normalized = c_mis == 0.0
     if not normalized:

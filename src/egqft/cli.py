@@ -401,7 +401,7 @@ def _cmd_selfenergy(args):
     se = SelfEnergy(bubble_density(m, m))
     if args.nsub == "central":
         # self-energy block: two vertices, each with one external leg removed
-        dims = [canonical_dim(model.vertices[0][1]) - 1] * 2
+        dims = [canonical_dim(model.vertex(0)) - 1] * 2
         om = omega_general(dims, model.c_const)
         se = central_normalize(se, om if om is not VANISHING_SECTOR else 0)
     else:

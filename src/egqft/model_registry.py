@@ -21,10 +21,13 @@ from .exact import DomainError, I, QRat
 from .symbolic_fields import (
     FieldEntry,
     FieldTable,
+    Generator,
     Polynomial,
     QuantumNumbers,
+    SuperQuadriIndex,
     adjoint,
     canonical_dim,
+    canonicalize_word,
 )
 from .wightman import METRIC, gamma0_gamma
 
@@ -51,12 +54,11 @@ class ModelSpec:
     c_const: int
 
     def vertex(self, key: str | int) -> Polynomial:
-        if isinstance(key, int):
-            return self.vertices[key][1]
-        for cname, poly in self.vertices:
-            if cname == key:
+        """The vertex with coupling name key, or the key-th vertex (from 0)."""
+        for i, (cname, poly) in enumerate(self.vertices):
+            if key in (cname, i):
                 return poly
-        raise ModelError(f"no vertex with coupling name {key!r}")
+        raise ModelError(f"model {self.name!r} has no vertex {key!r}")
 
     def massless_fields(self) -> set[int]:
         return {
@@ -232,7 +234,7 @@ def _verdict(m: ModelSpec) -> ModelVerdict:
 _FACTOR_RE = re.compile(
     r"^(?P<tags>(?:d\[[0-3]\])*)(?P<name>[A-Za-z_][A-Za-z0-9_]*[*~]?)(?:\^(?P<pow>\d+))?$"
 )
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # a nonzero denominator
 
 
 def _split_factors(expr: str):
@@ -320,7 +322,7 @@ def parse_polynomial(table: FieldTable, expr: str) -> Polynomial:
     if factors and _RAT_RE.match(factors[0]):
         coeff = Fraction(factors[0])
         start = 1
-    poly = Polynomial.unit(table, QRat(coeff))
+    pairs = []
     nonscalar_species = {e.species for e in table.entries if e.kind in ("dirac", "vector")}
     for f in factors[start:]:
         mobj = _FACTOR_RE.match(f)
@@ -339,10 +341,13 @@ def parse_polynomial(table: FieldTable, expr: str) -> Polynomial:
                 f"available only through builtin models",
                 col=expr.find(f),
             )
-        factor_poly = Polynomial.of_field(table, fname, tuple(alpha))
-        for _ in range(int(powstr) if powstr else 1):
-            poly = poly * factor_poly
-    return poly
+        pairs.append((Generator(table.index(fname), tuple(alpha)), int(powstr or 1)))
+    # the sign orders the odd letters as written; an odd letter twice is zero
+    odd = [g for g, m in pairs for _ in range(min(m, 2)) if table.parity(g.field)]
+    ordered = canonicalize_word(odd, table)
+    if ordered is None:
+        return Polynomial.zero(table)
+    return Polynomial.monomial(table, SuperQuadriIndex.from_pairs(pairs), QRat(coeff) * ordered[0])
 
 
 def parse_model_spec(text: str) -> ModelSpec:
@@ -479,9 +484,10 @@ def load_model(spec: str) -> ModelSpec:
         return builtin(spec)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            return parse_model_spec(fh.read())
-    except FileNotFoundError:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
         raise ModelError(
             f"{spec!r} is neither a builtin model ({', '.join(BUILTIN_NAMES)}) "
             f"nor a readable file"
         ) from None
+    return parse_model_spec(text)

@@ -229,9 +229,10 @@ def complete_pairings(
     """Enumerate pairings of left occurrences against right occurrences.
 
     Every chosen left occurrence pairs exactly one right occurrence; pairs
-    whose two-point function vanishes identically (mass or charge mismatch)
-    are dropped.  With require_full=True only complete contractions of both
-    sides are produced.  Enumeration order is lexicographic in (left slot,
+    whose two-point function vanishes identically (the right generator is
+    not a component of the left one's adjoint field, or its weight element
+    is zero) are dropped.  With require_full=True only complete
+    contractions of both sides are produced.  Enumeration order is lexicographic in (left slot,
     left generator, right slot); occurrences of identical generators count
     separately, so a full phi^3-phi^3 contraction yields 3! terms.
 

@@ -10,7 +10,7 @@ functions are stored as
 
 with w an exact polynomial in the contravariant momentum components; the
 conventions fix w = 1 for scalars, w = -g_mu_nu for vector components,
-w = (kslash (+m)) gamma0 matrix elements for Dirac pairs, w = -1 for the
+every element of (kslash +- m) gamma0 for Dirac pairs, w = -1 for the
 ghost pair.  Derivative decorations multiply w by (-i k_mu) on the left
 slot and (+i k_mu) on the right slot (lower index).
 
@@ -163,67 +163,46 @@ class TwoPointKey:
 
 
 def _base_pair(table: FieldTable, fL: int, fR: int):
-    """Undifferentiated pair weight w(k) or None; see module docstring."""
+    """Undifferentiated pair weight w(k) or None; see module docstring.
+
+    A generator contracts only with a component of its adjoint's field
+    block, of the same kind; both come from one [fields] declaration, so
+    they share the mass and carry opposite charges.
+    """
     eL, eR = table.entry(fL), table.entry(fR)
-    if eL.numbers.mass != eR.numbers.mass:
+    eA = table.entry(eL.adjoint)
+    if (eR.kind, eR.species) != (eA.kind, eA.species):
         return None
-    if eL.numbers.charge + eR.numbers.charge != 0:
-        return None
-    kinds = (eL.kind, eR.kind)
-    if kinds == ("scalar", "scalar"):
-        # charged pair needs the adjoint partner; neutral pairs are diagonal
-        if eL.numbers.charge == 0 and fL != fR:
-            return None
-        if eL.numbers.charge != 0 and eL.adjoint != fR:
-            return None
+    if eL.kind == "scalar":
         return MomentumPoly.constant(ONE)
-    if kinds == ("vector", "vector"):
-        if eL.species != eR.species:
-            return None
-        mu, nu = eL.component, eR.component
-        if mu != nu:
-            return None
-        return MomentumPoly.constant(QRat(-METRIC[mu]))
-    if kinds == ("dirac", "dirac"):
-        if eL.adjoint != fR:
-            return None
-        m = eL.numbers.mass
-        if eL.numbers.fermion % 2 == 0:
-            return None
-        # psi psi*: (kslash + m) gamma0;  psi* psi: (kslash - m) gamma0
-        if eL.numbers.charge < eR.numbers.charge:
-            a, b, msign = eL.component, eR.component, 1
-        else:
-            b, a, msign = eL.component, eR.component, -1
-        pol = MomentumPoly()
-        for mu in range(4):
-            c = gamma0_gamma(mu)[a][b]
-            if not c.is_zero():
-                pol = pol + MomentumPoly({_unit_alpha(mu): c})
-        if m:
-            c = GAMMA0[a][b]
-            if not c.is_zero():
-                if m != int(m):
-                    raise KinematicsError("exact Dirac weight needs an integer mass")
-                pol = pol + MomentumPoly.constant(c * (msign * int(m)))
-        return None if pol.is_zero() else pol
-    if kinds == ("ghost", "ghost"):
-        # the u/utilde pair; both orders carry the same weight
-        if eL.adjoint != fR or fL == fR:
-            return None
+    if eL.kind == "ghost":
         return MomentumPoly.constant(QRat(-1))
-    return None
+    if eL.kind == "vector":
+        mu = eL.component
+        return MomentumPoly.constant(QRat(-METRIC[mu])) if mu == eR.component else None
+    # psi psi*: (kslash + m) gamma0;  psi* psi: (kslash - m) gamma0
+    if eL.numbers.charge < eR.numbers.charge:
+        a, b, msign = eL.component, eR.component, 1
+    else:
+        b, a, msign = eL.component, eR.component, -1
+    pol = MomentumPoly({_unit_alpha(mu): gamma0_gamma(mu)[a][b] for mu in range(4)})
+    m = eL.numbers.mass
+    if m and not GAMMA0[a][b].is_zero():
+        if m != int(m):
+            raise KinematicsError("exact Dirac weight needs an integer mass")
+        pol = pol + MomentumPoly.constant(GAMMA0[a][b] * (msign * int(m)))
+    return None if pol.is_zero() else pol
 
 
 def two_point(model, gL: Generator, gR: Generator) -> TwoPointKey | None:
     """Wightman two-point key of two generators, or None when it vanishes.
 
-    Vanishes unless the two fields carry the same mass and opposite charge.
+    Vanishes unless gR is a component of the field block of gL's adjoint
+    (and, for vector and Dirac pairs, the weight element is nonzero).
     Derivative decorations multiply the momentum polynomial by (-i k_mu)
     (left) and (+i k_mu) (right) per derivative.
     """
-    table: FieldTable = model.fields if hasattr(model, "fields") else model
-    pol = _base_pair(table, gL.field, gR.field)
+    pol = _base_pair(model.fields, gL.field, gR.field)
     if pol is None:
         return None
     for mu in range(4):
@@ -231,6 +210,4 @@ def two_point(model, gL: Generator, gR: Generator) -> TwoPointKey | None:
             pol = pol.mul_monomial(_unit_alpha(mu), -I * METRIC[mu])
         for _ in range(gR.alpha[mu]):
             pol = pol.mul_monomial(_unit_alpha(mu), I * METRIC[mu])
-    if pol.is_zero():
-        return None
-    return TwoPointKey(gL, gR, table.entry(gL.field).numbers.mass, pol)
+    return TwoPointKey(gL, gR, model.fields.entry(gL.field).numbers.mass, pol)

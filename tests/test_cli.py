@@ -683,3 +683,31 @@ def test_pairings_stream_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = _run(capsys, ["pairings", *argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("model", ["empty", "no-vertex", "directory", "non-utf8"])
+def test_unusable_models_exit_0_or_1_without_traceback(tmp_path, capsys, model):
+    """Every command that reads --model ends with exit 0 or 1 on a model it
+    cannot use; an unreadable path and a missing vertex are domain errors."""
+    texts = {
+        "empty": b"[fields]\n[vertices]\n",
+        "no-vertex": b"[fields]\nphi scalar 1.0 0 0\n[vertices]\n",
+        "non-utf8": b"[fields]\nphi scalar 1.0 0 0\n\xff\xfe\n",
+    }
+    path = tmp_path / "model"
+    if model == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(texts[model])
+    for cmd in (
+        ["classify"], ["subpolys"], ["omega", "--ext", "phi=2"], ["wick", "--args", "L"],
+        ["pairings", "--left", "L", "--right", "L"], ["selfenergy", "--q2grid", "0:1:3"],
+        ["adiabatic"], ["glcheck"],
+    ):
+        code, _, err = _run(capsys, [*cmd, "--model", str(path)])
+        assert code in (0, 1), (cmd, err)
+        if model in ("directory", "non-utf8"):
+            assert code == 1 and "nor a readable file" in err, (cmd, err)
+        elif cmd[0] == "selfenergy":
+            assert code == 1 and "has no vertex 0" in err, err

@@ -402,3 +402,29 @@ def model_texts(draw):
 def test_parse_serialize_roundtrip(text):
     m = parse_model_spec(text)
     assert parse_model_spec(serialize_model_spec(m)) == m
+
+
+def test_power_is_one_multiplicity():
+    sm = builtin("scalar_model")
+    phi = Polynomial.of_field(sm.fields, "phi")
+    power = Polynomial.unit(sm.fields)
+    for n in range(7):
+        assert parse_polynomial(sm.fields, f"phi^{n}") == power
+        power = power * phi
+    (idx, coeff), = parse_polynomial(sm.fields, "3/2 * phi^99999999").terms
+    assert idx.degree() == 99999999 and coeff == QRat(Fraction(3, 2))
+    gm = parse_model_spec("[fields]\nu ghost 0.0 0 1\n[vertices]\n")
+    assert parse_polynomial(gm.fields, "u^2") == Polynomial.zero(gm.fields)
+    assert parse_polynomial(gm.fields, "u*u") == Polynomial.zero(gm.fields)
+    ordered = parse_polynomial(gm.fields, "u*u~")
+    assert ordered != Polynomial.zero(gm.fields)
+    assert parse_polynomial(gm.fields, "u~*u") == -ordered
+
+
+def test_zero_denominator_is_a_parse_error():
+    sm = builtin("scalar_model")
+    with pytest.raises(ModelParseError, match=r"cannot parse factor '1/0'"):
+        parse_polynomial(sm.fields, "1/0*phi")
+    with pytest.raises(ModelParseError, match=r"line 4, col 0: cannot parse factor '3/0'"):
+        parse_model_spec("[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 3/0 * phi^3\n")
+    assert parse_polynomial(sm.fields, "2/04*phi") == parse_polynomial(sm.fields, "1/2*phi")

@@ -341,3 +341,54 @@ def test_ghost_pair_two_point():
     assert key.prefactor.coeffs == {(0, 0, 0, 0): QRat(-1)}
     assert two_point(gm, ubar, u) is not None
     assert two_point(gm, u, u) is None
+
+
+DIRAC_K = np.array([1.3, 0.2, -0.7, 0.5])
+
+
+def dirac_weight_np(mass: float, sign: int) -> np.ndarray:
+    """(kslash + sign * m) gamma0 at DIRAC_K from the numpy gamma matrices."""
+    kslash = sum(METRIC[mu] * DIRAC_K[mu] * gamma_np(mu) for mu in range(4))
+    return (kslash + sign * mass * np.eye(4)) @ gamma_np(0)
+
+
+@pytest.mark.parametrize("name", ["spinor_qed_massive", "spinor_qed_massless"])
+def test_dirac_two_point_is_every_element_of_kslash_pm_m_gamma0(name):
+    """<psi_a psi*_b> = ((kslash + m) gamma0)_ab and <psi*_a psi_b> =
+    ((kslash - m) gamma0)_ba for all 16 (a, b), the vanishing elements
+    included (None counts as 0)."""
+    model = builtin(name)
+    gen = lambda n: Generator(model.fields.index(n))
+    mass = model.fields.entry(model.fields.index("psi_1")).numbers.mass
+    plus, minus = dirac_weight_np(mass, 1), dirac_weight_np(mass, -1)
+    for a, b in itertools.product(range(4), repeat=2):
+        for left, right, expect in (
+            (f"psi_{a + 1}", f"psi*_{b + 1}", plus[a, b]),
+            (f"psi*_{a + 1}", f"psi_{b + 1}", minus[b, a]),
+        ):
+            key = two_point(model, gen(left), gen(right))
+            got = 0 if key is None else key.evaluate(DIRAC_K)
+            assert abs(got - expect) < 1e-12, (left, right, got, expect)
+
+
+def test_spinor_vertex_full_contraction_count():
+    """A full contraction of psi*_a psi_b A_mu with psi*_c psi_d A_nu pairs
+    psi*_a with psi_d, psi_b with psi*_c and A_mu with A_nu; count the
+    monomial pairs whose three weights are nonzero, from the numpy matrices."""
+    from egqft.wick_pairing import complete_pairings
+
+    vertex = [idx for idx, _ in QED.vertex("e").terms]
+    got = sum(
+        len(complete_pairings([x], [y], QED, require_full=True)) for x in vertex for y in vertex
+    )
+    mass = QED.fields.entry(QED.fields.index("psi_1")).numbers.mass
+    plus, minus = (np.abs(dirac_weight_np(mass, s)) > 1e-12 for s in (1, -1))
+    couplings = [np.abs(gamma_np(0) @ gamma_np(mu)) > 0 for mu in range(4)]
+    expect = sum(
+        minus[d, a] and plus[b, c]
+        for c_mu in couplings
+        for a, b in zip(*np.nonzero(c_mu))
+        for c, d in zip(*np.nonzero(c_mu))
+    )
+    assert len(vertex) == 16
+    assert got == expect == 48

@@ -21,9 +21,9 @@ import numpy as np
 from .causal_splitting import (
     SelfEnergy,
     SpectralDensity,
-    bubble_density,
-    central_normalize,
+    _gauss_axis,
     dispersion_eval,
+    model_self_energy,
 )
 from .exact import DomainError
 from .propagators_kinematics import two_body_phase_space, two_body_phase_space_array
@@ -42,20 +42,6 @@ DEFAULT_EPSILONS = epsilon_schedule(12)
 
 
 # --------------------------------------------------------------------------- scaled families
-
-
-@functools.lru_cache(maxsize=None)
-def _hermgauss(n: int):
-    """Gauss-Hermite nodes/weights, computed once per order (callers share the
-    arrays and must not modify them)."""
-    return np.polynomial.hermite.hermgauss(n)
-
-
-def _gauss_axis(s: float, n: int):
-    """n-point rule for E[f(x)], x ~ N(0, s^2): Gauss-Hermite offsets and
-    weights that sum to one."""
-    h, wh = _hermgauss(n)
-    return s * math.sqrt(2.0) * h, wh / math.sqrt(math.pi)
 
 
 def _gauss_radius(s: float, n: int, alpha: float):
@@ -388,6 +374,9 @@ class _Curve:
 # --------------------------------------------------------------------------- second-order kit
 
 
+_QMAX = 60.0  # end of the curves' grids; np.interp clamps beyond it
+
+
 @dataclass(frozen=True)
 class SecondOrderKit:
     """Shared numeric pieces of the second-order demonstrations.
@@ -395,20 +384,19 @@ class SecondOrderKit:
     feynman_pair(q^2): the massless Feynman-pair integral built from its
     spectral representation (flat two-body density with a smooth UV weight);
     log-divergent at q^2 = 0 with an i pi theta(q^2) discontinuity.
-    normalized_bubble(q^2): the centrally normalized massive self-energy
-    (double zero at zero momentum, analytic near it).
+    normalized_bubble(q^2): the model's self-energy, the bubble centrally
+    normalized to the model's derived omega (analytic near zero momentum).
     onshell_pair(q0, r): the massless on-shell pair value 1/(8 pi) on its
     support; support theta(q^2) theta(-+q0) selects advanced/retarded.
     """
 
-    mass: float
-    uv_scale: float
     pair_curve: _Curve
     bubble_curve: _Curve
     ps0: float
 
     @staticmethod
-    def build(mass: float = 1.0, uv_scale: float = 3.0, qmax: float = 60.0) -> "SecondOrderKit":
+    def build(se: SelfEnergy, uv_scale: float = 3.0) -> "SecondOrderKit":
+        """The kit of the self-energy se (model_self_energy of a model)."""
         flat = SpectralDensity(
             fn=lambda s: (two_body_phase_space_array(0.0, 0.0, s)
                           * np.exp(-np.maximum(s, 0.0) / uv_scale**2)),
@@ -416,16 +404,9 @@ class SecondOrderKit:
             growth=-math.inf,
         )
         se_flat = SelfEnergy(flat, n_sub=0)
-        pair_curve = _Curve(
-            lambda q2: -0.5j * dispersion_eval(se_flat, q2, "feynman"), qmax
-        )
-        se_m = central_normalize(SelfEnergy(bubble_density(mass, mass)), omega=2)
-        bubble_curve = _Curve(lambda q2: dispersion_eval(se_m, q2, "feynman"), qmax)
         return SecondOrderKit(
-            mass=mass,
-            uv_scale=uv_scale,
-            pair_curve=pair_curve,
-            bubble_curve=bubble_curve,
+            pair_curve=_Curve(lambda q2: -0.5j * dispersion_eval(se_flat, q2, "feynman"), _QMAX),
+            bubble_curve=_Curve(lambda q2: dispersion_eval(se, q2, "feynman"), _QMAX),
             ps0=two_body_phase_space(0.0, 0.0, 1.0),
         )
 
@@ -449,14 +430,11 @@ class SecondOrderKit:
         return self.ps0 * sup * w
 
 
-_KIT_CACHE: dict[tuple, SecondOrderKit] = {}
-
-
-def _kit(mass: float, uv_scale: float = 3.0) -> SecondOrderKit:
-    key = (mass, uv_scale)
-    if key not in _KIT_CACHE:
-        _KIT_CACHE[key] = SecondOrderKit.build(mass, uv_scale)
-    return _KIT_CACHE[key]
+@functools.cache
+def _kit(se: SelfEnergy, uv_scale: float) -> SecondOrderKit:
+    """The kit, built once per (self-energy, uv_scale); equal models give
+    equal self-energies (bubble_density is built once per mass)."""
+    return SecondOrderKit.build(se, uv_scale)
 
 
 # --------------------------------------------------------------------------- 2d radial smearing
@@ -559,22 +537,22 @@ def appendix_c_demo(
 
         D^+-(q) = Sigma_n(q^2) + c_mis * [P(q^2) - OS^+-(q)]
 
-    with Sigma_n the centrally normalized massive bubble (the properly
-    normalized part, analytic near q = 0), P the massless Feynman pair and
-    OS^+- the on-shell pair supported on theta(q^2) theta(-+q0) -- the
-    response to shifting the squared-field two-point normalization by a
-    constant c_mis.  Smearing uses the two-vertex convolution of the scaled
-    profile, reduced to a 2-D (q0, |qvec|) quadrature.  For c_mis = 0 both
-    limits exist and agree; otherwise both diverge like log(1/eps) with
-    slope proportional to c_mis.
+    with Sigma_n the model's self-energy (model_self_energy): the bubble of
+    its heaviest field, centrally normalized to the model's derived omega
+    (the properly normalized part, analytic near q = 0), P the massless
+    Feynman pair and OS^+- the on-shell pair supported on theta(q^2)
+    theta(-+q0) -- the response to shifting the squared-field two-point
+    normalization by a constant c_mis.  Smearing uses the two-vertex
+    convolution of the scaled profile, reduced to a 2-D (q0, |qvec|)
+    quadrature.  For c_mis = 0 both limits exist and agree; otherwise both
+    diverge like log(1/eps) with slope proportional to c_mis.
     """
     if model.name != "scalar_model":
         warnings.warn("demonstration is calibrated for the two-scalar cubic model")
     family = family or gaussian_family(4)
     if len(family.epsilons) < 6:
         raise AdiabaticError("family too coarse: need at least 6 epsilon points")
-    mass = max((e.numbers.mass for e in model.fields.entries), default=0.0)
-    kit = _kit(mass, uv_scale)
+    kit = _kit(model_self_energy(model), uv_scale)
 
     def f(q0, r):
         # only the on-shell pair depends on the time sign
@@ -604,7 +582,6 @@ class DecayReport:
     samples: tuple[tuple[float, float], ...]
     order0_difference: float
     normalized: bool
-    note: str = ""
 
 
 def gl_vs_eg_second_order(
@@ -626,17 +603,18 @@ def gl_vs_eg_second_order(
         Phi_t(k, eps) = E[Sigma_n((q + k)^2) + c_mis],
         Phi_a(k, eps) = E[P((q - k)^2)].
 
-    With the correct normalization Sigma_n vanishes to second order at zero,
-    so the on-cone evaluation is O(eps^2) and the fitted exponent clears the
-    0.8 floor; mis-normalization (c_mis != 0) destroys the decay.
+    Sigma_n is the model's self-energy (model_self_energy), the bubble
+    centrally normalized to the model's derived omega: a zero of order n_sub
+    in q^2 at q = 0, so the on-cone evaluation is O(eps^n_sub) and, for the
+    n_sub = 2 of scalar_model, the fitted exponent clears the 0.8 floor;
+    mis-normalization (c_mis != 0) destroys the decay.
     """
     family = family or gaussian_family(4)
     if len(family.epsilons) < 2:
         raise AdiabaticError("cannot fit a decay exponent from fewer than 2 samples")
     if any(abs(x) > 0 for c in family.centers for x in c[1:]):
         raise AdiabaticError("the light-cone reduction needs time-directed centers")
-    mass = max((e.numbers.mass for e in model.fields.entries), default=0.0)
-    kit = _kit(mass, uv_scale)
+    kit = _kit(model_self_energy(model), uv_scale)
     normalized = c_mis == 0.0
     if not normalized:
         warnings.warn(

@@ -11,6 +11,7 @@ through order omega vanish at zero; subtraction point fixed at q = 0.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -19,17 +20,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exact import DomainError
+from .power_counting import VANISHING_SECTOR, omega_general
 
 # bench/tracer.py patches two_body_phase_space here (and the lazy `integrate`
 # below); the densities call the array form
 from .propagators_kinematics import two_body_phase_space  # noqa: F401
 from .propagators_kinematics import two_body_phase_space_array
+from .symbolic_fields import canonical_dim
 
 
 def __getattr__(name):
     """`integrate`: scipy.integrate, loaded only when asked for.  Only
     bench/tracer.py asks (it wraps integrate.quad); the name goes when the
-    tracer reads library-owned counters instead (ROADMAP item 3)."""
+    tracer reads library-owned counters instead (ROADMAP item 1)."""
     if name == "integrate":
         from scipy import integrate
 
@@ -63,12 +66,17 @@ class SpectralDensity:
         return self.fn(s)
 
 
+@functools.cache
 def bubble_density(m1: float, m2: float) -> SpectralDensity:
     """Two-particle spectral density of the one-loop bubble.
 
     rho(s) = w * two_body_phase_space(m1, m2, s) with threshold (m1 + m2)^2 and
     the combinatorial weight w = 2: the complete contractions of psi^2 with
     psi^2 (complete_pairings with require_full=True gives two terms).
+
+    Built once per (m1, m2): a density holds a fresh function, so only the
+    shared object makes equal masses give equal (and equally hashed)
+    densities and self-energies.
     """
     w = 2
     return SpectralDensity(lambda s: w * two_body_phase_space_array(m1, m2, s), (m1 + m2) ** 2, 0.0)
@@ -298,6 +306,25 @@ def central_normalize(se: SelfEnergy, omega: int) -> SelfEnergy:
     return replace(se, n_sub=omega // 2 + 1)
 
 
+def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
+    """The one-loop self-energy of a model: the bubble of its heaviest field,
+    subtracted n_sub times at q^2 = 0.
+
+    n_sub "central" derives the order from the model.  The self-energy block
+    is two vertices, each with one external leg removed, so its index is
+    omega = omega_general([dim(vertex 0) - 1] * 2, c) (0 for a vanishing
+    sector), and central_normalize takes the least order that makes every
+    derivative through omega vanish at zero.  An integer n_sub is taken as
+    given and reads no vertex.
+    """
+    m = max((e.numbers.mass for e in model.fields.entries), default=0.0)
+    se = SelfEnergy(bubble_density(m, m))
+    if n_sub != "central":
+        return replace(se, n_sub=int(n_sub))
+    omega = omega_general([canonical_dim(model.vertex(0)) - 1] * 2, model.c_const)
+    return central_normalize(se, 0 if omega is VANISHING_SECTOR else omega)
+
+
 # --------------------------------------------------------------------------- normalization freedom
 
 
@@ -348,8 +375,6 @@ class SdEstimate:
     slope: float
     residual: float
     ok: bool
-    lambdas: tuple[float, ...]
-    samples: tuple[float, ...]
     note: str = ""
 
 
@@ -358,6 +383,54 @@ def _tilted_probe(x):
     x = np.asarray(x, dtype=float)
     r2 = np.sum(x * x, axis=-1)
     return np.exp(-0.5 * r2) * (1.0 + x[..., 0])
+
+
+@functools.lru_cache(maxsize=None)
+def _hermgauss(n: int):
+    """Gauss-Hermite nodes/weights, computed once per order (callers share the
+    arrays and must not modify them)."""
+    return np.polynomial.hermite.hermgauss(n)
+
+
+def _gauss_axis(s: float, n: int):
+    """n-point rule for E[f(x)], x ~ N(0, s^2): Gauss-Hermite offsets and
+    weights that sum to one."""
+    h, wh = _hermgauss(n)
+    return s * math.sqrt(2.0) * h, wh / math.sqrt(math.pi)
+
+
+def target_pairing(target: str, dim: int) -> Callable[[ScaledProbe], complex]:
+    """The pairing <t, p> of a probe p with a test distribution t on R^dim:
+    "delta" (at 0), "ddelta" (d/dx0 of delta, a central difference with step
+    1e-6) or "smooth" (the Gaussian exp(-|x|^2/8)).
+
+    The smooth pairing is a tensor 6-point Gauss-Hermite rule in u = x/lam for
+    the weight exp(-|u|^2/2) of the probe profile, exact to about 1e-8; its
+    6^dim points bound dim by 7.  The Gaussian's width 2 puts the probe scales
+    lam <= 0.5 in the asymptotic regime; at width 1 the log-log fit is not
+    linear (residual 0.15).
+    """
+    if target == "delta":
+        return lambda p: p(np.zeros(dim))
+    if target == "ddelta":
+        h = 1e-6
+        e0 = h * np.eye(dim)[0]
+        return lambda p: -(p(e0) - p(-e0)) / (2 * h)
+    if target != "smooth":
+        raise SplittingError(f"unknown target {target!r}")
+    if dim > 7:
+        raise SplittingError(f"the smooth target's 6^dim-point rule needs --dim <= 7, got {dim}")
+    u, w = _gauss_axis(1.0, 6)
+    # per axis: the rule for the integral over R, exp(u^2/2) dividing out the weight
+    w = w * math.sqrt(2.0 * math.pi) * np.exp(0.5 * u * u)
+    nodes = np.array(list(itertools.product(u, repeat=dim)))
+    weights = np.prod(list(itertools.product(w, repeat=dim)), axis=1)
+
+    def pairing(p):
+        x = p.lam * nodes
+        return p.lam**dim * float(np.dot(weights, np.exp(-np.sum(x * x, axis=1) / 8) * p(x)))
+
+    return pairing
 
 
 def scaling_degree_estimate(
@@ -375,20 +448,11 @@ def scaling_degree_estimate(
     if lambdas is None:
         lambdas = tuple(0.5 * 2.0 ** (-k / 2.0) for k in range(12))
     base = base or _tilted_probe
-    vals = []
-    for lam in lambdas:
-        vals.append(complex(pairing(ScaledProbe(base, lam))))
-    mags = np.array([abs(v) for v in vals])
+    mags = np.array([abs(complex(pairing(ScaledProbe(base, lam)))) for lam in lambdas])
     if np.any(mags == 0.0):
-        return SdEstimate(
-            value=float("nan"),
-            slope=float("nan"),
-            residual=float("inf"),
-            ok=False,
-            lambdas=tuple(lambdas),
-            samples=tuple(mags),
-            note="zero sample; scaling degree is -inf or the probe misses the support",
-        )
+        nan = float("nan")
+        return SdEstimate(nan, nan, math.inf, False,
+                          "zero sample; scaling degree is -inf or the probe misses the support")
     x = np.log(np.asarray(lambdas))
     y = np.log(mags)
     A = np.vstack([x, np.ones_like(x)]).T
@@ -397,12 +461,4 @@ def scaling_degree_estimate(
     residual = float(np.sqrt(res[0] / len(x))) if len(res) else 0.0
     ok = residual < 0.1
     note = "" if ok else "indeterminate: non-linear log-log fit"
-    return SdEstimate(
-        value=dim - slope,
-        slope=slope,
-        residual=residual,
-        ok=ok,
-        lambdas=tuple(lambdas),
-        samples=tuple(mags),
-        note=note,
-    )
+    return SdEstimate(dim - slope, slope, residual, ok, note)

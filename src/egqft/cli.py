@@ -39,13 +39,7 @@ from .model_registry import (
     serialize_model_spec,
     validate,
 )
-from .power_counting import (
-    VANISHING_SECTOR,
-    CountingError,
-    SList,
-    omega_general,
-    omega_massless,
-)
+from .power_counting import VANISHING_SECTOR, CountingError, SList, omega_massless
 from .symbolic_fields import (
     Generator,
     Polynomial,
@@ -393,19 +387,11 @@ def _cmd_pairings(args):
 
 
 def _cmd_selfenergy(args):
-    from .causal_splitting import SelfEnergy, bubble_density, central_normalize
+    from .causal_splitting import model_self_energy
 
     model = load_model(args.model)
     q2s = _q2_points(args.q2grid)
-    m = max((e.numbers.mass for e in model.fields.entries), default=0.0)
-    se = SelfEnergy(bubble_density(m, m))
-    if args.nsub == "central":
-        # self-energy block: two vertices, each with one external leg removed
-        dims = [canonical_dim(model.vertex(0)) - 1] * 2
-        om = omega_general(dims, model.c_const)
-        se = central_normalize(se, om if om is not VANISHING_SECTOR else 0)
-    else:
-        se = SelfEnergy(se.density, n_sub=int(args.nsub))
+    se = model_self_energy(model, args.nsub)
     rows = list(zip(q2s, _cli.dispersion_eval(se, q2s, args.mode)))
     if args.format == "json":
         return model, [
@@ -478,45 +464,13 @@ def _cmd_glcheck(args):
 
 
 def _cmd_sdestimate(args):
-    import numpy as np
-    from numpy.polynomial.hermite_e import hermegauss
+    from .causal_splitting import scaling_degree_estimate, target_pairing
 
-    from .causal_splitting import SplittingError, scaling_degree_estimate
-
-    dim = args.dim
-
-    if args.target == "delta":
-        pairing = lambda p: p(np.zeros(dim))
-    elif args.target == "ddelta":
-        h = 1e-6
-
-        def pairing(p):
-            e0 = np.zeros(dim)
-            e0[0] = h
-            return -(p(e0) - p(-e0)) / (2 * h)
-
-    else:  # smooth: the Gaussian exp(-|x|^2/8), over all dim coordinates
-        # Its width 2 puts the probe scales lam <= 0.5 in the asymptotic
-        # regime; at width 1 the log-log fit is not linear (residual 0.15).
-        # Tensor Gauss-Hermite rule in u = x/lam for the weight exp(-|u|^2/2)
-        # of the probe profile; 6 nodes per axis are exact to about 1e-8.
-        if dim > 7:
-            raise SplittingError(f"the smooth target's 6^dim-point rule needs --dim <= 7, got {dim}")
-        u, w = hermegauss(6)
-        nodes = np.array(list(itertools.product(u, repeat=dim)))
-        weights = np.prod(list(itertools.product(w, repeat=dim)), axis=1)
-        weights = weights * np.exp(0.5 * np.sum(nodes * nodes, axis=1))
-
-        def pairing(p):
-            x = p.lam * nodes
-            vals = np.exp(-np.sum(x * x, axis=1) / 8) * p(x)
-            return p.lam**dim * float(np.dot(weights, vals))
-
-    est = scaling_degree_estimate(pairing, dim)
+    est = scaling_degree_estimate(target_pairing(args.target, args.dim), args.dim)
     if args.format == "json":
         return None, [{
             "target": args.target,
-            "dim": dim,
+            "dim": args.dim,
             "estimate": est.value,
             "slope": est.slope,
             "residual": est.residual,

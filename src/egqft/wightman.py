@@ -180,8 +180,9 @@ def _base_pair(table: FieldTable, fL: int, fR: int):
     if eL.kind == "vector":
         mu = eL.component
         return MomentumPoly.constant(QRat(-METRIC[mu])) if mu == eR.component else None
-    # psi psi*: (kslash + m) gamma0;  psi* psi: (kslash - m) gamma0
-    if eL.numbers.charge < eR.numbers.charge:
+    # psi psi*: (kslash + m) gamma0;  psi* psi: (kslash - m) gamma0.  The
+    # particle block comes first in the table, so psi is the lower index
+    if fL < eL.adjoint:
         a, b, msign = eL.component, eR.component, 1
     else:
         b, a, msign = eL.component, eR.component, -1

@@ -8,6 +8,7 @@ import pytest
 from egqft.adiabatic_limits import (
     AdiabaticError,
     ScaledTestFamily,
+    SecondOrderKit,
     SplittingTheta,
     _Curve,
     _gauss_axis,
@@ -26,7 +27,13 @@ from egqft.adiabatic_limits import (
     lojasiewicz_value,
     theta_eval,
 )
-from egqft.causal_splitting import SelfEnergy, bubble_density, central_normalize, dispersion_eval
+from egqft.causal_splitting import (
+    SelfEnergy,
+    bubble_density,
+    central_normalize,
+    dispersion_eval,
+    model_self_energy,
+)
 from egqft.model_registry import builtin
 
 SM = builtin("scalar_model")
@@ -333,7 +340,7 @@ def _agree(got, want, rel=1e-13):
 def _demo_reference(family, c_mis, f_profile, time_sign):
     """One time sign of appendix_c_demo, evaluated per component on the
     radial nodes and summed in component order."""
-    kit = _kit(1.0)
+    kit = _kit(model_self_energy(SM), 3.0)
     out = []
     for eps in family.epsilons:
         comps, r, wr = _radial_nodes(family, eps)
@@ -353,7 +360,7 @@ def _demo_reference(family, c_mis, f_profile, time_sign):
 def _gl_reference(family, c_mis, n_kappa=20, n_q=14):
     """|Delta(eps)| of gl_vs_eg_second_order with the grids rebuilt for every
     kappa and time sign."""
-    kit = _kit(1.0)
+    kit = _kit(model_self_energy(SM), 3.0)
     tk, wk = _laguerre(n_kappa, 0.0)
     h, wh = np.polynomial.hermite.hermgauss(n_q)
     tl, wl = _laguerre(n_q, 0.0)
@@ -414,7 +421,7 @@ def test_gl_check_matches_per_kappa_reference(c_mis):
 def test_curve_lookup_matches_two_real_interpolations():
     """One complex interpolation against separate real and imaginary ones,
     also beyond qmax = 60, where both clamp to the end values."""
-    kit = _kit(1.0)
+    kit = _kit(model_self_energy(SM), 3.0)
     rng = np.random.default_rng(12)
     q2 = np.concatenate([rng.uniform(-90.0, 90.0, 4000), rng.normal(scale=1e-3, size=1000),
                          rng.uniform(3.9, 4.1, 1000), [-1e4, -60.5, 60.5, 1e4]])
@@ -435,7 +442,7 @@ def test_appendix_demo_reads_each_curve_once_per_time_center(monkeypatch, c_mis)
     """One lookup per curve, epsilon and distinct time center: 1 for the
     centered family, 3 for the asymmetric one, whose (i, j) and (j, i)
     components share their center; the pair curve only when c_mis != 0."""
-    kit = _kit(1.0)
+    kit = _kit(model_self_energy(SM), 3.0)
     lookup = _Curve.__call__
     calls = {}
 
@@ -452,3 +459,19 @@ def test_appendix_demo_reads_each_curve_once_per_time_center(monkeypatch, c_mis)
         if c_mis:
             want[kit.pair_curve] = centers * len(_EPS6)
         assert calls == want
+
+
+def test_demonstrations_build_the_kit_once(monkeypatch):
+    """Separately loaded copies of one model give equal self-energies, so two
+    appendix_c_demo calls and one gl_vs_eg_second_order call share one kit."""
+    build, calls = SecondOrderKit.build, []
+    monkeypatch.setattr(SecondOrderKit, "build",
+                        staticmethod(lambda *args: calls.append(args) or build(*args)))
+    _kit.cache_clear()
+    family = gaussian_family(4, epsilons=_EPS6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for c_mis in (0.0, 0.7):
+            appendix_c_demo(builtin("scalar_model"), c_mis, family=family)
+        gl_vs_eg_second_order(builtin("scalar_model"), family=family)
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 """Dispersion splitting, central normalization, freedom basis, scaling degree."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from egqft.causal_splitting import (
     central_normalize,
     dispersion_eval,
     freedom_basis,
+    model_self_energy,
     scaling_degree_estimate,
 )
+from egqft.model_registry import BUILTIN_NAMES, load_model
 
 M = 1.0
 RHO = bubble_density(M, M)
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def kallen_phase_space(m1, m2, s):
@@ -255,9 +259,10 @@ def test_kit_curves_match_cauchy_reference():
     """Every 9th node of both second-order curves (100 of 900, on both sides
     of 0 and of 4m^2) against the per-point Cauchy-weight reference."""
     from egqft.adiabatic_limits import SecondOrderKit
+    from egqft.model_registry import builtin
     from egqft.propagators_kinematics import two_body_phase_space
 
-    kit = SecondOrderKit.build(mass=M, uv_scale=3.0)
+    kit = SecondOrderKit.build(model_self_energy(builtin("scalar_model")), uv_scale=3.0)
     flat = SpectralDensity(
         fn=lambda s: two_body_phase_space(0.0, 0.0, s) * math.exp(-s / 9.0) if s > 0 else 0.0,
         threshold=0.0,
@@ -358,3 +363,19 @@ def test_dispersion_nonconvergence_raises():
     # 1e-10 above threshold is below what rho sampled at float s resolves
     with pytest.raises(SplittingError, match="rounding reach of the threshold"):
         dispersion_eval(SelfEnergy(RHO, n_sub=1), np.array([2.0, 4.0 + 1e-10]))
+
+
+@pytest.mark.parametrize("model", [*BUILTIN_NAMES, "two_scalar.model"])
+def test_model_self_energy_subtracts_twice_or_needs_a_mass_gap(model):
+    """The self-energy blocks of the builtins and of two_scalar.model have
+    omega = 2, so central normalization subtracts twice; a massless model
+    has no mass gap to normalize in."""
+    spec = load_model(str(GOLDEN / model) if model.endswith(".model") else model)
+    if max(e.numbers.mass for e in spec.fields.entries) == 0.0:
+        with pytest.raises(SplittingError, match="needs a mass gap"):
+            model_self_energy(spec)
+        return
+    se = model_self_energy(spec)
+    assert se.n_sub == 2 and se.density is bubble_density(1.0, 1.0)
+    # an integer n_sub is taken as given
+    assert model_self_energy(spec, 0) == SelfEnergy(bubble_density(1.0, 1.0), 0)

@@ -709,5 +709,32 @@ def test_unusable_models_exit_0_or_1_without_traceback(tmp_path, capsys, model):
         assert code in (0, 1), (cmd, err)
         if model in ("directory", "non-utf8"):
             assert code == 1 and "nor a readable file" in err, (cmd, err)
-        elif cmd[0] == "selfenergy":
-            assert code == 1 and "has no vertex 0" in err, err
+        elif cmd[0] in ("selfenergy", "adiabatic", "glcheck"):
+            # the self-energy's order comes from the interaction vertex
+            assert code == 1 and "has no vertex 0" in err, (cmd, err)
+
+
+PHI3_C0 = "[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 1/6 * phi^3\n[options]\nc = 0\n"
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_selfenergy_and_kit_subtract_to_the_model_omega(tmp_path, capsys, monkeypatch):
+    """A cubic vertex at c = 0 has omega = 0, so `selfenergy --nsub central`
+    and the demonstrations' kit both subtract once (scalar_model: twice)."""
+    from egqft import cli
+    from egqft.adiabatic_limits import SecondOrderKit, _kit
+
+    path = tmp_path / "phi3.model"
+    path.write_text(PHI3_C0)
+    seen = []
+
+    def recording(fn, tag):
+        return lambda se, *args: seen.append((tag, se.n_sub)) or fn(se, *args)
+
+    monkeypatch.setattr(cli, "dispersion_eval", recording(cli.dispersion_eval, "selfenergy"))
+    monkeypatch.setattr(SecondOrderKit, "build", staticmethod(recording(SecondOrderKit.build, "kit")))
+    _kit.cache_clear()
+    for cmd in (["selfenergy", "--q2grid=-1:1:3"], ["adiabatic", "--neps", "6"]):
+        code, _, err = _run(capsys, [*cmd, "--model", str(path)])
+        assert code == 0, (cmd, err)
+    assert seen == [("selfenergy", 1), ("kit", 1)]

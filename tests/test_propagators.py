@@ -173,6 +173,25 @@ def test_dirac_pair_structure():
     assert massless.fields.entry(4).numbers.mass == 0.0
 
 
+@pytest.mark.parametrize("charge", [-1, 0, 1])
+def test_dirac_order_follows_the_block_not_the_charge(charge):
+    """psi psi* carries (kslash + m) gamma0 and psi* psi (kslash - m) gamma0
+    whatever charge the field declares: the psi_1 psi*_1 mass term is +1, the
+    psi*_1 psi_1 one is -1, and every element matches the charge -1 builtin."""
+    from egqft.model_registry import parse_model_spec
+
+    model = parse_model_spec(f"[fields]\npsi dirac 1.0 {charge} 1\n[vertices]\n")
+    gen = lambda name: Generator(model.fields.index(name))
+    for left, right, mass_term in (("psi_1", "psi*_1", 1), ("psi*_1", "psi_1", -1)):
+        coeffs = two_point(model, gen(left), gen(right)).prefactor.coeffs
+        assert coeffs[(0, 0, 0, 0)] == QRat(mass_term), (left, right)
+    for a, b in itertools.product(range(1, 5), repeat=2):
+        for left, right in ((f"psi_{a}", f"psi*_{b}"), (f"psi*_{a}", f"psi_{b}")):
+            got = two_point(model, gen(left), gen(right))
+            want = two_point(QED, *(Generator(QED.fields.index(n)) for n in (left, right)))
+            assert (got and got.prefactor.coeffs) == (want and want.prefactor.coeffs), (left, right)
+
+
 def test_two_point_mass_matching_scan():
     for gl in range(len(SM.fields)):
         for gr in range(len(SM.fields)):

@@ -5,7 +5,8 @@ A SelfEnergy is a spectral density plus a subtraction order n at q^2 = 0:
     Sigma(q^2) = (q^2)^n / pi * integral_{s0}^inf ds rho(s) / (s^n (s - q^2 -+ i0))
 
 evaluated with the i0 prescription realized as an explicit principal value
-plus i pi delta decomposition (no finite-epsilon extrapolation).  The
+plus i pi delta decomposition (no finite-epsilon extrapolation): in closed
+form for the equal-mass bubble, by adaptive quadrature otherwise.  The
 central normalization chooses the minimal n making all momentum derivatives
 through order omega vanish at zero; subtraction point fixed at q = 0.
 """
@@ -56,11 +57,17 @@ class SpectralDensity:
     fn maps an array of s to the array of rho(s), elementwise: the dispersion
     quadrature evaluates it on whole blocks of nodes at once.  Write it as a
     numpy expression (np.where for the threshold), not with Python branches.
+
+    closed_form, when set, maps a scalar q^2 and an order n at least the
+    required one to the n-subtracted dispersion integral on the Feynman side,
+    so dispersion_eval needs no quadrature.  Only the equal-mass bubble
+    carries one (bubble_density); every other density leaves it None.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     threshold: float
     growth: float  # exponent; -inf for cut-off densities
+    closed_form: Callable[[float, int], complex] | None = None
 
     def __call__(self, s):
         return self.fn(s)
@@ -72,14 +79,81 @@ def bubble_density(m1: float, m2: float) -> SpectralDensity:
 
     rho(s) = w * two_body_phase_space(m1, m2, s) with threshold (m1 + m2)^2 and
     the combinatorial weight w = 2: the complete contractions of psi^2 with
-    psi^2 (complete_pairings with require_full=True gives two terms).
+    psi^2 (complete_pairings with require_full=True gives two terms).  Equal
+    masses m1 = m2 > 0 carry the closed form of _bubble_dispersion.
 
     Built once per (m1, m2): a density holds a fresh function, so only the
     shared object makes equal masses give equal (and equally hashed)
     densities and self-energies.
     """
     w = 2
-    return SpectralDensity(lambda s: w * two_body_phase_space_array(m1, m2, s), (m1 + m2) ** 2, 0.0)
+    s0 = (m1 + m2) ** 2
+    closed = functools.partial(_bubble_dispersion, s0, w) if m1 == m2 > 0 else None
+    return SpectralDensity(lambda s: w * two_body_phase_space_array(m1, m2, s), s0, 0.0, closed)
+
+
+def _bubble_dispersion(s0: float, w: float, q2: float, n: int) -> complex:
+    """Sigma_n(q^2) of rho(s) = w beta(s) / (8 pi), beta = sqrt(1 - s0/s), the
+    equal-mass bubble with threshold s0 = 4m^2, on the Feynman side.
+
+    With x = q^2/s0, Sigma_n = w / (8 pi^2) (J(x) - sum_{k<n} B(k, 3/2) x^k):
+    J is the once-subtracted integral and B(k, 3/2) = int_0^1 t^(k-1)
+    sqrt(1 - t) dt gives the subtraction constants, c_k = w B(k, 3/2) /
+    (8 pi^2 s0^k).  The imaginary part on the cut is the density's own
+    expression, so Im Sigma = rho exactly.
+    """
+    x = q2 / s0
+    if abs(x) < _series_radius(n):
+        return complex(w / (8.0 * math.pi**2) * _bubble_taylor(x, n))
+    re = w / (8.0 * math.pi**2) * (_bubble_j(q2, s0) - _bubble_taylor(x, 1, n))
+    if q2 <= s0:
+        return complex(re)
+    return complex(re, w * (math.sqrt((q2 - s0) * q2) / (8.0 * math.pi * q2)))
+
+
+@functools.cache
+def _series_radius(n: int) -> float:
+    """|q^2|/s0 below which the n-subtracted bubble is summed as its Taylor
+    series: there the logs minus n - 1 Taylor terms cancel towards the n-fold
+    zero at q^2 = 0.  At least 1/4 (|q^2| < m^2, terms falling 4-fold), and
+    out to where the first series term B(n, 3/2) x^n reaches 1e-3, so that
+    the cancellation costs at most about three digits; that stays below the
+    cap 0.9 (series terms falling at least 10% each) up to n = 20."""
+    log_b = math.lgamma(n) + math.lgamma(1.5) - math.lgamma(n + 1.5)
+    return min(0.9, max(0.25, math.exp((math.log(1e-3) - log_b) / n)))
+
+
+def _bubble_taylor(x: float, lo: int, hi: int | None = None) -> float:
+    """sum_{lo <= k < hi} B(k, 3/2) x^k, the Taylor terms of J; hi None sums
+    the tail to rounding, for |x| < 1 (the term ratio x k / (k + 3/2) tends
+    to x)."""
+    total, term, k = 0.0, 2.0 / 3.0 * x, 1  # B(1, 3/2) = 2/3
+    while k < lo or (k < hi if hi else abs(term) > 1e-17 * abs(total)):
+        if k >= lo:
+            total += term
+        term *= x * k / (k + 1.5)
+        k += 1
+    return total
+
+
+def _bubble_j(q2: float, s0: float) -> float:
+    """Re J(q^2/s0), the once-subtracted integral in units of w / (8 pi^2):
+
+    J = 2 - beta log((beta + 1)/(beta - 1))  below 0,  beta = sqrt(1 - s0/q^2),
+    J = 2 - 2 b atan(1/b)                    in (0, s0), b = sqrt(s0/q^2 - 1),
+    J = 2 - beta log((1 + beta)/(1 - beta))  from s0 up (plus i pi beta).
+
+    Each log is log1p of an expression in q^2 - s0 and beta that keeps full
+    precision at large |q^2| and at the threshold.
+    """
+    if q2 < 0:
+        beta = math.sqrt((q2 - s0) / q2)
+        return 2.0 - beta * math.log1p(-2.0 * (beta + 1.0) * q2 / s0)
+    if q2 < s0:
+        b = math.sqrt((s0 - q2) / q2)
+        return 2.0 - 2.0 * b * math.atan(1.0 / b)
+    beta = math.sqrt((q2 - s0) / q2)
+    return 2.0 - beta * math.log1p(2.0 * beta * (1.0 + beta) * q2 / s0)
 
 
 # --------------------------------------------------------------------------- self-energy
@@ -136,6 +210,12 @@ def dispersion_eval(
     mode "retarded": s - q^2 + i0.  Below threshold the result is real; on
     the cut the i0 term contributes -+ i rho(q^2) via the Plemelj split.
     Returns a complex for a scalar q^2 and a complex array otherwise.
+
+    A density with a closed form (the equal-mass bubble, m > 0) is evaluated
+    point by point in elementary functions: logs and atan away from q^2 = 0,
+    its Taylor series in q^2 for |q^2| < m^2 (further out from n_sub = 4 on,
+    _series_radius), "retarded" the complex conjugate.  Every other density goes through the adaptive quadrature of
+    _dispersion_pass.
     """
     if mode not in ("feynman", "advanced", "retarded"):
         raise SplittingError(f"unknown mode {mode!r}")
@@ -147,6 +227,14 @@ def dispersion_eval(
             f"s^{se.density.growth} requires n_sub >= {need}"
         )
     q = np.asarray(q2, dtype=float)
+    closed = se.density.closed_form
+    if closed is not None:
+        # one scalar evaluation per point; a subtracted Sigma vanishes at 0
+        vals = [closed(x, n) if x or not n else 0j for x in q.ravel().tolist()]
+        out = np.array(vals, dtype=complex).reshape(q.shape)
+        if mode == "retarded":
+            out = out.conj() + 0.0  # + 0.0: no -0.0 imaginary parts off the cut
+        return complex(out) if q.ndim == 0 else out
     out = np.zeros(q.shape, dtype=complex)
     # a subtracted Sigma vanishes exactly at q^2 = 0; those points need no integral
     live = q != 0.0 if n >= 1 else np.ones(q.shape, dtype=bool)
@@ -316,13 +404,24 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
     sector), and central_normalize takes the least order that makes every
     derivative through omega vanish at zero.  An integer n_sub is taken as
     given and reads no vertex.
+    A central order below what the bubble's growth needs (omega < 0) is a
+    SplittingError naming omega: such a block has no central normalization.
     """
     m = max((e.numbers.mass for e in model.fields.entries), default=0.0)
     se = SelfEnergy(bubble_density(m, m))
     if n_sub != "central":
         return replace(se, n_sub=int(n_sub))
     omega = omega_general([canonical_dim(model.vertex(0)) - 1] * 2, model.c_const)
-    return central_normalize(se, 0 if omega is VANISHING_SECTOR else omega)
+    if omega is VANISHING_SECTOR:
+        omega = 0
+    se = central_normalize(se, omega)
+    if se.n_sub < se.required_n_sub():
+        raise SplittingError(
+            f"model {model.name!r} has no central normalization: the derived "
+            f"omega = {omega} gives n_sub = {se.n_sub}, but the one-loop bubble "
+            f"needs n_sub >= {se.required_n_sub()} to converge"
+        )
+    return se
 
 
 # --------------------------------------------------------------------------- normalization freedom

@@ -4,11 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egqft.causal_splitting import (
     SelfEnergy,
     SpectralDensity,
     SplittingError,
+    _bubble_j,
+    _bubble_taylor,
+    _series_radius,
     bubble_density,
     central_normalize,
     dispersion_eval,
@@ -16,10 +21,12 @@ from egqft.causal_splitting import (
     model_self_energy,
     scaling_degree_estimate,
 )
-from egqft.model_registry import BUILTIN_NAMES, load_model
+from egqft.model_registry import BUILTIN_NAMES, builtin, load_model
 
 M = 1.0
 RHO = bubble_density(M, M)
+# the same density without its closed form: dispersion_eval integrates it
+QUAD = SpectralDensity(RHO.fn, RHO.threshold, RHO.growth)
 GOLDEN = Path(__file__).with_name("golden")
 
 
@@ -305,8 +312,8 @@ def _bubble_two_subtractions(z):
     return j / (4.0 * math.pi**2) - z / (24.0 * math.pi**2)
 
 
-def test_bubble_two_subtractions_closed_form():
-    se = central_normalize(SelfEnergy(RHO), omega=2)
+def _check_two_subtractions(density):
+    se = central_normalize(SelfEnergy(density), omega=2)
     q2s = np.array([-50.0, -5.0, -0.5, -0.05, 0.05, 0.5, 2.0, 3.9, 3.999999,
                     4.000001, 4.1, 5.0, 10.0, 50.0])
     got = dispersion_eval(se, q2s)
@@ -315,10 +322,18 @@ def test_bubble_two_subtractions_closed_form():
         assert abs(v - want) <= 1e-10 * abs(want), (q2, v, want)
 
 
-def test_dispersion_array_matches_scalar_all_modes():
+def test_bubble_two_subtractions_closed_form():
+    _check_two_subtractions(QUAD)
+
+
+def test_tagged_bubble_two_subtractions_closed_form():
+    _check_two_subtractions(RHO)
+
+
+def _check_array_matches_scalar(density):
     q2s = [-7.5, -1e-3, 0.0, 1e-3, 2.0, 3.99, 4.01, 6.0, 30.0, 500.0]
     for n in (1, 2):
-        se = SelfEnergy(RHO, n_sub=n)
+        se = SelfEnergy(density, n_sub=n)
         for mode in ("feynman", "advanced", "retarded"):
             arr = dispersion_eval(se, np.array(q2s), mode)
             assert arr.shape == (len(q2s),) and arr.dtype == complex
@@ -331,11 +346,19 @@ def test_dispersion_array_matches_scalar_all_modes():
     assert dispersion_eval(se, np.array([])).shape == (0,)
 
 
+def test_dispersion_array_matches_scalar_all_modes():
+    _check_array_matches_scalar(QUAD)
+
+
+def test_tagged_dispersion_array_matches_scalar_all_modes():
+    _check_array_matches_scalar(RHO)
+
+
 def test_near_threshold_sweep_converges_or_names_rounding_reach():
-    """q^2 = 4 + 10^-k on the once-subtracted bubble: each point matches the
-    closed form Sigma_1 = J / (4 pi) or raises naming the threshold's rounding
-    reach; every k <= 8 converges."""
-    se = SelfEnergy(RHO, n_sub=1)
+    """q^2 = 4 + 10^-k on the once-subtracted bubble, by quadrature: each
+    point matches the closed form Sigma_1 = J / (4 pi) or raises naming the
+    threshold's rounding reach; every k <= 8 converges."""
+    se = SelfEnergy(QUAD, n_sub=1)
     for k in range(2, 16):
         q2 = 4.0 + 10.0**-k
         try:
@@ -362,7 +385,60 @@ def test_dispersion_nonconvergence_raises():
             dispersion_eval(SelfEnergy(spike, n_sub=1), q2)
     # 1e-10 above threshold is below what rho sampled at float s resolves
     with pytest.raises(SplittingError, match="rounding reach of the threshold"):
-        dispersion_eval(SelfEnergy(RHO, n_sub=1), np.array([2.0, 4.0 + 1e-10]))
+        dispersion_eval(SelfEnergy(QUAD, n_sub=1), np.array([2.0, 4.0 + 1e-10]))
+
+
+def test_tagged_bubble_has_a_value_within_rounding_reach():
+    """The closed form needs no quadrature, so q^2 = 4 + 10^-k has a value for
+    every k, subtracted once or centrally (twice, scalar_model)."""
+    central = model_self_energy(builtin("scalar_model"))
+    assert central.density is RHO and central.n_sub == 2
+    for k in range(2, 16):
+        q2 = 4.0 + 10.0**-k
+        got = dispersion_eval(central, q2)
+        want = _bubble_two_subtractions(q2)
+        assert abs(got - want) <= 1e-10 * abs(want), (k, got, want)
+        once = dispersion_eval(SelfEnergy(RHO, n_sub=1), q2)
+        want = want + q2 / (24.0 * math.pi**2)
+        assert abs(once - want) <= 1e-10 * abs(want), (k, once, want)
+
+
+def test_closed_form_only_for_equal_nonzero_masses():
+    assert RHO.closed_form is not None
+    assert bubble_density(0.0, 0.0).closed_form is None
+    assert bubble_density(1.0, 2.0).closed_form is None
+    assert QUAD != RHO
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.floats(0.25, 4.0),
+    n=st.sampled_from([1, 2, 3]),
+    z=st.floats(-50.0, 50.0).filter(lambda z: abs(z - 4.0) > 1e-6 and z != 0.0),
+    side=st.floats(-0.01, 0.01),
+)
+def test_property_closed_form_bubble(m, n, z, side):
+    """For random masses, orders and q^2 = z m^2: the closed form matches
+    the quadrature of the untagged density, "retarded" is its conjugate,
+    Im Sigma = rho on the cut and 0.0 below it, Sigma(0) = 0.0, and the
+    series and the log/atan branch agree on both sides of their switch."""
+    tagged = bubble_density(m, m)
+    untagged = SpectralDensity(tagged.fn, tagged.threshold, tagged.growth)
+    q2 = z * m * m
+    got = dispersion_eval(SelfEnergy(tagged, n), q2)
+    want = dispersion_eval(SelfEnergy(untagged, n), q2)
+    assert abs(got - want) <= 1e-10 * abs(want), (got, want)
+    assert dispersion_eval(SelfEnergy(tagged, n), q2, "retarded") == got.conjugate()
+    if q2 > tagged.threshold:
+        assert got.imag == float(tagged(q2))
+    else:
+        assert got.imag == 0.0 and dispersion_eval(SelfEnergy(tagged, n), q2, "retarded").imag == 0.0
+    assert dispersion_eval(SelfEnergy(tagged, n), 0.0) == 0.0
+    s0 = tagged.threshold
+    for x in (_series_radius(n) * (1.0 + side), -_series_radius(n) * (1.0 + side)):
+        series = _bubble_taylor(x, n)
+        logs = _bubble_j(x * s0, s0) - _bubble_taylor(x, 1, n)
+        assert abs(series - logs) <= 1e-12 * abs(logs), (x, series, logs)
 
 
 @pytest.mark.parametrize("model", [*BUILTIN_NAMES, "two_scalar.model"])
@@ -379,3 +455,25 @@ def test_model_self_energy_subtracts_twice_or_needs_a_mass_gap(model):
     assert se.n_sub == 2 and se.density is bubble_density(1.0, 1.0)
     # an integer n_sub is taken as given
     assert model_self_energy(spec, 0) == SelfEnergy(bubble_density(1.0, 1.0), 0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 20])
+def test_closed_form_high_orders_match_extended_precision(n):
+    """Beyond n = 3 the series takes over further out (_series_radius), so
+    the logs never cancel by more than about three digits.  The reference
+    is the same closed form in 40-digit arithmetic, with Re J = Re(2 - beta
+    log((beta + 1)/(beta - 1))) on every branch (beta imaginary in (0, 4)): at
+    these orders the quadrature's own error (1.2e-10 at n = 8, q^2 = 15 m^2)
+    exceeds the bound."""
+    import mpmath as mp
+
+    r = _series_radius(n)
+    for x in (-1.5, -r * 1.001, -r * 0.999, 0.5 * r, r * 0.999, r * 1.001, 0.95, 3.75):
+        with mp.workdps(40):
+            beta = mp.sqrt(1 - 1 / mp.mpf(x))
+            j = mp.re(2 - beta * mp.log((beta + 1) / (beta - 1)))
+            poly = sum(mp.beta(k, 1.5) * mp.mpf(x) ** k for k in range(1, n))
+            want = float((j - poly) / (4 * mp.pi**2))
+        q2 = 4.0 * x
+        got = dispersion_eval(SelfEnergy(RHO, n), q2).real
+        assert abs(got - want) <= 1e-12 * abs(want), (x, got, want)

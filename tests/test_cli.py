@@ -232,6 +232,20 @@ def test_model_file_loading(tmp_path, capsys):
     assert code == 0 and out.startswith("renormalizable")
 
 
+def test_negative_omega_has_no_central_normalization(tmp_path, capsys):
+    """g = 1/2 phi^2 at c = 0 gives omega = -2: the numeric commands refuse
+    the central solution, naming omega and the order the bubble needs."""
+    path = tmp_path / "mass.model"
+    path.write_text(
+        "[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 1/2 * phi^2\n[options]\nc = 0\n"
+    )
+    for argv in (["selfenergy", "--q2grid=-2:6:3"], ["adiabatic", "--neps", "6"]):
+        code, out, err = _run(capsys, argv + ["--model", str(path)])
+        assert code == 1 and out == "", argv
+        assert "no central normalization" in err and "omega = -2" in err, err
+        assert "n_sub >= 1" in err and "Traceback" not in err, err
+
+
 def test_sdestimate(capsys):
     for target, expect, tol in (("delta", 4.0, 0.05), ("ddelta", 5.0, 0.05), ("smooth", 0.0, 0.1)):
         argv = ["sdestimate", "--target", target, "--dim", "4", "--format", "json"]

@@ -275,9 +275,8 @@ def _smooth_step(s):
 
     def upper_half(t):  # t >= 0
         up = np.clip((t + 1.0) / 2.0, 0.0, 1.0)
-        hu, hd = h(up), h(1.0 - up)
-        with np.errstate(invalid="ignore"):
-            return np.where(hu + hd > 0, hu / (hu + hd), 1.0)
+        hu = h(up)  # > 0: up >= 1/2
+        return hu / (hu + h(1.0 - up))
 
     a = np.abs(s)
     pos_val = upper_half(a)
@@ -352,19 +351,16 @@ def gamma_cone_member(ys, xs, sign: int) -> bool:
 
 
 class _Curve:
-    """Linear interpolation of a complex function of q^2 on an asinh grid
-    (log-dense near zero, where the interesting singularities live)."""
+    """Linear interpolation of a complex function of q^2: its values vals at
+    the 900 nodes u of the asinh grid q^2 = delta sinh(u) over [-qmax, qmax],
+    delta = 1e-7 (log-dense near zero, where the singularities live)."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], qmax: float, npts: int = 900,
-                 delta: float = 1e-7):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], qmax: float):
         """fn maps the whole q^2 grid to its complex values in one call."""
-        self.delta = delta
-        umax = math.asinh(qmax / delta)
-        u = np.linspace(-umax, umax, npts)
-        q2 = delta * np.sinh(u)
-        self.u = u
-        self.vals = np.asarray(fn(q2), dtype=complex)
-        self.re, self.im = self.vals.real, self.vals.imag
+        self.delta = 1e-7
+        umax = math.asinh(qmax / self.delta)
+        self.u = np.linspace(-umax, umax, 900)
+        self.vals = np.asarray(fn(self.delta * np.sinh(self.u)), dtype=complex)
 
     def __call__(self, q2):
         # np.interp takes complex values directly: one search per point
@@ -375,6 +371,7 @@ class _Curve:
 
 
 _QMAX = 60.0  # end of the curves' grids; np.interp clamps beyond it
+_UV_SCALE = 3.0  # the pair density's UV weight is exp(-s / _UV_SCALE^2)
 
 
 @dataclass(frozen=True)
@@ -382,39 +379,34 @@ class SecondOrderKit:
     """Shared numeric pieces of the second-order demonstrations.
 
     feynman_pair(q^2): the massless Feynman-pair integral built from its
-    spectral representation (flat two-body density with a smooth UV weight);
-    log-divergent at q^2 = 0 with an i pi theta(q^2) discontinuity.
+    spectral representation (flat two-body density with a smooth UV weight,
+    _UV_SCALE); log-divergent at q^2 = 0 with an i pi theta(q^2) discontinuity.
     normalized_bubble(q^2): the model's self-energy, the bubble centrally
     normalized to the model's derived omega (analytic near zero momentum).
+    Both are _Curves on |q^2| <= _QMAX.
     onshell_pair(q0, r): the massless on-shell pair value 1/(8 pi) on its
     support; support theta(q^2) theta(-+q0) selects advanced/retarded.
     """
 
-    pair_curve: _Curve
-    bubble_curve: _Curve
+    feynman_pair: _Curve
+    normalized_bubble: _Curve
     ps0: float
 
     @staticmethod
-    def build(se: SelfEnergy, uv_scale: float = 3.0) -> "SecondOrderKit":
+    def build(se: SelfEnergy) -> "SecondOrderKit":
         """The kit of the self-energy se (model_self_energy of a model)."""
         flat = SpectralDensity(
             fn=lambda s: (two_body_phase_space_array(0.0, 0.0, s)
-                          * np.exp(-np.maximum(s, 0.0) / uv_scale**2)),
+                          * np.exp(-np.maximum(s, 0.0) / _UV_SCALE**2)),
             threshold=0.0,
             growth=-math.inf,
         )
         se_flat = SelfEnergy(flat, n_sub=0)
         return SecondOrderKit(
-            pair_curve=_Curve(lambda q2: -0.5j * dispersion_eval(se_flat, q2, "feynman"), _QMAX),
-            bubble_curve=_Curve(lambda q2: dispersion_eval(se, q2, "feynman"), _QMAX),
+            feynman_pair=_Curve(lambda q2: -0.5j * dispersion_eval(se_flat, q2, "feynman"), _QMAX),
+            normalized_bubble=_Curve(lambda q2: dispersion_eval(se, q2, "feynman"), _QMAX),
             ps0=two_body_phase_space(0.0, 0.0, 1.0),
         )
-
-    def feynman_pair(self, q2):
-        return self.pair_curve(q2)
-
-    def normalized_bubble(self, q2):
-        return self.bubble_curve(q2)
 
     def onshell_pair(self, q0, r, time_sign: int, weight: str = "one"):
         q0 = np.asarray(q0, dtype=float)
@@ -431,10 +423,31 @@ class SecondOrderKit:
 
 
 @functools.cache
-def _kit(se: SelfEnergy, uv_scale: float) -> SecondOrderKit:
-    """The kit, built once per (self-energy, uv_scale); equal models give
-    equal self-energies (bubble_density is built once per mass)."""
-    return SecondOrderKit.build(se, uv_scale)
+def _kit(se: SelfEnergy) -> SecondOrderKit:
+    """The kit, built once per self-energy; equal models give equal
+    self-energies (bubble_density is built once per mass)."""
+    return SecondOrderKit.build(se)
+
+
+def _model_kit(model) -> SecondOrderKit:
+    """The kit of a model whose second-order block is the bubble of its
+    heaviest field: every monomial of vertex 0 a product of underived scalar
+    fields, at least two of them of that mass.  model_self_energy goes first
+    and names a missing vertex or mass gap, or an omega it cannot normalize."""
+    se, fields = model_self_energy(model), model.fields
+    m = max(e.numbers.mass for e in fields.entries)
+    for idx, _ in model.vertex(0).terms:
+        bad = [fields.gen_name(g) for g, _k in idx.entries
+               if g.d_order or fields.entry(g.field).kind != "scalar"]
+        heavy = sum(k for g, k in idx.entries if fields.entry(g.field).numbers.mass == m)
+        if bad or heavy < 2:
+            why = (f"factor {bad[0]!r} is not an underived scalar field" if bad else
+                   f"monomial {fields.monomial_name(idx)!r} has fewer than two factors of mass {m}")
+            raise AdiabaticError(
+                f"model {model.name!r}, vertex 0: {why}; the demonstrations compute "
+                f"only the bubble of its heaviest field"
+            )
+    return _kit(se)
 
 
 # --------------------------------------------------------------------------- 2d radial smearing
@@ -520,8 +533,6 @@ class NormalizationDemoReport:
     advanced: LimitReport
     retarded: LimitReport
     difference: LimitReport
-    c_mis: float
-    f_profile: str
 
 
 def appendix_c_demo(
@@ -529,7 +540,6 @@ def appendix_c_demo(
     c_mis: float,
     family: ScaledTestFamily | None = None,
     f_profile: str = "one",
-    uv_scale: float = 3.0,
 ) -> NormalizationDemoReport:
     """Second-order existence/failure of the smeared two-point limit.
 
@@ -545,14 +555,13 @@ def appendix_c_demo(
     normalization by a constant c_mis.  Smearing uses the two-vertex
     convolution of the scaled profile, reduced to a 2-D (q0, |qvec|)
     quadrature.  For c_mis = 0 both limits exist and agree; otherwise both
-    diverge like log(1/eps) with slope proportional to c_mis.
+    diverge like log(1/eps) with slope proportional to c_mis.  A model whose
+    block is not such a bubble (the QED builtins) is an AdiabaticError.
     """
-    if model.name != "scalar_model":
-        warnings.warn("demonstration is calibrated for the two-scalar cubic model")
     family = family or gaussian_family(4)
     if len(family.epsilons) < 6:
         raise AdiabaticError("family too coarse: need at least 6 epsilon points")
-    kit = _kit(model_self_energy(model), uv_scale)
+    kit = _model_kit(model)
 
     def f(q0, r):
         # only the on-shell pair depends on the time sign
@@ -570,8 +579,6 @@ def appendix_c_demo(
         advanced=fit_limit(family.epsilons, adv_samples, family=family.label + "/adv"),
         retarded=fit_limit(family.epsilons, ret_samples, family=family.label + "/ret"),
         difference=fit_limit(family.epsilons, diff, family=family.label + "/dif"),
-        c_mis=c_mis,
-        f_profile=f_profile,
     )
 
 
@@ -588,7 +595,6 @@ def gl_vs_eg_second_order(
     model,
     family: ScaledTestFamily | None = None,
     c_mis: float = 0.0,
-    uv_scale: float = 3.0,
     n_kappa: int = 20,
     n_q: int = 14,
 ) -> DecayReport:
@@ -607,14 +613,15 @@ def gl_vs_eg_second_order(
     centrally normalized to the model's derived omega: a zero of order n_sub
     in q^2 at q = 0, so the on-cone evaluation is O(eps^n_sub) and, for the
     n_sub = 2 of scalar_model, the fitted exponent clears the 0.8 floor;
-    mis-normalization (c_mis != 0) destroys the decay.
+    mis-normalization (c_mis != 0) destroys the decay.  Models are accepted
+    and refused as by appendix_c_demo.
     """
     family = family or gaussian_family(4)
     if len(family.epsilons) < 2:
         raise AdiabaticError("cannot fit a decay exponent from fewer than 2 samples")
     if any(abs(x) > 0 for c in family.centers for x in c[1:]):
         raise AdiabaticError("the light-cone reduction needs time-directed centers")
-    kit = _kit(model_self_energy(model), uv_scale)
+    kit = _model_kit(model)
     normalized = c_mis == 0.0
     if not normalized:
         warnings.warn(

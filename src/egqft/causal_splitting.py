@@ -214,8 +214,8 @@ def dispersion_eval(
     A density with a closed form (the equal-mass bubble, m > 0) is evaluated
     point by point in elementary functions: logs and atan away from q^2 = 0,
     its Taylor series in q^2 for |q^2| < m^2 (further out from n_sub = 4 on,
-    _series_radius), "retarded" the complex conjugate.  Every other density goes through the adaptive quadrature of
-    _dispersion_pass.
+    _series_radius); every other density by the quadrature of
+    _dispersion_pass.  Both give the Feynman side; "retarded" conjugates it.
     """
     if mode not in ("feynman", "advanced", "retarded"):
         raise SplittingError(f"unknown mode {mode!r}")
@@ -232,19 +232,19 @@ def dispersion_eval(
         # one scalar evaluation per point; a subtracted Sigma vanishes at 0
         vals = [closed(x, n) if x or not n else 0j for x in q.ravel().tolist()]
         out = np.array(vals, dtype=complex).reshape(q.shape)
-        if mode == "retarded":
-            out = out.conj() + 0.0  # + 0.0: no -0.0 imaginary parts off the cut
-        return complex(out) if q.ndim == 0 else out
-    out = np.zeros(q.shape, dtype=complex)
-    # a subtracted Sigma vanishes exactly at q^2 = 0; those points need no integral
-    live = q != 0.0 if n >= 1 else np.ones(q.shape, dtype=bool)
-    if live.any():
-        out[live] = _dispersion_pass(se, q[live], mode)
+    else:
+        out = np.zeros(q.shape, dtype=complex)
+        # a subtracted Sigma vanishes exactly at q^2 = 0; those points need no integral
+        live = q != 0.0 if n >= 1 else np.ones(q.shape, dtype=bool)
+        if live.any():
+            out[live] = _dispersion_pass(se, q[live])
+    if mode == "retarded":
+        out = out.conj() + 0.0  # + 0.0: no -0.0 imaginary parts off the cut
     return complex(out) if q.ndim == 0 else out
 
 
-def _dispersion_pass(se: SelfEnergy, qs: np.ndarray, mode: str) -> np.ndarray:
-    """Sigma at every point of the 1-D array qs in one adaptive vector quadrature.
+def _dispersion_pass(se: SelfEnergy, qs: np.ndarray) -> np.ndarray:
+    """Feynman-side Sigma at every point of the 1-D array qs in one vector quadrature.
 
     With f(s) = rho(s) / s^n and smax = 100 max(1, max|q^2|, s0 + 1) (at
     least s0 + 10), above every q^2:
@@ -299,7 +299,7 @@ def _dispersion_pass(se: SelfEnergy, qs: np.ndarray, mode: str) -> np.ndarray:
     pv_log = np.zeros_like(qs)
     pv_log[cut] = np.log((smax - qs[cut]) / (qs[cut] - s0))
     disc = math.pi * f_q  # Plemelj term, zero off the cut
-    out = val + f_q * pv_log + (-1j if mode == "retarded" else 1j) * disc
+    out = val + f_q * pv_log + 1j * disc
     return qs**n / math.pi * out
 
 
@@ -406,10 +406,18 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
     given and reads no vertex.
     A central order below what the bubble's growth needs (omega < 0) is a
     SplittingError naming omega: such a block has no central normalization.
+    So is n_sub >= 1 on a massless bubble, whose density starts at
+    rho(0+) = w / (8 pi) > 0: every subtraction at q^2 = 0 diverges there.
     """
     m = max((e.numbers.mass for e in model.fields.entries), default=0.0)
     se = SelfEnergy(bubble_density(m, m))
     if n_sub != "central":
+        if int(n_sub) >= 1 and m == 0:
+            raise SplittingError(
+                f"a subtracted dispersion integral needs a mass gap: the spectral "
+                f"threshold is at zero, so with n_sub = {n_sub} it is "
+                f"infrared-divergent at the subtraction point q^2 = 0"
+            )
         return replace(se, n_sub=int(n_sub))
     omega = omega_general([canonical_dim(model.vertex(0)) - 1] * 2, model.c_const)
     if omega is VANISHING_SECTOR:

@@ -8,10 +8,11 @@ error.
 Symbolic term streams are emitted as JSON lines, one term per line, in a
 deterministic order.
 
-Each subcommand runs its library calls and returns (model, records); run()
-then writes the records, dicts as JSON or preformatted lines, so a domain
-error leaves no --out file behind.  The manifest's params are the parsed
-options, every one except --out and --manifest.
+run() loads --model once; each subcommand runs its library calls on it and
+returns (model, records), the model the manifest hashes (classify --c
+replaces it).  run() then writes the records, dicts as JSON or preformatted
+lines, so a domain error leaves no --out file behind.  The manifest's params
+are the parsed options, every one except --out and --manifest.
 
 Only the numeric subcommands (selfenergy, adiabatic, glcheck, sdestimate)
 import numpy and the numeric modules; the exact ones start without.  No
@@ -178,8 +179,7 @@ def _checked(parse):
 # --------------------------------------------------------------------------- subcommands
 
 
-def _cmd_classify(args):
-    model = load_model(args.model)
+def _cmd_classify(args, model):
     if args.c is not None:
         model = replace(model, c_const=args.c)
     verdict = validate(model)
@@ -196,8 +196,7 @@ def _cmd_classify(args):
     return model, lines
 
 
-def _cmd_subpolys(args):
-    model = load_model(args.model)
+def _cmd_subpolys(args, model):
     rows = []
     for cname, poly in model.vertices:
         for s, q in subpolynomials(poly, view=args.view):
@@ -223,8 +222,7 @@ def _cmd_subpolys(args):
     ]
 
 
-def _cmd_omega(args):
-    model = load_model(args.model)
+def _cmd_omega(args, model):
     exts = _parse_counts(args.ext)
     der_counts = _parse_counts(args.der)
     ders = dict(der_counts)
@@ -269,19 +267,13 @@ def _resolve_arg_poly(model, token: str) -> Polynomial:
     for cname, poly in model.vertices:
         if cname == token:
             return poly
-    if any(e.kind not in ("scalar", "ghost") for e in model.fields.entries):
-        raise ModelError(
-            f"argument {token!r}: free-form monomials are scalar-sector only; "
-            f"use vertex names for this model"
-        )
     try:
         return parse_polynomial(model.fields, token)
     except ModelError as exc:
         raise ModelError(f"argument {token!r}: {exc}") from None
 
 
-def _cmd_wick(args):
-    model = load_model(args.model)
+def _cmd_wick(args, model):
     polys = [_resolve_arg_poly(model, tok) for tok in args.args.split(",")]
     terms = wick_expand(polys)
     if args.format == "json":
@@ -351,8 +343,7 @@ def _monomial_index(model, token: str) -> SuperQuadriIndex:
     return poly.terms[0][0]
 
 
-def _cmd_pairings(args):
-    model = load_model(args.model)
+def _cmd_pairings(args, model):
     left = [_monomial_index(model, t) for t in args.left.split(",")]
     right = [_monomial_index(model, t) for t in args.right.split(",")]
     terms = complete_pairings(
@@ -386,10 +377,9 @@ def _cmd_pairings(args):
     ))
 
 
-def _cmd_selfenergy(args):
+def _cmd_selfenergy(args, model):
     from .causal_splitting import model_self_energy
 
-    model = load_model(args.model)
     q2s = _q2_points(args.q2grid)
     se = model_self_energy(model, args.nsub)
     rows = list(zip(q2s, _cli.dispersion_eval(se, q2s, args.mode)))
@@ -421,8 +411,7 @@ def _limit_report_json(rep):
     }
 
 
-def _cmd_adiabatic(args):
-    model = load_model(args.model)
+def _cmd_adiabatic(args, model):
     rep = _cli.appendix_c_demo(
         model, args.cmis, family=_family(args.family, args.neps),
         f_profile=args.fprofile,
@@ -442,8 +431,7 @@ def _cmd_adiabatic(args):
     ]
 
 
-def _cmd_glcheck(args):
-    model = load_model(args.model)
+def _cmd_glcheck(args, model):
     rep = _cli.gl_vs_eg_second_order(
         model, family=_family(args.family, args.neps), c_mis=args.cmis
     )
@@ -463,7 +451,7 @@ def _cmd_glcheck(args):
     )
 
 
-def _cmd_sdestimate(args):
+def _cmd_sdestimate(args, model):
     from .causal_splitting import scaling_degree_estimate, target_pairing
 
     est = scaling_degree_estimate(target_pairing(args.target, args.dim), args.dim)
@@ -494,33 +482,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, default_format="csv"):
+        if p.prog != "egqft sdestimate":  # the one command without a model
+            p.add_argument("--model", required=True)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
         p.add_argument("--manifest", help="write a reproducibility manifest to this path")
         p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("classify", help="renormalizability and eligibility verdicts")
-    p.add_argument("--model", required=True)
     p.add_argument("--c", type=int, default=None, help="override the scaling constant c")
     common(p)
 
     p = sub.add_parser("subpolys", help="sub-polynomial table of the interaction vertices")
-    p.add_argument("--model", required=True)
     p.add_argument("--view", choices=("species", "constant", "all"), default="species")
     common(p)
 
     p = sub.add_parser("omega", help="power-counting index for an external-leg pattern")
-    p.add_argument("--model", required=True)
     p.add_argument("--ext", required=True, type=_checked(_parse_counts), help="e.g. phi=2,psi=0")
     p.add_argument("--der", type=_checked(_parse_counts), help="total derivative counts, e.g. phi=1")
     common(p)
 
     p = sub.add_parser("wick", help="causal Wick expansion term stream (JSON lines)")
-    p.add_argument("--model", required=True)
     p.add_argument("--args", required=True, help="comma list: vertex names or scalar monomials")
     common(p, default_format="json")
 
     p = sub.add_parser("pairings", help="complete-pairing term stream (JSON lines)")
-    p.add_argument("--model", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--full", action="store_true", help="complete contractions only")
@@ -532,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispersion-evaluated self-energy on a q^2 grid",
         epilog="CSV columns: q2, re_sigma, im_sigma.",
     )
-    p.add_argument("--model", required=True)
     p.add_argument("--q2grid", required=True, type=_checked(_q2_points), help="a:b:n")
     p.add_argument("--nsub", default="central", type=_n_sub, help="integer or 'central'")
     p.add_argument("--mode", choices=("feynman", "advanced", "retarded"), default="feynman")
@@ -543,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="second-order smeared-limit demonstration",
         epilog="CSV columns: eps, re_adv, im_adv, re_ret, im_ret.",
     )
-    p.add_argument("--model", required=True)
     p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--fprofile", choices=("one", "vanishing"), default="one")
@@ -556,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: eps, abs_difference; the fitted exponent is a "
         "trailing comment line.",
     )
-    p.add_argument("--model", required=True)
     p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--neps", type=_positive_int, default=None, help="length of the epsilon schedule")
@@ -602,7 +584,8 @@ def run(argv) -> int:
     command, indent = _DISPATCH[args.cmd]
     params = {k: v for k, v in vars(args).items() if k not in ("cmd", "out", "manifest")}
     try:
-        model, records = command(args)
+        model = load_model(args.model) if "model" in args else None
+        model, records = command(args, model)
     except DomainError as exc:
         print(f"egqft {args.cmd}: {exc}", file=sys.stderr)
         return 1

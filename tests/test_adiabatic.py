@@ -340,7 +340,7 @@ def _agree(got, want, rel=1e-13):
 def _demo_reference(family, c_mis, f_profile, time_sign):
     """One time sign of appendix_c_demo, evaluated per component on the
     radial nodes and summed in component order."""
-    kit = _kit(model_self_energy(SM), 3.0)
+    kit = _kit(model_self_energy(SM))
     out = []
     for eps in family.epsilons:
         comps, r, wr = _radial_nodes(family, eps)
@@ -360,7 +360,7 @@ def _demo_reference(family, c_mis, f_profile, time_sign):
 def _gl_reference(family, c_mis, n_kappa=20, n_q=14):
     """|Delta(eps)| of gl_vs_eg_second_order with the grids rebuilt for every
     kappa and time sign."""
-    kit = _kit(model_self_energy(SM), 3.0)
+    kit = _kit(model_self_energy(SM))
     tk, wk = _laguerre(n_kappa, 0.0)
     h, wh = np.polynomial.hermite.hermgauss(n_q)
     tl, wl = _laguerre(n_q, 0.0)
@@ -421,13 +421,14 @@ def test_gl_check_matches_per_kappa_reference(c_mis):
 def test_curve_lookup_matches_two_real_interpolations():
     """One complex interpolation against separate real and imaginary ones,
     also beyond qmax = 60, where both clamp to the end values."""
-    kit = _kit(model_self_energy(SM), 3.0)
+    kit = _kit(model_self_energy(SM))
     rng = np.random.default_rng(12)
     q2 = np.concatenate([rng.uniform(-90.0, 90.0, 4000), rng.normal(scale=1e-3, size=1000),
                          rng.uniform(3.9, 4.1, 1000), [-1e4, -60.5, 60.5, 1e4]])
-    for curve in (kit.pair_curve, kit.bubble_curve):
+    for curve in (kit.feynman_pair, kit.normalized_bubble):
         u = np.arcsinh(q2 / curve.delta)
-        want = np.interp(u, curve.u, curve.re) + 1j * np.interp(u, curve.u, curve.im)
+        want = (np.interp(u, curve.u, curve.vals.real)
+                + 1j * np.interp(u, curve.u, curve.vals.imag))
         got = curve(q2)
         assert got.shape == q2.shape
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
@@ -442,7 +443,7 @@ def test_appendix_demo_reads_each_curve_once_per_time_center(monkeypatch, c_mis)
     """One lookup per curve, epsilon and distinct time center: 1 for the
     centered family, 3 for the asymmetric one, whose (i, j) and (j, i)
     components share their center; the pair curve only when c_mis != 0."""
-    kit = _kit(model_self_energy(SM), 3.0)
+    kit = _kit(model_self_energy(SM))
     lookup = _Curve.__call__
     calls = {}
 
@@ -455,9 +456,9 @@ def test_appendix_demo_reads_each_curve_once_per_time_center(monkeypatch, c_mis)
                             (asymmetric_family(4, epsilons=_EPS6), 3)):
         calls.clear()
         appendix_c_demo(SM, c_mis, family=family)
-        want = {kit.bubble_curve: centers * len(_EPS6)}
+        want = {kit.normalized_bubble: centers * len(_EPS6)}
         if c_mis:
-            want[kit.pair_curve] = centers * len(_EPS6)
+            want[kit.feynman_pair] = centers * len(_EPS6)
         assert calls == want
 
 

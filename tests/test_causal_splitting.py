@@ -269,7 +269,7 @@ def test_kit_curves_match_cauchy_reference():
     from egqft.model_registry import builtin
     from egqft.propagators_kinematics import two_body_phase_space
 
-    kit = SecondOrderKit.build(model_self_energy(builtin("scalar_model")), uv_scale=3.0)
+    kit = SecondOrderKit.build(model_self_energy(builtin("scalar_model")))
     flat = SpectralDensity(
         fn=lambda s: two_body_phase_space(0.0, 0.0, s) * math.exp(-s / 9.0) if s > 0 else 0.0,
         threshold=0.0,
@@ -277,8 +277,8 @@ def test_kit_curves_match_cauchy_reference():
     )
     se_pair, se_bubble = SelfEnergy(flat), central_normalize(SelfEnergy(RHO), 2)
     curves = [
-        (kit.pair_curve, lambda q2: -0.5j * _cauchy_reference(se_pair, q2)),
-        (kit.bubble_curve, lambda q2: _cauchy_reference(se_bubble, q2)),
+        (kit.feynman_pair, lambda q2: -0.5j * _cauchy_reference(se_pair, q2)),
+        (kit.normalized_bubble, lambda q2: _cauchy_reference(se_bubble, q2)),
     ]
     for curve, reference in curves:
         nodes = np.arange(4, curve.u.size, 9)
@@ -287,7 +287,7 @@ def test_kit_curves_match_cauchy_reference():
         assert (q2s < 0).any() and below_cut.any() and (q2s > 4 * M * M).any()
         for i, q2 in zip(nodes, q2s):
             want = reference(float(q2))
-            got = complex(curve.re[i], curve.im[i])
+            got = curve.vals[i]
             assert abs(got - want) <= 1e-10 * abs(want), (q2, got, want)
 
 
@@ -352,6 +352,23 @@ def test_dispersion_array_matches_scalar_all_modes():
 
 def test_tagged_dispersion_array_matches_scalar_all_modes():
     _check_array_matches_scalar(RHO)
+
+
+@pytest.mark.parametrize("density", [RHO, QUAD], ids=["tagged", "quadrature"])
+def test_retarded_is_the_conjugate_feynman_value(density):
+    """Both routes give "retarded" as the conjugate Feynman value, bit for
+    bit, for scalar and array q^2 (q^2 < 0 at odd n_sub included), with no
+    -0.0 imaginary part."""
+    q2s = [-7.5, -2.0, -1e-3, 0.0, 1e-3, 1.5, 3.99, 4.01, 6.0, 30.0]
+    for n in (1, 2, 3):
+        se = SelfEnergy(density, n_sub=n)
+        # the quadrature's refinement depends on the whole vector, so a scalar
+        # call is compared with a scalar call
+        for evaluate in (lambda mode: dispersion_eval(se, np.array(q2s), mode),
+                         lambda mode: np.array([dispersion_eval(se, q2, mode) for q2 in q2s])):
+            got, want = evaluate("retarded"), evaluate("feynman").conjugate() + 0.0
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, got, want)
+            assert not np.signbit(got.imag[got.imag == 0.0]).any(), (n, got)
 
 
 def test_near_threshold_sweep_converges_or_names_rounding_reach():

@@ -376,7 +376,7 @@ def test_unfinished_run_leaves_no_manifest(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     _, indent = cli._DISPATCH["classify"]
-    monkeypatch.setitem(cli._DISPATCH, "classify", (lambda args: (None, records()), indent))
+    monkeypatch.setitem(cli._DISPATCH, "classify", (lambda args, model: (None, records()), indent))
     out, man = tmp_path / "out", tmp_path / "m.json"
     with pytest.raises(KeyboardInterrupt):
         run(["classify", "--model", "scalar_model", "--out", str(out), "--manifest", str(man)])
@@ -425,6 +425,22 @@ def test_freeform_error_names_the_argument(capsys):
     code, out, err = _run(capsys, ["wick", "--model", "scalar_model", "--args", "phi*zz"])
     assert code == 1 and out == ""
     assert "'zz'" in err and "'phi*zz'" in err and "line" not in err
+
+
+def test_freeform_monomials_are_checked_factor_by_factor(tmp_path, capsys):
+    """A free-form argument over the scalar phi of dirac.model expands as it
+    does over a model holding phi alone; a spinor component is refused by
+    the parser, naming the factor."""
+    lone = tmp_path / "phi.model"
+    lone.write_text("[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 1/6 * phi^3\n[options]\nc = 1\n")
+    for fmt in ("json", "csv"):
+        streams = [_run(capsys, ["wick", "--model", str(model), "--args", "phi^2,phi",
+                                 "--format", fmt])
+                   for model in (GOLDEN / "dirac.model", lone)]
+        assert streams[0] == streams[1] and streams[0][0] == 0 and streams[0][1], fmt
+    code, out, err = _run(capsys, ["wick", "--model", "spinor_qed_massive", "--args", "psi_1"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("egqft wick: argument 'psi_1': field 'psi_1' is not scalar-sector")
 
 
 @pytest.mark.parametrize("option", ["--args", "--left", "--right"])
@@ -752,3 +768,50 @@ def test_selfenergy_and_kit_subtract_to_the_model_omega(tmp_path, capsys, monkey
         code, _, err = _run(capsys, [*cmd, "--model", str(path)])
         assert code == 0, (cmd, err)
     assert seen == [("selfenergy", 1), ("kit", 1)]
+
+
+@pytest.mark.parametrize("cmd", ["adiabatic", "glcheck"])
+def test_demonstrations_refuse_models_they_do_not_compute(tmp_path, capsys, cmd):
+    """The demonstrations compute the bubble of the heaviest scalar field: the
+    massive QED builtins exit 1 naming the photon factor, the massless models
+    on the missing mass gap.  The scalar models run; those whose self-energy
+    is scalar_model's (mass 1, two subtractions) print its numbers."""
+    phi3 = tmp_path / "phi3.model"
+    phi3.write_text(PHI3_C0)
+    photon = "vertex 0: factor 'A_0' is not an underived scalar field"
+    for model, message in (
+        ("spinor_qed_massive", f"model 'spinor_qed_massive', {photon}"),
+        ("scalar_qed_massive", f"model 'scalar_qed_massive', {photon}"),
+        ("spinor_qed_massless", "needs a mass gap"),
+        ("scalar_qed_massless", "needs a mass gap"),
+        (str(GOLDEN / "ghosts.model"), "needs a mass gap"),
+    ):
+        code, out, err = _run(capsys, [cmd, "--model", model, "--neps", "6"])
+        assert code == 1 and out == "" and err.count("\n") == 1, (model, err)
+        assert err.startswith(f"egqft {cmd}: ") and message in err, (model, err)
+    outputs = {}
+    for model in ("scalar_model", GOLDEN / "two_scalar.model", GOLDEN / "dirac.model", phi3):
+        code, out, err = _run(capsys, [cmd, "--model", str(model), "--neps", "6", "--format", "csv"])
+        assert code == 0 and err == "" and out, (model, err)
+        outputs[model] = out
+    assert outputs[GOLDEN / "two_scalar.model"] == outputs["scalar_model"]
+    assert outputs[GOLDEN / "dirac.model"] == outputs["scalar_model"]
+
+
+def test_massless_subtracted_bubble_fails_before_the_quadrature(capsys, monkeypatch):
+    """rho(0+) > 0 on the massless bubble, so every subtraction at q^2 = 0
+    diverges: n_sub >= 1 is refused without a quadrature pass, n_sub = 0 by
+    the bubble's growth."""
+    from egqft import causal_splitting
+
+    def no_quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(causal_splitting, "_dispersion_pass", no_quadrature)
+    argv = ["selfenergy", "--model", "spinor_qed_massless", "--q2grid=-2:6:5", "--nsub"]
+    for nsub, message in (("1", "needs a mass gap"), ("3", "needs a mass gap"),
+                          ("0", "requires n_sub >= 1")):
+        code, out, err = _run(capsys, [*argv, nsub])
+        assert code == 1 and out == "" and err.count("\n") == 1, (nsub, err)
+        assert err.startswith("egqft selfenergy: ") and message in err, (nsub, err)
+    assert "with n_sub = 1 it is infrared-divergent" in _run(capsys, [*argv, "1"])[2]

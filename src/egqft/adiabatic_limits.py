@@ -417,8 +417,6 @@ class SecondOrderKit:
         if weight == "vanishing":
             e2 = q0**2 + r**2
             w = e2 / (1.0 + e2)
-        elif weight != "one":
-            raise AdiabaticError(f"unknown f-profile {weight!r}")
         return self.ps0 * sup * w
 
 
@@ -429,50 +427,36 @@ def _kit(se: SelfEnergy) -> SecondOrderKit:
     return SecondOrderKit.build(se)
 
 
-def _model_kit(model) -> SecondOrderKit:
-    """The kit of a model whose second-order block is the bubble of its
-    heaviest field: every monomial of vertex 0 a product of underived scalar
-    fields, at least two of them of that mass.  model_self_energy goes first
-    and names a missing vertex or mass gap, or an omega it cannot normalize."""
-    se, fields = model_self_energy(model), model.fields
-    m = max(e.numbers.mass for e in fields.entries)
-    for idx, _ in model.vertex(0).terms:
-        bad = [fields.gen_name(g) for g, _k in idx.entries
-               if g.d_order or fields.entry(g.field).kind != "scalar"]
-        heavy = sum(k for g, k in idx.entries if fields.entry(g.field).numbers.mass == m)
-        if bad or heavy < 2:
-            why = (f"factor {bad[0]!r} is not an underived scalar field" if bad else
-                   f"monomial {fields.monomial_name(idx)!r} has fewer than two factors of mass {m}")
-            raise AdiabaticError(
-                f"model {model.name!r}, vertex 0: {why}; the demonstrations compute "
-                f"only the bubble of its heaviest field"
-            )
-    return _kit(se)
-
-
 # --------------------------------------------------------------------------- 2d radial smearing
 
 
 _N_TIME, _N_RADIUS = 40, 40  # orders of the Hermite and Laguerre rules of _radial_nodes
 
 
+def _time_centers(family: ScaledTestFamily) -> list[tuple[float, float]]:
+    """The (time center, weight) of each component of the family.  Both
+    demonstrations reduce the smearing along the time axis, so a spatial
+    center is an AdiabaticError."""
+    if any(abs(x) > 0 for c in family.centers for x in c[1:]):
+        raise AdiabaticError("the demonstrations need time-directed centers")
+    return [(c[0], w) for c, w in zip(family.centers, family.weights)]
+
+
 def _radial_nodes(family: ScaledTestFamily, eps: float):
     """Nodes for E[f(q0, |qvec|)] under the two-fold convolution of the
-    scaled profile with itself (variance doubles, time-centers add).
-
-    Spatial centers must vanish so the radial reduction applies.
-    """
+    scaled profile with itself (variance doubles, time centers add): one
+    component per distinct summed time center, weighted by the summed
+    products of the weights of the pairs that share it."""
     s = math.sqrt(2.0) * eps * family.sigma
     h, wh = _gauss_axis(s, _N_TIME)
     # r-measure: r^2 exp(-r^2 / 2 s^2) dr -> generalized Laguerre alpha=1/2
     r, wr = _gauss_radius(s, _N_RADIUS, 0.5)
-    comps = []
-    for (ci, wc1) in zip(family.centers, family.weights):
-        if any(abs(c) > 0 for c in ci[1:]):
-            raise AdiabaticError("radial reduction needs time-directed centers")
-        for (cj, wc2) in zip(family.centers, family.weights):
-            comps.append((wc1 * wc2, eps * (ci[0] + cj[0]) + h, wh))
-    return comps, r, wr
+    centers = _time_centers(family)
+    merged: dict[float, float] = {}
+    for ti, wi in centers:
+        for tj, wj in centers:
+            merged[ti + tj] = merged.get(ti + tj, 0.0) + wi * wj
+    return [(wc, eps * t + h, wh) for t, wc in merged.items()], r, wr
 
 
 @functools.lru_cache(maxsize=None)
@@ -510,17 +494,13 @@ def _laguerre(n: int, alpha: float):
 
 def _smear_radial(family, eps, f2d) -> tuple[complex, complex]:
     """Smearings of the advanced and retarded values: f2d(q0, r) returns the
-    pair of arrays for time signs -1 and +1.  Components with the same time
-    center share one evaluation; each still adds its own weighted term."""
+    pair of arrays for time signs -1 and +1, evaluated once per component of
+    _radial_nodes (that is, once per distinct time center)."""
     comps, r, wr = _radial_nodes(family, eps)
     adv = ret = 0.0 + 0.0j
-    smeared = {}
     for wc, q0, w0 in comps:
-        key = q0.tobytes()
-        if key not in smeared:
-            Q0, R = np.meshgrid(q0, r, indexing="ij")
-            smeared[key] = [complex(np.einsum("i,j,ij->", w0, wr, v)) for v in f2d(Q0, R)]
-        a, b = smeared[key]
+        Q0, R = np.meshgrid(q0, r, indexing="ij")
+        a, b = (complex(np.einsum("i,j,ij->", w0, wr, v)) for v in f2d(Q0, R))
         adv, ret = adv + wc * a, ret + wc * b
     return adv, ret
 
@@ -556,12 +536,17 @@ def appendix_c_demo(
     convolution of the scaled profile, reduced to a 2-D (q0, |qvec|)
     quadrature.  For c_mis = 0 both limits exist and agree; otherwise both
     diverge like log(1/eps) with slope proportional to c_mis.  A model whose
-    block is not such a bubble (the QED builtins) is an AdiabaticError.
+    block is not such a bubble (the QED builtins) is refused by
+    model_self_energy; an unknown f_profile and a family with a spatial
+    center are refused before the kit is built.
     """
     family = family or gaussian_family(4)
     if len(family.epsilons) < 6:
         raise AdiabaticError("family too coarse: need at least 6 epsilon points")
-    kit = _model_kit(model)
+    if f_profile not in ("one", "vanishing"):
+        raise AdiabaticError(f"unknown f-profile {f_profile!r}")
+    _time_centers(family)
+    kit = _kit(model_self_energy(model))
 
     def f(q0, r):
         # only the on-shell pair depends on the time sign
@@ -619,9 +604,8 @@ def gl_vs_eg_second_order(
     family = family or gaussian_family(4)
     if len(family.epsilons) < 2:
         raise AdiabaticError("cannot fit a decay exponent from fewer than 2 samples")
-    if any(abs(x) > 0 for c in family.centers for x in c[1:]):
-        raise AdiabaticError("the light-cone reduction needs time-directed centers")
-    kit = _model_kit(model)
+    centers = _time_centers(family)
+    kit = _kit(model_self_energy(model))
     normalized = c_mis == 0.0
     if not normalized:
         warnings.warn(
@@ -639,8 +623,8 @@ def gl_vs_eg_second_order(
         qp, wp = _gauss_axis(s, n_q)
         qt, wt = _gauss_radius(s, n_q, 0.0)
         comps = []
-        for c, wc in zip(family.centers, family.weights):
-            Q0, QP, QT = np.meshgrid(eps * c[0] + qp, qp, qt, indexing="ij")
+        for t, wc in centers:
+            Q0, QP, QT = np.meshgrid(eps * t + qp, qp, qt, indexing="ij")
             comps.append((wc, Q0**2 - QP**2 - QT**2, Q0 - QP))
         return np.einsum("i,j,k->ijk", wp, wp, wt), comps
 

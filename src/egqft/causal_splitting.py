@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -104,7 +105,12 @@ def _bubble_dispersion(s0: float, w: float, q2: float, n: int) -> complex:
     """
     x = q2 / s0
     if abs(x) < _series_radius(n):
-        return complex(w / (8.0 * math.pi**2) * _bubble_taylor(x, n))
+        re = w / (8.0 * math.pi**2) * _bubble_taylor(x, n)
+        if abs(re) < sys.float_info.min:
+            # below the normal range: summed with the factor in its first term
+            # and q^2 undivided, Sigma is rounded there once, as the quadrature's is
+            re = _bubble_taylor(q2, n, s0=s0, scale=w / (8.0 * math.pi**2))
+        return complex(re)
     re = w / (8.0 * math.pi**2) * (_bubble_j(q2, s0) - _bubble_taylor(x, 1, n))
     if q2 <= s0:
         return complex(re)
@@ -123,11 +129,16 @@ def _series_radius(n: int) -> float:
     return min(0.9, max(0.25, math.exp((math.log(1e-3) - log_b) / n)))
 
 
-def _bubble_taylor(x: float, lo: int, hi: int | None = None) -> float:
-    """sum_{lo <= k < hi} B(k, 3/2) x^k, the Taylor terms of J; hi None sums
-    the tail to rounding, for |x| < 1 (the term ratio x k / (k + 3/2) tends
-    to x)."""
-    total, term, k = 0.0, 2.0 / 3.0 * x, 1  # B(1, 3/2) = 2/3
+def _bubble_taylor(
+    x: float, lo: int, hi: int | None = None, *, s0: float = 1.0, scale: float = 1.0
+) -> float:
+    """scale * sum_{lo <= k < hi} B(k, 3/2) (x/s0)^k, the Taylor terms of J;
+    hi None sums the tail to rounding, for |x/s0| < 1 (the term ratio
+    x/s0 k / (k + 3/2) tends to x/s0).  scale / s0 is one factor of the first
+    term, so a sum that underflows below the normal range is rounded there
+    once, not again by a later factor or by the quotient x/s0."""
+    term = scale * (2.0 / 3.0) / s0 * x  # B(1, 3/2) = 2/3
+    total, k, x = 0.0, 1, x / s0
     while k < lo or (k < hi if hi else abs(term) > 1e-17 * abs(total)):
         if k >= lo:
             total += term
@@ -216,6 +227,7 @@ def dispersion_eval(
     its Taylor series in q^2 for |q^2| < m^2 (further out from n_sub = 4 on,
     _series_radius); every other density by the quadrature of
     _dispersion_pass.  Both give the Feynman side; "retarded" conjugates it.
+    A non-finite q^2 is a SplittingError on both routes.
     """
     if mode not in ("feynman", "advanced", "retarded"):
         raise SplittingError(f"unknown mode {mode!r}")
@@ -227,10 +239,14 @@ def dispersion_eval(
             f"s^{se.density.growth} requires n_sub >= {need}"
         )
     q = np.asarray(q2, dtype=float)
+    xs = q.ravel().tolist()
+    if not all(map(math.isfinite, xs)):
+        bad = next(x for x in xs if not math.isfinite(x))
+        raise SplittingError(f"q^2 must be finite, got {bad!r}")
     closed = se.density.closed_form
     if closed is not None:
         # one scalar evaluation per point; a subtracted Sigma vanishes at 0
-        vals = [closed(x, n) if x or not n else 0j for x in q.ravel().tolist()]
+        vals = [closed(x, n) if x or not n else 0j for x in xs]
         out = np.array(vals, dtype=complex).reshape(q.shape)
     else:
         out = np.zeros(q.shape, dtype=complex)
@@ -299,8 +315,12 @@ def _dispersion_pass(se: SelfEnergy, qs: np.ndarray) -> np.ndarray:
     pv_log = np.zeros_like(qs)
     pv_log[cut] = np.log((smax - qs[cut]) / (qs[cut] - s0))
     disc = math.pi * f_q  # Plemelj term, zero off the cut
-    out = val + f_q * pv_log + 1j * disc
-    return qs**n / math.pi * out
+    out = (val + f_q * pv_log + 1j * disc) / math.pi
+    # times q^n one factor at a time: a Sigma that underflows below the
+    # normal range is rounded there once, as the closed form is
+    for _ in range(n):
+        out = out * qs
+    return out
 
 
 def _adaptive(f, edges: np.ndarray, m: int):
@@ -396,20 +416,24 @@ def central_normalize(se: SelfEnergy, omega: int) -> SelfEnergy:
 
 def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
     """The one-loop self-energy of a model: the bubble of its heaviest field,
-    subtracted n_sub times at q^2 = 0.
+    subtracted n_sub times at q^2 = 0: the one place that decides whether a
+    model has that block (selfenergy and both demonstrations call it).
 
     n_sub "central" derives the order from the model.  The self-energy block
     is two vertices, each with one external leg removed, so its index is
     omega = omega_general([dim(vertex 0) - 1] * 2, c) (0 for a vanishing
     sector), and central_normalize takes the least order that makes every
     derivative through omega vanish at zero.  An integer n_sub is taken as
-    given and reads no vertex.
-    A central order below what the bubble's growth needs (omega < 0) is a
-    SplittingError naming omega: such a block has no central normalization.
-    So is n_sub >= 1 on a massless bubble, whose density starts at
-    rho(0+) = w / (8 pi) > 0: every subtraction at q^2 = 0 diverges there.
+    given.  Refused with a SplittingError: a central order below what the
+    bubble's growth needs (omega < 0), naming omega; a subtraction on a
+    massless bubble (central, or n_sub >= 1), whose density starts at
+    rho(0+) = w / (8 pi) > 0, so every subtraction at q^2 = 0 diverges; and,
+    checked last, a vertex 0 (read for either n_sub) with a monomial that has
+    a derivative, a non-scalar factor or fewer than two factors of the
+    heaviest mass, whose block is not the bubble.
     """
-    m = max((e.numbers.mass for e in model.fields.entries), default=0.0)
+    fields = model.fields
+    m = max((e.numbers.mass for e in fields.entries), default=0.0)
     se = SelfEnergy(bubble_density(m, m))
     if n_sub != "central":
         if int(n_sub) >= 1 and m == 0:
@@ -418,17 +442,29 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
                 f"threshold is at zero, so with n_sub = {n_sub} it is "
                 f"infrared-divergent at the subtraction point q^2 = 0"
             )
-        return replace(se, n_sub=int(n_sub))
-    omega = omega_general([canonical_dim(model.vertex(0)) - 1] * 2, model.c_const)
-    if omega is VANISHING_SECTOR:
-        omega = 0
-    se = central_normalize(se, omega)
-    if se.n_sub < se.required_n_sub():
-        raise SplittingError(
-            f"model {model.name!r} has no central normalization: the derived "
-            f"omega = {omega} gives n_sub = {se.n_sub}, but the one-loop bubble "
-            f"needs n_sub >= {se.required_n_sub()} to converge"
-        )
+        se = replace(se, n_sub=int(n_sub))
+    else:
+        omega = omega_general([canonical_dim(model.vertex(0)) - 1] * 2, model.c_const)
+        if omega is VANISHING_SECTOR:
+            omega = 0
+        se = central_normalize(se, omega)
+        if se.n_sub < se.required_n_sub():
+            raise SplittingError(
+                f"model {model.name!r} has no central normalization: the derived "
+                f"omega = {omega} gives n_sub = {se.n_sub}, but the one-loop bubble "
+                f"needs n_sub >= {se.required_n_sub()} to converge"
+            )
+    for idx, _ in model.vertex(0).terms:
+        bad = [fields.gen_name(g) for g, _k in idx.entries
+               if g.d_order or fields.entry(g.field).kind != "scalar"]
+        heavy = sum(k for g, k in idx.entries if fields.entry(g.field).numbers.mass == m)
+        if bad or heavy < 2:
+            why = (f"factor {bad[0]!r} is not an underived scalar field" if bad else
+                   f"monomial {fields.monomial_name(idx)!r} has fewer than two factors of mass {m}")
+            raise SplittingError(
+                f"model {model.name!r}, vertex 0: {why}; only the bubble of its "
+                f"heaviest field is computed"
+            )
     return se
 
 

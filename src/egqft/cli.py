@@ -119,6 +119,8 @@ def _q2_points(spec: str):
         raise argparse.ArgumentTypeError(f"expected a:b:n with finite a and b, got {spec!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"need n >= 1 grid points, got {spec!r}")
+    if not math.isfinite(b - a):
+        raise argparse.ArgumentTypeError(f"the span b - a overflows, got {spec!r}")
     return np.linspace(a, b, n)
 
 

@@ -94,27 +94,15 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
     """All terms of the causal Wick expansion of F(B_1(x_1), ..., B_n(x_n)).
 
     Enumerates every list (s_1, ..., s_n) with derive(B_j, s_j) != 0, with
-    the sign of the module docstring and weight 1/(s_1!...s_n!).  Each
-    argument must be fermion-homogeneous (Polynomial.parity).
-    Terms whose internal field content cannot balance are flagged
-    vev_forced_zero.
+    the sign of the module docstring and weight 1/(s_1!...s_n!); a single
+    argument has the one candidate s = 0 (the expansion is the tautology).
+    Each argument, a single one too, must be fermion-homogeneous
+    (Polynomial.parity).  Terms whose internal field content cannot balance
+    are flagged vev_forced_zero.
     """
     if not polys:
         return []
     table = polys[0].table
-    if len(polys) == 1:
-        # one argument: the expansion is the tautology with s = 0
-        p = polys[0]
-        return [
-            WickTerm(
-                s_list=SList((SuperQuadriIndex(),)),
-                sign=1,
-                weight=QRat(1),
-                vev_args=(p,),
-                normal_monomials=(SuperQuadriIndex(),),
-                vev_forced_zero=not _species_balance_possible([_species_content(p, table)], table),
-            )
-        ]
     for p in polys:
         if p.table != table:
             raise WickError("arguments over different field tables")
@@ -128,7 +116,8 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
             priced[p] = [
                 (s, d, sum(m * table.parity(g.field) for g, m in s.entries), s.factorial(),
                  _species_content(d, table))
-                for s, d in subpolynomials(p, view="all")
+                for s, d in (subpolynomials(p, view="all") if len(polys) > 1
+                             else [(SuperQuadriIndex(), p)])
             ]
     per_arg = [priced[p] for p in polys]
     ppar = [p.parity() for p in polys]

@@ -299,6 +299,34 @@ def test_gl_check_refuses_spatial_centers():
         gl_vs_eg_second_order(SM, family=fam)
 
 
+@pytest.fixture
+def no_kit_build(monkeypatch):
+    """A kit build fails the test; the cache is emptied so none is reused."""
+    def no_build(*args):
+        raise AssertionError("the kit was built")
+
+    monkeypatch.setattr(SecondOrderKit, "build", staticmethod(no_build))
+    _kit.cache_clear()
+
+
+@pytest.mark.parametrize("demo", [lambda fam: appendix_c_demo(SM, 0.0, family=fam),
+                                  lambda fam: gl_vs_eg_second_order(SM, family=fam)],
+                         ids=["appendix_c_demo", "gl_vs_eg_second_order"])
+def test_demonstrations_refuse_spatial_centers_before_the_kit(demo, no_kit_build):
+    """One message from both demonstrations, before any kit is built."""
+    fam = ScaledTestFamily(4, 0.7, ((0.0, 0.0, 0.0, 0.0), (0.2, 0.0, 1.0, 0.0)), (0.5, 0.5))
+    with pytest.raises(AdiabaticError, match="the demonstrations need time-directed centers"):
+        demo(fam)
+
+
+def test_appendix_demo_refuses_an_unknown_f_profile_at_entry(no_kit_build):
+    """Refused at c_mis = 0 too, where no on-shell pair is evaluated, and
+    before the kit is built."""
+    for c_mis in (0.0, 0.7):
+        with pytest.raises(AdiabaticError, match="unknown f-profile 'bogus'"):
+            appendix_c_demo(SM, c_mis, f_profile="bogus")
+
+
 # --------------------------------------------------------------------------- Gauss-Laguerre rules
 
 

@@ -1,5 +1,6 @@
 """Dispersion splitting, central normalization, freedom basis, scaling degree."""
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -458,20 +459,64 @@ def test_property_closed_form_bubble(m, n, z, side):
         assert abs(series - logs) <= 1e-12 * abs(logs), (x, series, logs)
 
 
+@pytest.mark.parametrize(
+    "m, n, q2",
+    [
+        (0.25, 3, 1.0084259891116838e-104 / 16),  # Sigma ~ 6e-317
+        (1.0, 2, -3e-157),
+        (4.0, 1, -1.20453828144e-312 * 16),  # q^2 itself below the normal range
+        (1.0, 1, 1e-320),
+    ],
+)
+def test_closed_form_matches_quadrature_below_the_normal_range(m, n, q2):
+    """A Sigma below the smallest normal float keeps few digits, so each route
+    rounds into that range once: the closed form and the quadrature then give
+    the same float, where a second rounding on either side left them apart by
+    up to 1e-8 relative."""
+    tagged = bubble_density(m, m)
+    untagged = SpectralDensity(tagged.fn, tagged.threshold, tagged.growth)
+    got = dispersion_eval(SelfEnergy(tagged, n), q2)
+    want = dispersion_eval(SelfEnergy(untagged, n), q2)
+    assert 0.0 < abs(want) < sys.float_info.min
+    assert got == want
+
+
 @pytest.mark.parametrize("model", [*BUILTIN_NAMES, "two_scalar.model"])
 def test_model_self_energy_subtracts_twice_or_needs_a_mass_gap(model):
-    """The self-energy blocks of the builtins and of two_scalar.model have
+    """The self-energy blocks of scalar_model and of two_scalar.model have
     omega = 2, so central normalization subtracts twice; a massless model
-    has no mass gap to normalize in."""
+    has no mass gap to normalize in.  The massive QED blocks are not the
+    heaviest field's bubble: refused for a central and an integer n_sub."""
     spec = load_model(str(GOLDEN / model) if model.endswith(".model") else model)
     if max(e.numbers.mass for e in spec.fields.entries) == 0.0:
         with pytest.raises(SplittingError, match="needs a mass gap"):
             model_self_energy(spec)
         return
+    if model.endswith("_qed_massive"):
+        for n_sub in ("central", 0):
+            with pytest.raises(SplittingError, match="factor 'A_0' is not an underived scalar"):
+                model_self_energy(spec, n_sub)
+        return
     se = model_self_energy(spec)
     assert se.n_sub == 2 and se.density is bubble_density(1.0, 1.0)
     # an integer n_sub is taken as given
     assert model_self_energy(spec, 0) == SelfEnergy(bubble_density(1.0, 1.0), 0)
+
+
+@pytest.mark.parametrize("q2", [math.nan, math.inf, -math.inf])
+def test_non_finite_q2_is_refused_before_any_evaluation(q2, monkeypatch):
+    """One message on the closed-form route (the equal-mass bubble) and on
+    the quadrature route (unequal masses), before any quadrature runs."""
+    from egqft import causal_splitting
+
+    def no_quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(causal_splitting, "_dispersion_pass", no_quadrature)
+    for se in (SelfEnergy(bubble_density(1.0, 1.0), 2), SelfEnergy(bubble_density(1.0, 2.0), 1)):
+        for arg in (q2, np.array([-1.0, q2, 5.0])):
+            with pytest.raises(SplittingError, match=f"q\\^2 must be finite, got {q2!r}"):
+                dispersion_eval(se, arg)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12, 20])

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -798,20 +799,60 @@ def test_demonstrations_refuse_models_they_do_not_compute(tmp_path, capsys, cmd)
     assert outputs[GOLDEN / "dirac.model"] == outputs["scalar_model"]
 
 
-def test_massless_subtracted_bubble_fails_before_the_quadrature(capsys, monkeypatch):
+LIGHT_PHI3 = ("[fields]\nphi scalar 0.0 0 0\npsi scalar 1.0 0 0\n[vertices]\n"
+              "g = 1/6 * phi^3\n[options]\nc = 1\n")
+
+
+@pytest.mark.parametrize("cmd", [["selfenergy", "--q2grid=-2:6:3"], ["adiabatic", "--neps", "6"],
+                                 ["glcheck", "--neps", "6"]])
+def test_numeric_commands_refuse_a_vertex_without_the_heaviest_field(tmp_path, capsys, cmd):
+    """A cubic vertex of the massless phi never reaches the heavy psi, whose
+    bubble is the only one computed: every numeric command exits 1 naming
+    the monomial."""
+    path = tmp_path / "light_phi3.model"
+    path.write_text(LIGHT_PHI3)
+    code, out, err = _run(capsys, [*cmd, "--model", str(path)])
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert "monomial 'phi^3' has fewer than two factors of mass 1.0" in err, err
+
+
+def test_selfenergy_integer_nsub_reads_vertex_0(tmp_path, capsys):
+    path = tmp_path / "no_vertex.model"
+    path.write_text("[fields]\nphi scalar 1.0 0 0\n[vertices]\n")
+    code, out, err = _run(capsys, ["selfenergy", "--model", str(path), "--q2grid=-2:6:3", "--nsub", "1"])
+    assert code == 1 and out == "" and "has no vertex 0" in err, err
+
+
+def test_q2grid_whose_span_overflows_is_a_usage_error(capsys):
+    """The bounds are finite but b - a is not: refused before np.linspace,
+    so numpy prints no warning and no nan row is written."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["selfenergy", "--model", "scalar_model",
+                                       "--q2grid=1e308:-1e308:3", "--format", "json"])
+    assert code == 2 and out == "" and "the span b - a overflows" in err, err
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_massless_subtracted_bubble_fails_before_the_quadrature(tmp_path, capsys, monkeypatch):
     """rho(0+) > 0 on the massless bubble, so every subtraction at q^2 = 0
-    diverges: n_sub >= 1 is refused without a quadrature pass, n_sub = 0 by
-    the bubble's growth."""
+    diverges: n_sub >= 1 is refused without a quadrature pass, n_sub = 0 (on
+    a massless cubic model, whose block is the bubble) by the bubble's
+    growth."""
     from egqft import causal_splitting
 
     def no_quadrature(*args):
         raise AssertionError("the quadrature ran")
 
     monkeypatch.setattr(causal_splitting, "_dispersion_pass", no_quadrature)
-    argv = ["selfenergy", "--model", "spinor_qed_massless", "--q2grid=-2:6:5", "--nsub"]
-    for nsub, message in (("1", "needs a mass gap"), ("3", "needs a mass gap"),
-                          ("0", "requires n_sub >= 1")):
-        code, out, err = _run(capsys, [*argv, nsub])
+    cubic = tmp_path / "phi3_massless.model"
+    cubic.write_text("[fields]\nphi scalar 0.0 0 0\n[vertices]\ng = 1/6 * phi^3\n[options]\nc = 1\n")
+    argv = ["selfenergy", "--q2grid=-2:6:5", "--model"]
+    for model, nsub, message in (("spinor_qed_massless", "1", "needs a mass gap"),
+                                 ("spinor_qed_massless", "3", "needs a mass gap"),
+                                 (str(cubic), "0", "requires n_sub >= 1")):
+        code, out, err = _run(capsys, [*argv, model, "--nsub", nsub])
         assert code == 1 and out == "" and err.count("\n") == 1, (nsub, err)
         assert err.startswith("egqft selfenergy: ") and message in err, (nsub, err)
-    assert "with n_sub = 1 it is infrared-divergent" in _run(capsys, [*argv, "1"])[2]
+    assert "with n_sub = 1 it is infrared-divergent" in _run(
+        capsys, [*argv, "spinor_qed_massless", "--nsub", "1"])[2]

@@ -14,6 +14,7 @@ from egqft.model_registry import builtin, load_model, parse_model_spec
 from egqft.power_counting import SList
 from egqft.propagators_kinematics import GAMMA0, gamma, mat_mul
 from egqft.symbolic_fields import (
+    AlgebraError,
     Generator,
     Polynomial,
     SuperQuadriIndex,
@@ -569,6 +570,15 @@ def test_wick_graded_symmetry_covariance():
             rel = -1 if (spar1 * ipar2 + spar2 * ipar1) % 2 else 1
             assert y.sign == x.sign * rel
             assert y.vev_args == (x.vev_args[1], x.vev_args[0])
+
+
+def test_wick_refuses_a_mixed_parity_argument_at_any_count():
+    """The fermion-homogeneity contract holds for one argument as for two."""
+    t = QED.fields
+    mixed = Polynomial.of_field(t, "psi_1") + Polynomial.of_field(t, "A_0")
+    for args in ([mixed], [mixed, Polynomial.of_field(t, "A_1")]):
+        with pytest.raises(AlgebraError, match="not homogeneous in fermion number"):
+            wick_expand(args)
 
 
 def test_wick_graded_symmetry_three_arguments():

@@ -11,12 +11,14 @@ a number in that case.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact import DomainError
-from .symbolic_fields import SuperQuadriIndex, canonical_dim
+from .symbolic_fields import AlgebraError, SuperQuadriIndex, canonical_dim
 
 
 class CountingError(DomainError):
@@ -53,14 +55,23 @@ class SList:
         return len(self.items)
 
 
+def _entries(s: SList) -> list:
+    """Every (generator, multiplicity) of every item, unmerged; a negative
+    multiplicity raises as the merge in ``SList.total()`` does."""
+    pairs = [e for item in s.items for e in item.entries]
+    if any(m < 0 for _, m in pairs):
+        raise AlgebraError("negative multiplicity")
+    return pairs
+
+
 def ext(s: SList, field: int) -> int:
     """Number of occurrences of the field (any derivative order) in the list."""
-    return sum(m for g, m in s.total().entries if g.field == field)
+    return sum(m for g, m in _entries(s) if g.field == field)
 
 
 def der(s: SList, field: int) -> int:
     """Total number of derivatives carried by occurrences of the field."""
-    return sum(m * g.d_order for g, m in s.total().entries if g.field == field)
+    return sum(m * g.d_order for g, m in _entries(s) if g.field == field)
 
 
 # --------------------------------------------------------------------------- omega
@@ -80,20 +91,45 @@ def omega_general(dims: Sequence[Fraction | int], c: int):
     return VANISHING_SECTOR if v is None else v
 
 
-def omega_massless(model, u: SList):
-    """omega = 4 - sum_i [dim(A_i) ext_u(A_i) + der_u(A_i)] for eligible models."""
+@functools.lru_cache(maxsize=64)
+def _counting_table(model):
+    """The refusal text of an ineligible model; otherwise (D, D * dim per
+    field index) with D the lcm of the denominators of the field dimensions
+    (2 for every kind the model grammar admits).  Computed once per spec."""
     from .model_registry import validate
 
     verdict = validate(model)
     if not verdict.wal_eligible:
-        raise CountingError(
-            "model is not weak-adiabatic-limit eligible: " + "; ".join(verdict.reasons)
-        )
-    total = Fraction(4)
-    for g, m in u.total().entries:
-        total -= m * (model.fields.entry(g.field).numbers.dim + g.d_order)
-    v = _as_int(total)
-    return VANISHING_SECTOR if v is None else v
+        return "model is not weak-adiabatic-limit eligible: " + "; ".join(verdict.reasons)
+    dims = [Fraction(e.numbers.dim) for e in model.fields.entries]
+    D = math.lcm(*(d.denominator for d in dims))
+    return D, tuple(int(D * d) for d in dims)
+
+
+def omega_massless(model, u: SList):
+    """omega = 4 - sum_i [dim(A_i) ext_u(A_i) + der_u(A_i)] for eligible models.
+
+    Summed in integers, D * omega, over the entries of every item of u (omega
+    is linear in the list, so the items need no merge)."""
+    table = _counting_table(model)
+    if isinstance(table, str):
+        raise CountingError(table)
+    D, scaled = table
+    total = 4 * D
+    try:
+        for item in u.items:
+            for g, m in item.entries:
+                if m > 0:
+                    total -= m * (scaled[g.field] + D * g.d_order)
+                elif m:
+                    raise AlgebraError("negative multiplicity")
+    except IndexError:
+        # a field outside the table: raise what the merge and the table lookup
+        # raise, a negative multiplicity before the lowest dangling index
+        for g, _ in u.total().entries:
+            model.fields.entry(g.field)
+        raise
+    return total // D if total % D == 0 else VANISHING_SECTOR
 
 
 def omega_prime(dims: Sequence[Fraction | int], c: int):

@@ -254,6 +254,10 @@ def test_sdestimate(capsys):
         assert code == 0, target
         payload = json.loads(out)
         assert payload["ok"] and abs(payload["estimate"] - expect) < tol, payload
+    # d/dx0 of the probe at 0 is exactly 1/lam, so the ddelta fit is exact to rounding
+    code, out, _ = _run(capsys, ["sdestimate", "--target", "ddelta", "--dim", "4", "--format", "json"])
+    payload = json.loads(out)
+    assert abs(payload["estimate"] - 5.0) <= 1e-11 and abs(payload["slope"] + 1.0) <= 1e-11, payload
     # the smooth target's tensor rule has 6^dim points, so its dim is bounded
     code, out, err = _run(capsys, ["sdestimate", "--target", "smooth", "--dim", "8"])
     assert code == 1 and out == "" and "--dim <= 7" in err

@@ -1,12 +1,21 @@
 """Counting functional tests: ext/der, omega forms, bounds, IR indices."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egqft.model_registry import builtin, parse_model_spec
+from egqft.exact import DomainError
+from egqft.model_registry import (
+    BUILTIN_NAMES,
+    ModelError,
+    ModelSpec,
+    builtin,
+    parse_model_spec,
+    validate,
+)
 from egqft.power_counting import (
     VANISHING_SECTOR,
     CountingError,
@@ -23,8 +32,12 @@ from egqft.power_counting import (
     sd_bound,
 )
 from egqft.symbolic_fields import (
+    AlgebraError,
+    FieldEntry,
+    FieldTable,
     Generator,
     Polynomial,
+    QuantumNumbers,
     SuperQuadriIndex,
     canonical_dim,
     index_of,
@@ -83,6 +96,139 @@ def test_omega_massless_examples():
     assert omega_massless(SM, SList.of()) == 4
     with pytest.raises(CountingError, match="eligible"):
         omega_massless(builtin("scalar_model", c_const=0), SList.of())
+
+
+# ----------------------------------------------------------------- merge-and-Fraction reference
+# The counting functions as they were before omega summed integers from a
+# per-model table: every list merged through SList.total(), every entry read
+# from the field table, Fraction arithmetic, validate() on each call.
+
+
+def _as_int(x: Fraction):
+    return int(x) if x.denominator == 1 else None
+
+
+def _ref_ext(s: SList, field: int) -> int:
+    """Number of occurrences of the field (any derivative order) in the list."""
+    return sum(m for g, m in s.total().entries if g.field == field)
+
+
+def _ref_der(s: SList, field: int) -> int:
+    """Total number of derivatives carried by occurrences of the field."""
+    return sum(m * g.d_order for g, m in s.total().entries if g.field == field)
+
+
+def _ref_omega_massless(model, u: SList):
+    """omega = 4 - sum_i [dim(A_i) ext_u(A_i) + der_u(A_i)] for eligible models."""
+    verdict = validate(model)
+    if not verdict.wal_eligible:
+        raise CountingError(
+            "model is not weak-adiabatic-limit eligible: " + "; ".join(verdict.reasons)
+        )
+    total = Fraction(4)
+    for g, m in u.total().entries:
+        total -= m * (model.fields.entry(g.field).numbers.dim + g.d_order)
+    v = _as_int(total)
+    return VANISHING_SECTOR if v is None else v
+
+
+def _outcome(f, *args):
+    """f's value, or the type and text of the domain error it raises."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _same(f, ref, *args):
+    got, want = _outcome(f, *args), _outcome(ref, *args)
+    assert (got is VANISHING_SECTOR) == (want is VANISHING_SECTOR), (got, want)
+    assert got == want
+
+
+_GOLDEN = Path(__file__).with_name("golden")
+_MODELS = [builtin(name) for name in BUILTIN_NAMES] + [
+    parse_model_spec((_GOLDEN / f"{name}.model").read_text())
+    for name in ("two_scalar", "dirac", "ghosts")
+]
+_TAGS = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 2, 1, 0)]
+
+
+@st.composite
+def _model_and_list(draw):
+    """A model and an s-list over its field table: empty lists and items,
+    derivative tags, multiplicities 0-3."""
+    model = draw(st.sampled_from(_MODELS))
+    entry = st.tuples(
+        st.builds(Generator, st.integers(0, len(model.fields) - 1), st.sampled_from(_TAGS)),
+        st.integers(0, 3),
+    )
+    items = draw(st.lists(st.builds(SuperQuadriIndex.from_pairs, st.lists(entry, max_size=5)),
+                          max_size=4))
+    return model, SList(tuple(items))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_model_and_list(), st.integers(0, 13))
+def test_property_integer_counting_equals_merge_reference(model_u, field):
+    """omega_massless, ext and der agree with the merge-and-Fraction reference,
+    values and VANISHING_SECTOR identity alike, or raise the same error."""
+    model, u = model_u
+    _same(omega_massless, _ref_omega_massless, model, u)
+    _same(ext, _ref_ext, u, field)
+    _same(der, _ref_der, u, field)
+
+
+def test_integer_counting_errors_match_reference():
+    phi = SM.fields.index("phi")
+    ok = index_of(Generator(phi))
+    # two ineligible models (a dim-3 vertex at c = 0, and ghosts.model), then
+    # a c the verdict refuses
+    for model in (builtin("scalar_model", c_const=0), _MODELS[-1]):
+        assert _outcome(omega_massless, model, SList.of(ok))[0] is CountingError
+        _same(omega_massless, _ref_omega_massless, model, SList.of(ok))
+    c2 = builtin("scalar_model", c_const=2)
+    assert _outcome(omega_massless, c2, SList.of()) == (ModelError, "c must be 0 or 1, got 2")
+    _same(omega_massless, _ref_omega_massless, c2, SList.of())
+    # a dangling field index, also behind a valid item; a zero multiplicity
+    # of a dangling index is dropped by the merge and raises nothing
+    for u in (SList.of(index_of(Generator(99))), SList.of(ok, index_of(Generator(7), Generator(5)))):
+        _same(omega_massless, _ref_omega_massless, SM, u)
+    assert _outcome(omega_massless, SM, SList.of(index_of(Generator(9)))) == (
+        AlgebraError, "dangling field index 9")
+    zero = SList.of(SuperQuadriIndex(((Generator(99), 0),)), ok)
+    assert omega_massless(SM, zero) == _ref_omega_massless(SM, zero) == 3
+    # a negative multiplicity, built without the merge that refuses it, raises
+    # before a dangling index in an earlier item is looked up
+    neg = SuperQuadriIndex(((Generator(phi), -1),))
+    for u in (SList.of(neg), SList.of(ok, neg), SList.of(index_of(Generator(99)), neg)):
+        assert _outcome(omega_massless, SM, u) == (AlgebraError, "negative multiplicity")
+        _same(omega_massless, _ref_omega_massless, SM, u)
+        _same(ext, _ref_ext, u, phi)
+        _same(der, _ref_der, u, phi)
+
+
+def test_integer_counting_with_a_field_of_dimension_one_third():
+    """A table built in Python with a field of dimension 1/3 counts exactly:
+    omega = 4 - 3 * (1/3) - 1 = 2, and a non-integer total is VANISHING_SECTOR."""
+    def entry(i, name, dim):
+        return FieldEntry(name, "scalar", name, 0, QuantumNumbers(0, 0, dim, 0.0, "bose"), i)
+
+    table = FieldTable([entry(0, "phi", Fraction(1)), entry(1, "chi", Fraction(1, 3))])
+    phi, chi = Polynomial.of_field(table, "phi"), Polynomial.of_field(table, "chi")
+    vertex = phi * phi * phi * chi * chi * chi
+    model = ModelSpec("third", table, (("g", vertex),), 0)
+    assert validate(model).wal_eligible
+    g_chi, g_phi = Generator(1), Generator(0)
+    cases = [
+        (SList.of(SuperQuadriIndex.from_pairs([(g_chi, 3)]), index_of(g_phi)), 2),
+        (SList.of(index_of(g_chi)), VANISHING_SECTOR),
+        (SList.of(index_of(g_chi, Generator(1, (1, 0, 0, 0)), g_phi), index_of(g_chi)), 1),
+        (SList.of(), 4),
+    ]
+    for u, want in cases:
+        assert omega_massless(model, u) == want  # the marker compares by identity
+        _same(omega_massless, _ref_omega_massless, model, u)
 
 
 def _massless_subindices(model):

@@ -114,7 +114,7 @@ def _bubble_dispersion(s0: float, w: float, q2: float, n: int) -> complex:
     re = w / (8.0 * math.pi**2) * (_bubble_j(q2, s0) - _bubble_taylor(x, 1, n))
     if q2 <= s0:
         return complex(re)
-    return complex(re, w * (math.sqrt((q2 - s0) * q2) / (8.0 * math.pi * q2)))
+    return complex(re, w * (math.sqrt(q2 - s0) * math.sqrt(q2) / q2 / (8.0 * math.pi)))
 
 
 @functools.cache

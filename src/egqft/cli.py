@@ -256,7 +256,7 @@ def _cmd_omega(args, model):
 
 def _resolve_arg_poly(model, token: str) -> Polynomial:
     """A --args/--left/--right item: L or Lk (k-th vertex), a coupling name,
-    or a free-form scalar-sector monomial."""
+    or a free-form vertex expression."""
     token = token.strip()
     if token == "L" or (token.startswith("L") and token[1:].isdigit()):
         k, n = int(token[1:] or 1), len(model.vertices)

@@ -5,9 +5,8 @@ fermion number and charge, together with the scaling-bound constant c used
 by the power counting (c = 4 - dim(vertex) for every vertex of an
 eligible model).  Builtins: spinor QED (massive/massless), scalar QED
 (massive/massless), and the two-scalar cubic model with one massive and one
-massless field, each declared as model text; the QED vertices, which the
-scalar grammar of model files cannot express, are built over the parsed
-field table.
+massless field, each declared as model text and built by the one parser
+that reads model files.
 """
 from __future__ import annotations
 
@@ -17,8 +16,9 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .exact import DomainError, I, QRat
+from .exact import DomainError, QRat
 from .symbolic_fields import (
+    AlgebraError,
     FieldEntry,
     FieldTable,
     Generator,
@@ -29,7 +29,6 @@ from .symbolic_fields import (
     canonical_dim,
     canonicalize_word,
 )
-from .wightman import METRIC, gamma0_gamma
 
 
 class ModelError(DomainError):
@@ -75,40 +74,23 @@ class ModelVerdict:
 
 # --------------------------------------------------------------------------- builtins
 
-
-def _spinor_qed_vertex(table: FieldTable) -> Polynomial:
-    """psibar gamma^mu psi A_mu, with psibar = psi* gamma^0."""
-    field = lambda name: Polynomial.of_field(table, name)
-    vertex = Polynomial.zero(table)
-    for mu in range(4):
-        g0gmu = gamma0_gamma(mu)
-        for a in range(4):
-            for b in range(4):
-                c = g0gmu[a][b]
-                if c.is_zero():
-                    continue
-                term = field(f"psi*_{a + 1}") * field(f"psi_{b + 1}") * field(f"A_{mu}")
-                vertex = vertex + term.scale(c)
-    return vertex
+# psibar gamma^mu psi A_mu, psibar = psi* gamma^0, gamma in the Dirac representation
+_SPINOR_QED_VERTEX = (
+    "-1 * A_0*psi_1*psi*_1 + -1 * A_0*psi_2*psi*_2 + -1 * A_0*psi_3*psi*_3 + -1 * A_0*psi_4*psi*_4"
+    " + -1 * A_1*psi_1*psi*_4 + -1 * A_1*psi_2*psi*_3 + -1 * A_1*psi_3*psi*_2 + -1 * A_1*psi_4*psi*_1"
+    " + -1i * A_2*psi_1*psi*_4 + 1i * A_2*psi_2*psi*_3 + -1i * A_2*psi_3*psi*_2 + 1i * A_2*psi_4*psi*_1"
+    " + -1 * A_3*psi_1*psi*_3 + 1 * A_3*psi_2*psi*_4 + -1 * A_3*psi_3*psi*_1 + 1 * A_3*psi_4*psi*_2"
+)
+# A_mu j^mu with the current j^mu = i (phi* d^mu phi - (d^mu phi*) phi)
+_SCALAR_QED_VERTEX = (
+    "-1i * A_0*phi*d[0]phi* + 1i * A_0*d[0]phi*phi* + 1i * A_1*phi*d[1]phi* + -1i * A_1*d[1]phi*phi*"
+    " + 1i * A_2*phi*d[2]phi* + -1i * A_2*d[2]phi*phi* + 1i * A_3*phi*d[3]phi* + -1i * A_3*d[3]phi*phi*"
+)
 
 
-def _scalar_qed_vertex(table: FieldTable) -> Polynomial:
-    phi = Polynomial.of_field(table, "phi")
-    phistar = Polynomial.of_field(table, "phi*")
-    vertex = Polynomial.zero(table)
-    for mu in range(4):
-        alpha = tuple(1 if nu == mu else 0 for nu in range(4))
-        dphi = Polynomial.of_field(table, "phi", alpha)
-        dphistar = Polynomial.of_field(table, "phi*", alpha)
-        # current j^mu = i (phi* d phi - (d phi*) phi), index raised with the metric
-        jmu = (phistar * dphi - dphistar * phi).scale(I * METRIC[mu])
-        vertex = vertex + Polynomial.of_field(table, f"A_{mu}") * jmu
-    return vertex
-
-
-def _qed(matter: str, vertex):
+def _qed(matter: str, vertex: str) -> str:
     """A massless photon A and one matter field of charge -1, with c = 0."""
-    return f"[fields]\nA  vector  0.0  0  0\n{matter}\n[options]\nc = 0\n", vertex
+    return f"[fields]\nA  vector  0.0  0  0\n{matter}\n[vertices]\ne = {vertex}\n[options]\nc = 0\n"
 
 
 _SCALAR_MODEL = """\
@@ -121,14 +103,12 @@ e = 1/2 * phi*psi^2
 c = 1
 """
 
-# name -> (model text, builder of the vertex 'e' over the parsed field table
-# when that vertex lies outside the scalar grammar of [vertices])
-_BUILTINS = {
-    "spinor_qed_massive": _qed("psi  dirac  1.0  -1  1", _spinor_qed_vertex),
-    "spinor_qed_massless": _qed("psi  dirac  0.0  -1  1", _spinor_qed_vertex),
-    "scalar_qed_massive": _qed("phi  scalar  1.0  -1  0", _scalar_qed_vertex),
-    "scalar_qed_massless": _qed("phi  scalar  0.0  -1  0", _scalar_qed_vertex),
-    "scalar_model": (_SCALAR_MODEL, None),
+_BUILTINS = {  # name -> model text
+    "spinor_qed_massive": _qed("psi  dirac  1.0  -1  1", _SPINOR_QED_VERTEX),
+    "spinor_qed_massless": _qed("psi  dirac  0.0  -1  1", _SPINOR_QED_VERTEX),
+    "scalar_qed_massive": _qed("phi  scalar  1.0  -1  0", _SCALAR_QED_VERTEX),
+    "scalar_qed_massless": _qed("phi  scalar  0.0  -1  0", _SCALAR_QED_VERTEX),
+    "scalar_model": _SCALAR_MODEL,
 }
 BUILTIN_NAMES = tuple(_BUILTINS)
 
@@ -137,10 +117,7 @@ def builtin(name: str, c_const: int | None = None) -> ModelSpec:
     """Builtin model by name; c_const overrides the default scaling constant."""
     if name not in _BUILTINS:
         raise ModelError(f"unknown builtin model {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    text, vertex = _BUILTINS[name]
-    m = replace(parse_model_spec(text), name=name)
-    if vertex is not None:
-        m = replace(m, vertices=(("e", vertex(m.fields)),))
+    m = replace(parse_model_spec(_BUILTINS[name]), name=name)
     return m if c_const is None else replace(m, c_const=c_const)
 
 
@@ -232,20 +209,25 @@ def _verdict(m: ModelSpec) -> ModelVerdict:
 # --------------------------------------------------------------------------- text format
 
 _FACTOR_RE = re.compile(
-    r"^(?P<tags>(?:d\[[0-3]\])*)(?P<name>[A-Za-z_][A-Za-z0-9_]*[*~]?)(?:\^(?P<pow>\d+))?$"
+    r"^(?P<tags>(?:d\[[0-3]\])*)(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\*_\d+|[*~])?)(?:\^(?P<pow>\d+))?$"
 )
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")  # a nonzero denominator
+_RAT = r"\d+(?:/0*[1-9]\d*)?"  # a nonzero denominator
+# a QRat as its repr writes it: -1/2, 1i, -1/2i, 1+2i
+_COEFF_RE = re.compile(rf"^(?:(?P<re>[+-]?{_RAT})(?:(?P<im>[+-]{_RAT})i)?|(?P<imag>[+-]?{_RAT})i)$")
+_TERM_SEP = re.compile(r"\s+\+\s+")
 
 
-def _split_factors(expr: str):
-    """Split a monomial on '*', re-attaching stars that conjugate a field
-    name: a star followed by another star, by the end or by a power ^n."""
-    if not expr.strip():
+def _split_factors(names: set[str], term: str):
+    """Split a term on '*', re-attaching stars that belong to a field name: a
+    star followed by another star, by the end or by a power ^n conjugates the
+    name before it, and one followed by _k joins it when name*_k is in names."""
+    if not term.strip():
         raise ModelParseError("empty monomial")
     factors: list[str] = []
-    for raw in expr.split("*"):
+    for raw in term.split("*"):
         tok = raw.strip()
-        if factors and (tok == "" or tok.startswith("^")):
+        joined = _FACTOR_RE.match(f"{factors[-1]}*{tok}") if factors else None
+        if factors and (tok == "" or tok.startswith("^") or (joined and joined.group("name") in names)):
             factors[-1] += "*" + tok
         elif tok == "":
             raise ModelParseError("monomial starts with '*'")
@@ -311,59 +293,62 @@ def _entries_for(name, kind, mass, charge, fermion, base, line):
 
 
 def parse_polynomial(table: FieldTable, expr: str) -> Polynomial:
-    """Parse one vertex expression, `rational * monomial`, over a field table.
-
-    Factors are scalar-sector field names with optional derivative tags
-    d[mu] and powers ^n; raises ModelParseError naming the bad factor.
-    """
-    factors = _split_factors(expr)
-    coeff = Fraction(1)
-    start = 0
-    if factors and _RAT_RE.match(factors[0]):
-        coeff = Fraction(factors[0])
-        start = 1
-    pairs = []
-    nonscalar_species = {e.species for e in table.entries if e.kind in ("dirac", "vector")}
-    for f in factors[start:]:
-        mobj = _FACTOR_RE.match(f)
-        if not mobj:
-            raise ModelParseError(f"cannot parse factor {f!r}", col=expr.find(f))
-        tags, fname, powstr = mobj.group("tags"), mobj.group("name"), mobj.group("pow")
-        alpha = [0, 0, 0, 0]
-        for mu in re.findall(r"d\[([0-3])\]", tags):
-            alpha[int(mu)] += 1
-        kind = next((e.kind for e in table.entries if e.name == fname), None)
-        if kind is None and fname.rstrip("*") not in nonscalar_species:
-            raise ModelParseError(f"unknown field name {fname!r}", col=expr.find(f))
-        if kind not in ("scalar", "ghost"):
-            raise ModelParseError(
-                f"field {fname!r} is not scalar-sector; spinor/vector vertices are "
-                f"available only through builtin models",
-                col=expr.find(f),
-            )
-        pairs.append((Generator(table.index(fname), tuple(alpha)), int(powstr or 1)))
-    # the sign orders the odd letters as written; an odd letter twice is zero
-    odd = [g for g, m in pairs for _ in range(min(m, 2)) if table.parity(g.field)]
-    ordered = canonicalize_word(odd, table)
-    if ordered is None:
-        return Polynomial.zero(table)
-    return Polynomial.monomial(table, SuperQuadriIndex.from_pairs(pairs), QRat(coeff) * ordered[0])
+    """Parse one vertex expression over a field table: terms joined by ' + ',
+    each `coefficient * monomial`, a bare monomial (coefficient 1) or a bare
+    coefficient (0 is the vanishing vertex).  A coefficient is a QRat as its
+    repr writes it; factors are declared field names, components included,
+    with optional derivative tags d[mu] and powers ^n.  Raises
+    ModelParseError naming the bad factor."""
+    names = {e.name for e in table.entries}
+    acc: dict[SuperQuadriIndex, QRat] = {}
+    for term in _TERM_SEP.split(expr):
+        factors = _split_factors(names, term)
+        coeff = QRat(1)
+        if (cobj := _COEFF_RE.match(factors[0])) is not None:
+            coeff = QRat(cobj.group("re") or 0, cobj.group("im") or cobj.group("imag") or 0)
+            factors = factors[1:]
+        pairs = []
+        for f in factors:
+            mobj = _FACTOR_RE.match(f)
+            if not mobj:
+                raise ModelParseError(f"cannot parse factor {f!r}", col=expr.find(f))
+            tags, fname, powstr = mobj.group("tags"), mobj.group("name"), mobj.group("pow")
+            try:
+                i = table.index(fname)
+            except AlgebraError:
+                comps = [e.name for e in table.entries if e.species == fname]
+                raise ModelParseError(
+                    f"field {fname!r} has components {comps[0]}..{comps[-1]}; name one of them"
+                    if comps else f"unknown field name {fname!r}", col=expr.find(f)
+                ) from None
+            alpha = [0, 0, 0, 0]
+            for mu in re.findall(r"d\[([0-3])\]", tags):
+                alpha[int(mu)] += 1
+            pairs.append((Generator(i, tuple(alpha)), int(powstr or 1)))
+        # the sign orders the odd letters as written; an odd letter twice is zero
+        odd = [g for g, m in pairs for _ in range(min(m, 2)) if table.parity(g.field)]
+        ordered = canonicalize_word(odd, table)
+        if ordered is not None:
+            idx = SuperQuadriIndex.from_pairs(pairs)
+            acc[idx] = acc.get(idx, QRat(0)) + coeff * ordered[0]
+    return Polynomial(table, acc)
 
 
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse the line-oriented model format.
 
     Sections: [fields] (name kind mass charge fermion), [vertices]
-    (coupling = rational * monomial, scalar-sector factors only, derivative
-    tags d[mu]), [options] (c = 0|1, name), or a single [builtin] section
+    (coupling = expression, as parse_polynomial reads it; each coupling
+    name once), [options] (c = 0|1, name), or a single [builtin] section
     (name = <builtin>, optionally c = 0|1).  '#' starts a comment.  A '*'
     followed by another '*', by the end of the monomial or by a power ^n
-    conjugates the field name before it (phi**psi, phi*^2); any other '*'
-    separates factors.
+    conjugates the field name before it (phi**psi, phi*^2), and one
+    followed by _k joins it when that component is declared (psi*_1); any
+    other '*' separates factors.
     """
     section = None
     raw_fields: list[tuple] = []
-    raw_vertices: list[tuple[str, str, int]] = []
+    raw_vertices: dict[str, tuple[str, int]] = {}  # coupling -> (expression, line)
     options: dict[str, str | int] = {}
     sections_seen = set()
 
@@ -387,7 +372,10 @@ def parse_model_spec(text: str) -> ModelSpec:
             cname, expr = (s.strip() for s in line.split("=", 1))
             if not cname:
                 raise ModelParseError("empty coupling name", lineno)
-            raw_vertices.append((cname, expr, lineno))
+            if cname in raw_vertices:
+                first = raw_vertices[cname][1]
+                raise ModelParseError(f"coupling {cname!r} is already declared on line {first}", lineno)
+            raw_vertices[cname] = (expr, lineno)
         else:  # [options] or [builtin]: key = value
             k, eq, v = (s.strip() for s in line.partition("="))
             if not eq:
@@ -425,7 +413,7 @@ def parse_model_spec(text: str) -> ModelSpec:
     table = FieldTable(entries)
 
     vertices = []
-    for cname, expr, lineno in raw_vertices:
+    for cname, (expr, lineno) in raw_vertices.items():
         try:
             vertices.append((cname, parse_polynomial(table, expr)))
         except ModelParseError as exc:
@@ -439,34 +427,18 @@ def parse_model_spec(text: str) -> ModelSpec:
 
 
 def _vertex_line(table: FieldTable, cname: str, poly: Polynomial) -> str:
-    """The [vertices] line of one vertex; ModelError outside the scalar grammar."""
-    if len(poly.terms) != 1:
-        raise ModelError(f"vertex {cname!r} is not a single monomial; cannot serialize")
-    idx, coeff = poly.terms[0]
-    if coeff.im != 0:
-        raise ModelError(f"vertex {cname!r} has a non-real coefficient; cannot serialize")
-    if any(table.entry(g.field).kind not in ("scalar", "ghost") for g, _ in idx.entries):
-        raise ModelError(f"vertex {cname!r} has a spinor or vector factor; cannot serialize")
-    return f"{cname} = {coeff.re} * {table.monomial_name(idx)}"
+    """The [vertices] line of one vertex: its canonical terms, or 0."""
+    terms = (f"{c!r} * {table.monomial_name(i)}" if i.entries else repr(c) for i, c in poly.terms)
+    return f"{cname} = {' + '.join(terms) or '0'}"
 
 
 def serialize_model_spec(m: ModelSpec) -> str:
     """Inverse of parse_model_spec.
 
     Each [fields] declaration is written from its first entry: component 0
-    and not the adjoint partner of an earlier entry.  A builtin whose
-    vertices the scalar grammar cannot express serializes by name, with a
-    c line when its c differs from the builtin's own.
+    and not the adjoint partner of an earlier entry.
     """
-    try:
-        vertex_lines = [_vertex_line(m.fields, cname, poly) for cname, poly in m.vertices]
-    except ModelError:
-        if m.name not in _BUILTINS:
-            raise
-        text = f"[builtin]\nname = {m.name}\n"
-        if m.c_const != parse_model_spec(_BUILTINS[m.name][0]).c_const:
-            text += f"c = {m.c_const}\n"
-        return text
+    vertex_lines = [_vertex_line(m.fields, cname, poly) for cname, poly in m.vertices]
     lines = ["[fields]"]
     partners = set()
     for i, e in enumerate(m.fields.entries):

@@ -108,13 +108,14 @@ def two_body_phase_space(m1: float, m2: float, s: float) -> float:
 def two_body_phase_space_array(m1: float, m2: float, s) -> np.ndarray:
     """two_body_phase_space elementwise on an array of s, without the timelike
     check: sqrt(lambda(s, m1^2, m2^2)) / (8 pi s) above (m1 + m2)^2 and 0 at
-    and below, with the Kallen function factored as
-    (s - (m1 + m2)^2)(s - (m1 - m2)^2) so that it keeps full relative
-    precision at threshold."""
+    and below.  The root is sqrt(s - (m1 + m2)^2) sqrt(s - (m1 - m2)^2), divided
+    by s before 8 pi, so that it keeps full relative precision at threshold
+    and no step overflows at any finite s."""
     s = np.asarray(s, dtype=float)
     above = s > (m1 + m2) ** 2
-    lam = np.where(above, (s - (m1 + m2) ** 2) * (s - (m1 - m2) ** 2), 0.0)
-    return np.sqrt(lam) / (8.0 * math.pi * np.where(above, s, 1.0))
+    root = np.sqrt(np.where(above, s - (m1 + m2) ** 2, 0.0))
+    root *= np.sqrt(np.where(above, s - (m1 - m2) ** 2, 0.0))
+    return root / np.where(above, s, 1.0) / (8.0 * math.pi)
 
 
 # --------------------------------------------------------------------------- Riesz distribution

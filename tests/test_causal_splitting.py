@@ -1,6 +1,7 @@
 """Dispersion splitting, central normalization, freedom basis, scaling degree."""
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,12 +435,14 @@ def test_closed_form_only_for_equal_nonzero_masses():
     n=st.sampled_from([1, 2, 3]),
     z=st.floats(-50.0, 50.0).filter(lambda z: abs(z - 4.0) > 1e-6 and z != 0.0),
     side=st.floats(-0.01, 0.01),
+    huge=st.floats(1e150, sys.float_info.max),
 )
-def test_property_closed_form_bubble(m, n, z, side):
+def test_property_closed_form_bubble(m, n, z, side, huge):
     """For random masses, orders and q^2 = z m^2: the closed form matches
     the quadrature of the untagged density, "retarded" is its conjugate,
     Im Sigma = rho on the cut and 0.0 below it, Sigma(0) = 0.0, and the
-    series and the log/atan branch agree on both sides of their switch."""
+    series and the log/atan branch agree on both sides of their switch.
+    Im Sigma = rho holds, finite, out to the largest float."""
     tagged = bubble_density(m, m)
     untagged = SpectralDensity(tagged.fn, tagged.threshold, tagged.growth)
     q2 = z * m * m
@@ -457,6 +460,21 @@ def test_property_closed_form_bubble(m, n, z, side):
         series = _bubble_taylor(x, n)
         logs = _bubble_j(x * s0, s0) - _bubble_taylor(x, 1, n)
         assert abs(series - logs) <= 1e-12 * abs(logs), (x, series, logs)
+    im = dispersion_eval(SelfEnergy(tagged, n), huge).imag
+    assert im == float(tagged(huge)) and math.isfinite(im), (huge, im)
+
+
+@pytest.mark.parametrize("q2", [1e200, 1e300, sys.float_info.max])
+def test_im_sigma_stays_finite_at_huge_q2(q2):
+    """Im Sigma of the unit-mass bubble tends to w / (8 pi) = 1/(4 pi); its
+    root is taken as a product of two roots, so no step overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3):
+            im = dispersion_eval(SelfEnergy(RHO, n), q2).imag
+            assert im == float(RHO(q2)) and abs(im - 1 / (4 * math.pi)) <= 2e-17
+    if q2 == 1e200:
+        assert im == 0.07957747154594767
 
 
 @pytest.mark.parametrize(

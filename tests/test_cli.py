@@ -434,8 +434,8 @@ def test_freeform_error_names_the_argument(capsys):
 
 def test_freeform_monomials_are_checked_factor_by_factor(tmp_path, capsys):
     """A free-form argument over the scalar phi of dirac.model expands as it
-    does over a model holding phi alone; a spinor component is refused by
-    the parser, naming the factor."""
+    does over a model holding phi alone; a spinor component is a factor like
+    any other, and a bare spinor species is refused, naming its components."""
     lone = tmp_path / "phi.model"
     lone.write_text("[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 1/6 * phi^3\n[options]\nc = 1\n")
     for fmt in ("json", "csv"):
@@ -443,9 +443,40 @@ def test_freeform_monomials_are_checked_factor_by_factor(tmp_path, capsys):
                                  "--format", fmt])
                    for model in (GOLDEN / "dirac.model", lone)]
         assert streams[0] == streams[1] and streams[0][0] == 0 and streams[0][1], fmt
-    code, out, err = _run(capsys, ["wick", "--model", "spinor_qed_massive", "--args", "psi_1"])
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert err.startswith("egqft wick: argument 'psi_1': field 'psi_1' is not scalar-sector")
+    code, out, err = _run(capsys, ["wick", "--model", "spinor_qed_massive", "--args", "psi_1",
+                                   "--format", "csv"])
+    assert (code, err) == (0, "") and out.splitlines()[1:] == ['1,1,1,1,1,"(1)*psi_1"']
+    code, out, err = _run(capsys, ["wick", "--model", "spinor_qed_massive", "--args", "psi"])
+    assert (code, out) == (1, "")
+    assert err == ("egqft wick: argument 'psi': field 'psi' has components psi_1..psi_4; "
+                   "name one of them\n")
+
+
+_ZERO_MODEL = "[fields]\nu ghost 0.0 0 1\n[vertices]\ng = 1 * u*u\n[options]\nc = 0\n"
+
+
+def test_vanishing_vertex_file_writes_its_manifest(tmp_path, capsys):
+    """A file whose vertex vanishes is written as text like any other model,
+    so --manifest hashes it instead of raising after the records."""
+    path, man = tmp_path / "zero.model", tmp_path / "m.json"
+    path.write_text(_ZERO_MODEL)
+    code, out, err = _run(capsys, ["classify", "--model", str(path), "--manifest", str(man)])
+    assert code == 0 and out and err == ""
+    assert len(json.loads(man.read_text())["model_hash"]) == 16
+
+
+def test_file_named_like_a_builtin_hashes_apart_from_it(tmp_path, capsys):
+    """The manifest hashes a model's own vertex, not the builtin its name
+    points to."""
+    path = tmp_path / "named.model"
+    path.write_text(_ZERO_MODEL + "name = scalar_qed_massive\n")
+    hashes = []
+    for model in (str(path), "scalar_qed_massive"):
+        man = tmp_path / "m.json"
+        code, _, err = _run(capsys, ["classify", "--model", model, "--manifest", str(man)])
+        assert (code, err) == (0, "")
+        hashes.append(json.loads(man.read_text())["model_hash"])
+    assert hashes[0] != hashes[1]
 
 
 @pytest.mark.parametrize("option", ["--args", "--left", "--right"])
@@ -818,6 +849,14 @@ def test_numeric_commands_refuse_a_vertex_without_the_heaviest_field(tmp_path, c
     code, out, err = _run(capsys, [*cmd, "--model", str(path)])
     assert code == 1 and out == "" and err.count("\n") == 1, err
     assert "monomial 'phi^3' has fewer than two factors of mass 1.0" in err, err
+
+
+def test_selfenergy_json_is_valid_at_huge_q2(capsys):
+    code, out, err = _run(capsys, ["selfenergy", "--model", "scalar_model", "--q2grid=1e200:1e200:1",
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    (record,) = [json.loads(line, parse_constant=pytest.fail) for line in out.splitlines()]
+    assert record["im"] == 0.07957747154594767
 
 
 def test_selfenergy_integer_nsub_reads_vertex_0(tmp_path, capsys):

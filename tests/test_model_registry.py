@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egqft.exact import QRat
+from egqft.exact import I, QRat
 from egqft.model_registry import (
     BUILTIN_NAMES,
     ModelError,
@@ -17,7 +17,8 @@ from egqft.model_registry import (
     serialize_model_spec,
     validate,
 )
-from egqft.symbolic_fields import Polynomial, canonical_dim
+from egqft.symbolic_fields import FieldTable, Polynomial, canonical_dim
+from egqft.wightman import METRIC, gamma0_gamma
 
 
 def test_builtin_generator_counts():
@@ -85,6 +86,54 @@ def test_scalar_qed_current_structure():
     # the masses: photon massless, scalars massive
     assert m.fields.entry(m.fields.index("A_0")).numbers.mass == 0.0
     assert m.fields.entry(m.fields.index("phi")).numbers.mass == 1.0
+
+
+# the vertex builders that made the QED builtins before they became model text
+
+
+def _ref_spinor_qed_vertex(table: FieldTable) -> Polynomial:
+    """psibar gamma^mu psi A_mu, with psibar = psi* gamma^0."""
+    field = lambda name: Polynomial.of_field(table, name)
+    vertex = Polynomial.zero(table)
+    for mu in range(4):
+        g0gmu = gamma0_gamma(mu)
+        for a in range(4):
+            for b in range(4):
+                c = g0gmu[a][b]
+                if c.is_zero():
+                    continue
+                term = field(f"psi*_{a + 1}") * field(f"psi_{b + 1}") * field(f"A_{mu}")
+                vertex = vertex + term.scale(c)
+    return vertex
+
+
+def _ref_scalar_qed_vertex(table: FieldTable) -> Polynomial:
+    phi = Polynomial.of_field(table, "phi")
+    phistar = Polynomial.of_field(table, "phi*")
+    vertex = Polynomial.zero(table)
+    for mu in range(4):
+        alpha = tuple(1 if nu == mu else 0 for nu in range(4))
+        dphi = Polynomial.of_field(table, "phi", alpha)
+        dphistar = Polynomial.of_field(table, "phi*", alpha)
+        # current j^mu = i (phi* d phi - (d phi*) phi), index raised with the metric
+        jmu = (phistar * dphi - dphistar * phi).scale(I * METRIC[mu])
+        vertex = vertex + Polynomial.of_field(table, f"A_{mu}") * jmu
+    return vertex
+
+
+@pytest.mark.parametrize(
+    "name, ref",
+    [
+        ("spinor_qed_massive", _ref_spinor_qed_vertex),
+        ("spinor_qed_massless", _ref_spinor_qed_vertex),
+        ("scalar_qed_massive", _ref_scalar_qed_vertex),
+        ("scalar_qed_massless", _ref_scalar_qed_vertex),
+    ],
+)
+def test_qed_builtin_text_equals_the_builder_vertex(name, ref):
+    m = builtin(name)
+    assert m == replace(m, vertices=(("e", ref(m.fields)),))
+    assert len(m.vertex("e").terms) == (16 if name.startswith("spinor") else 8)
 
 
 def test_validate_builtin_matrix():
@@ -239,6 +288,8 @@ def test_parse_polynomial_matches_vertex_and_names_the_factor():
 
 
 def test_nonscalar_vertex_rejected_with_pointer():
+    """A bare four-component species is refused, naming its components;
+    a component is a factor like any other."""
     text = """
 [fields]
 A vector 0.0 0 0
@@ -246,8 +297,13 @@ phi scalar 0.0 0 0
 [vertices]
 e = 1 * A*phi^2
 """
-    with pytest.raises(ModelParseError, match="builtin"):
+    with pytest.raises(ModelParseError) as exc:
         parse_model_spec(text)
+    assert str(exc.value) == "line 6, col 4: field 'A' has components A_0..A_3; name one of them"
+    m = parse_model_spec(text.replace("A*phi^2", "A_0*A_0*phi^2"))
+    assert serialize_model_spec(m).count("e = 1 * A_0^2*phi^2\n") == 1
+    with pytest.raises(ModelParseError, match="field 'psi\\*' has components psi\\*_1..psi\\*_4"):
+        parse_model_spec("[fields]\npsi dirac 1.0 -1 1\n[vertices]\ne = 1 * psi**psi_1\n")
 
 
 def test_charged_scalar_conjugation_star():
@@ -337,11 +393,16 @@ def test_validate_dangling_field_index():
 
 
 def test_builtin_section_takes_name_and_c():
+    """[builtin] is read by name; the serializer writes every model, a
+    builtin too, as fields, vertices and options."""
     m = builtin("spinor_qed_massive", c_const=1)
+    assert parse_model_spec("[builtin]\nname = spinor_qed_massive\nc = 1\n") == m
+    assert parse_model_spec("[builtin]\nname = spinor_qed_massive\n") == builtin("spinor_qed_massive")
     text = serialize_model_spec(m)
-    assert text == "[builtin]\nname = spinor_qed_massive\nc = 1\n"
+    assert "[builtin]" not in text and text.startswith("[fields]\nA  vector  0.0  0  0\npsi  dirac")
+    assert text.endswith("[options]\nc = 1\nname = spinor_qed_massive\n")
     assert parse_model_spec(text) == m
-    assert serialize_model_spec(builtin("spinor_qed_massive")) == "[builtin]\nname = spinor_qed_massive\n"
+    assert serialize_model_spec(builtin("spinor_qed_massive")) == text.replace("c = 1", "c = 0")
     with pytest.raises(ModelParseError, match="line 3, col 0: unknown \\[builtin\\] key 'mass'"):
         parse_model_spec("[builtin]\nname = scalar_model\nmass = 2\n")
 
@@ -357,10 +418,62 @@ def test_dirac_model_files_serialize_their_fields_and_vertices():
         assert parse_model_spec(serialize_model_spec(m)) == m
 
 
-def test_serialize_refuses_a_custom_vertex_outside_the_grammar():
-    m = builtin("scalar_qed_massive")
-    with pytest.raises(ModelError, match="not a single monomial"):
-        serialize_model_spec(replace(m, name="custom"))
+def test_serialize_writes_a_custom_qed_vertex_as_text():
+    m = replace(builtin("scalar_qed_massive"), name="custom")
+    text = serialize_model_spec(m)
+    assert "e = -1i * A_0*phi*d[0]phi* + 1i * A_0*d[0]phi*phi* + " in text
+    assert parse_model_spec(text) == m
+
+
+@pytest.mark.parametrize(
+    "vertex, written",
+    [
+        ("3", "3"),
+        ("0", "0"),
+        ("1 * u*u", "0"),
+        ("-1/2i", "-1/2i"),
+        ("1+2i * phi^2 + 3/4 + phi^2", "3/4 + 2+2i * phi^2"),
+        ("phi^2 + -1 * phi^2", "0"),
+    ],
+)
+def test_constant_and_vanishing_vertices_roundtrip(vertex, written):
+    fields = "[fields]\nphi scalar 1.0 0 0\nu ghost 0.0 0 1\n"
+    m = parse_model_spec(f"{fields}[vertices]\ng = {vertex}\n[options]\nc = 0\n")
+    text = serialize_model_spec(m)
+    assert f"\ng = {written}\n" in text
+    assert parse_model_spec(text) == m
+
+
+@pytest.mark.parametrize(
+    "coeff, value",
+    [("-1/2", QRat(Fraction(-1, 2))), ("1i", QRat(0, 1)), ("-1/2i", QRat(0, Fraction(-1, 2))),
+     ("1+2i", QRat(1, 2)), ("+3/4-5i", QRat(Fraction(3, 4), -5)), ("12i", QRat(0, 12))],
+)
+def test_complex_coefficients_read_as_qrat_writes_them(coeff, value):
+    table = builtin("scalar_model").fields
+    (_, got), = parse_polynomial(table, f"{coeff} * phi").terms
+    assert got == value
+    assert repr(value) == coeff or coeff.startswith("+")
+
+
+def test_repeated_coupling_name_is_refused_at_its_second_line():
+    text = "[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 1/6 * phi^3\n# quartic\ng = 1/24 * phi^4\n"
+    with pytest.raises(ModelParseError) as exc:
+        parse_model_spec(text)
+    assert str(exc.value) == "line 6, col 0: coupling 'g' is already declared on line 4"
+
+
+def test_component_star_joins_only_a_declared_component():
+    """psi*_1 is one factor when psi is a dirac field; after a charged scalar
+    the star separates phi* from a scalar named _1, as it always has."""
+    m = builtin("spinor_qed_massive")
+    one = parse_polynomial(m.fields, "psi*_1*psi_1*A_0")
+    assert one == -parse_polynomial(m.fields, "psi_1*psi*_1*A_0")
+    dpsi = Polynomial.of_field(m.fields, "psi*_2", (1, 0, 0, 0))
+    assert parse_polynomial(m.fields, "d[0]psi*_2") == dpsi
+    s = parse_model_spec("[fields]\nphi scalar 1.0 -1 0\n_1 scalar 1.0 0 0\n[vertices]\n")
+    two = parse_polynomial(s.fields, "phi*_1")
+    assert two == Polynomial.of_field(s.fields, "phi") * Polynomial.of_field(s.fields, "_1")
 
 
 # --------------------------------------------------------------------------- parse . serialize (hypothesis)
@@ -368,8 +481,10 @@ def test_serialize_refuses_a_custom_vertex_outside_the_grammar():
 
 @st.composite
 def model_texts(draw):
-    """Model texts over all four field kinds with scalar-sector vertices."""
-    lines, bosons, ghosts = ["[fields]"], [], []
+    """Model texts over all four field kinds, with vertices of 1-3 terms over
+    every declared factor (dirac and vector components included), complex
+    coefficients, bare-coefficient terms and vanishing vertices."""
+    lines, bosons, odd = ["[fields]"], [], []
     for name in draw(st.lists(st.sampled_from("abhuvwd"), min_size=1, max_size=5, unique=True)):
         kind = draw(st.sampled_from(("scalar", "dirac", "vector", "ghost")))
         mass = draw(st.floats(0, 10, allow_nan=False))
@@ -380,20 +495,36 @@ def model_texts(draw):
         lines.append(f"{name} {kind} {mass!r} {charge} {fermion}")
         if kind == "scalar":
             bosons += [name] if charge == 0 else [name, name + "*"]
+        elif kind == "vector":
+            bosons += [f"{name}_{mu}" for mu in range(4)]
         elif kind == "ghost":
-            ghosts += [name, name + "~"]
+            odd += [name, name + "~"]
+        else:
+            odd += [f"{name}{star}_{a}" for star in ("", "*") for a in range(1, 5)]
     lines.append("[vertices]")
     tags = st.sampled_from(("", "d[0]", "d[1]d[3]", "d[2]d[2]"))
-    for k in range(draw(st.integers(0, 2)) if bosons or ghosts else 0):
-        names = draw(st.lists(st.sampled_from(bosons + ghosts), min_size=1, max_size=4).filter(
-            lambda ns: len(set(ns) & set(ghosts)) == sum(n in ghosts for n in ns)))
+    rat = st.fractions(-3, 3, max_denominator=5)
+    coeffs = st.builds(QRat, rat, rat).filter(bool).map(repr)
+
+    def term():
+        if draw(st.integers(0, 5)) == 0:
+            return draw(coeffs)  # a bare coefficient
+        names = draw(st.lists(st.sampled_from(bosons + odd), min_size=1, max_size=4).filter(
+            lambda ns: len(set(ns) & set(odd)) == sum(n in odd for n in ns)))
         factors = [
             draw(tags) + n + (draw(st.sampled_from(("", "^2", "^3"))) if n in bosons else "")
             for n in names
         ]
-        coeff = draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
-        lines.append(f"g{k} = {coeff} * " + "*".join(factors))
-    c = draw(st.sampled_from(("", "c = 0", "c = 1")))
+        return f"{draw(coeffs)} * " + "*".join(factors)
+
+    sums = False
+    for k in range(draw(st.integers(0, 3))):
+        n_terms = draw(st.integers(0, 3))  # 0 draws the vanishing vertex
+        terms = [term() for _ in range(n_terms)] or ["0"]
+        sums |= len(terms) > 1
+        lines.append(f"g{k} = " + " + ".join(terms))
+    # a sum may mix dimensions, which leaves no default c to derive
+    c = draw(st.sampled_from(("c = 0", "c = 1") if sums else ("", "c = 0", "c = 1")))
     return "\n".join(lines + ["[options]", c]) + "\n"
 
 

@@ -24,6 +24,7 @@ from egqft.propagators_kinematics import (
     riesz_check,
     riesz_s,
     two_body_phase_space,
+    two_body_phase_space_array,
     two_point,
 )
 from egqft.symbolic_fields import Generator
@@ -257,6 +258,18 @@ def test_phase_space_threshold_and_kallen():
         assert got == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-8)
     with pytest.raises(KinematicsError):
         two_body_phase_space(1.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("m1, m2", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.0)])
+def test_phase_space_is_finite_at_huge_s(m1, m2):
+    """The Kallen root is a product of two roots divided by s before 8 pi:
+    the large-s limit 1/(8 pi) holds out to the largest float, without an
+    overflow warning."""
+    s = np.array([1e160, 1e300, 1e307, np.finfo(float).max])
+    with np.errstate(all="raise"):
+        got = two_body_phase_space_array(m1, m2, s)
+    assert np.all(np.abs(got - 1 / (8 * math.pi)) <= 1e-17), got
+    assert two_body_phase_space(m1, m2, 1e160) == got[0]
 
 
 def test_phase_space_symmetry_and_boost():

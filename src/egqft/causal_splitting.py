@@ -155,16 +155,26 @@ def _bubble_j(q2: float, s0: float) -> float:
     J = 2 - beta log((1 + beta)/(1 - beta))  from s0 up (plus i pi beta).
 
     Each log is log1p of an expression in q^2 - s0 and beta that keeps full
-    precision at large |q^2| and at the threshold.
+    precision at large |q^2| and at the threshold (_log1p_ratio).
     """
     if q2 < 0:
         beta = math.sqrt((q2 - s0) / q2)
-        return 2.0 - beta * math.log1p(-2.0 * (beta + 1.0) * q2 / s0)
+        return 2.0 - beta * _log1p_ratio(2.0 * (beta + 1.0), -q2, s0)
     if q2 < s0:
         b = math.sqrt((s0 - q2) / q2)
         return 2.0 - 2.0 * b * math.atan(1.0 / b)
     beta = math.sqrt((q2 - s0) / q2)
-    return 2.0 - beta * math.log1p(2.0 * beta * (1.0 + beta) * q2 / s0)
+    return 2.0 - beta * _log1p_ratio(2.0 * beta * (1.0 + beta), q2, s0)
+
+
+def _log1p_ratio(a: float, x: float, s0: float) -> float:
+    """log(1 + a x / s0) for positive a, x and s0, finite up to the largest
+    float x: where the quotient overflows, it is the sum of the three logs,
+    whose dropped term log1p(s0 / (a x)) is below 1e-308."""
+    y = a * x / s0
+    if y == math.inf:
+        return math.log(a) + math.log(x) - math.log(s0)
+    return math.log1p(y)
 
 
 # --------------------------------------------------------------------------- self-energy
@@ -227,7 +237,10 @@ def dispersion_eval(
     its Taylor series in q^2 for |q^2| < m^2 (further out from n_sub = 4 on,
     _series_radius); every other density by the quadrature of
     _dispersion_pass.  Both give the Feynman side; "retarded" conjugates it.
-    A non-finite q^2 is a SplittingError on both routes.
+    A non-finite q^2 is a SplittingError on both routes, and so is q^2 = 0
+    unsubtracted over a threshold at zero: there int rho(s) / s ds diverges
+    like a log at s = 0, for any density that does not vanish there (the
+    massless pair's is flat).
     """
     if mode not in ("feynman", "advanced", "retarded"):
         raise SplittingError(f"unknown mode {mode!r}")
@@ -243,6 +256,11 @@ def dispersion_eval(
     if not all(map(math.isfinite, xs)):
         bad = next(x for x in xs if not math.isfinite(x))
         raise SplittingError(f"q^2 must be finite, got {bad!r}")
+    if n == 0 and se.density.threshold == 0.0 and 0.0 in xs:
+        raise SplittingError(
+            "dispersion integral diverges logarithmically at q^2 = 0: with n_sub = 0 "
+            "and the threshold at zero, int rho(s) / s ds diverges at s = 0"
+        )
     closed = se.density.closed_form
     if closed is not None:
         # one scalar evaluation per point; a subtracted Sigma vanishes at 0

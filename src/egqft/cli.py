@@ -14,15 +14,15 @@ replaces it).  run() then writes the records, dicts as JSON or preformatted
 lines, so a domain error leaves no --out file behind.  The manifest's params
 are the parsed options, every one except --out and --manifest.
 
-Only the numeric subcommands (selfenergy, adiabatic, glcheck, sdestimate)
-import numpy and the numeric modules; the exact ones start without.  No
-subcommand imports scipy.
+Each subcommand imports only the modules it runs: only the numeric ones
+(selfenergy, adiabatic, glcheck, sdestimate) import numpy and the numeric
+modules, only wick and pairings import wick_pairing, and only --manifest
+imports hashlib.  No subcommand imports scipy.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import itertools
 import json
 import math
@@ -40,7 +40,6 @@ from .model_registry import (
     serialize_model_spec,
     validate,
 )
-from .power_counting import VANISHING_SECTOR, CountingError, SList, omega_massless
 from .symbolic_fields import (
     Generator,
     Polynomial,
@@ -49,23 +48,27 @@ from .symbolic_fields import (
     species_signature,
     subpolynomials,
 )
-from .wick_pairing import complete_pairings, wick_expand
 
-# Numeric library calls held as attributes of this module, which the
-# package resolves on first access (PEP 562).  The numeric commands look them
-# up on the module at call time, so that a wrapper set over one
-# (bench/tracer.py times them) takes effect.
-_NUMERIC_CALLS = ("dispersion_eval", "appendix_c_demo", "gl_vs_eg_second_order")
+# Library calls held as attributes of this module, which the package resolves
+# on first access (PEP 562), so each subcommand loads only the modules it
+# runs.  The commands look them up on the module at call time, so that a
+# wrapper set over one (bench/tracer.py times them) takes effect.
+_LAZY_CALLS = (
+    "omega_massless", "wick_expand", "complete_pairings",
+    "dispersion_eval", "appendix_c_demo", "gl_vs_eg_second_order",
+)
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _NUMERIC_CALLS:
+    if name not in _LAZY_CALLS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(sys.modules[__package__], name)
 
 
 def _model_hash(model) -> str:
+    import hashlib  # only a manifest needs it
+
     text = serialize_model_spec(model)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -225,6 +228,8 @@ def _cmd_subpolys(args, model):
 
 
 def _cmd_omega(args, model):
+    from .power_counting import VANISHING_SECTOR, CountingError, SList
+
     exts = _parse_counts(args.ext)
     der_counts = _parse_counts(args.der)
     ders = dict(der_counts)
@@ -242,7 +247,7 @@ def _cmd_omega(args, model):
     if ders:
         raise CountingError(f"derivative counts for fields without occurrences: {sorted(ders)}")
     u = SList.of(SuperQuadriIndex.from_pairs(pairs))
-    val = omega_massless(model, u)
+    val = _cli.omega_massless(model, u)
     if args.format == "json":
         return model, [{
             "model": model.name,
@@ -277,7 +282,7 @@ def _resolve_arg_poly(model, token: str) -> Polynomial:
 
 def _cmd_wick(args, model):
     polys = [_resolve_arg_poly(model, tok) for tok in args.args.split(",")]
-    terms = wick_expand(polys)
+    terms = _cli.wick_expand(polys)
     if args.format == "json":
         # the line json.dumps(record, sort_keys=True) writes for the record
         # {s_list, sign, weight, vev_args, normal_monomials, vev_forced_zero}
@@ -310,7 +315,9 @@ def _cmd_wick(args, model):
 def _wick_lines(terms, sqi, arg, weight, line, sep):
     """One output line per Wick term.  Terms share their candidates' objects,
     so each s, B^(s) and weight is rendered once, on first sight, and a line
-    joins rendered fragments."""
+    joins rendered fragments.  Only those shared objects are rendered: the
+    expansion keeps them alive while it streams, but drops each term and its
+    SList after their line, so their ids are reused."""
     sqi, arg, weight = _rendered_once(sqi), _rendered_once(arg), _rendered_once(weight)
     for t in terms:
         yield line(
@@ -325,8 +332,9 @@ def _wick_lines(terms, sqi, arg, weight, line, sep):
 
 def _rendered_once(render):
     """render, computed once per object.  The cache is keyed on id():
-    hashing a Polynomial costs more than rendering it, and the caller keeps
-    every rendered object alive."""
+    hashing a Polynomial costs more than rendering it.  Every object
+    rendered must stay alive while the cache is used, or a new object could
+    take its id and its text."""
     cache = {}
 
     def rendered(obj):
@@ -348,7 +356,7 @@ def _monomial_index(model, token: str) -> SuperQuadriIndex:
 def _cmd_pairings(args, model):
     left = [_monomial_index(model, t) for t in args.left.split(",")]
     right = [_monomial_index(model, t) for t in args.right.split(",")]
-    terms = complete_pairings(
+    terms = _cli.complete_pairings(
         left, right, model, require_full=args.full, force=args.force
     )
     name = model.fields.gen_name
@@ -380,11 +388,18 @@ def _cmd_pairings(args, model):
 
 
 def _cmd_selfenergy(args, model):
-    from .causal_splitting import model_self_energy
+    from .causal_splitting import SplittingError, model_self_energy
 
     q2s = _q2_points(args.q2grid)
     se = model_self_energy(model, args.nsub)
     rows = list(zip(q2s, _cli.dispersion_eval(se, q2s, args.mode)))
+    # Re Sigma_n grows like (q^2)^(n-1): far out it can leave the float range
+    for q2, v in rows:
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise SplittingError(
+                f"Sigma at q^2 = {float(q2)!r} with n_sub = {se.n_sub} is {complex(v)!r}, "
+                f"outside the float range"
+            )
     if args.format == "json":
         return model, [
             {"q2": float(q2), "re": v.real, "im": v.imag} for q2, v in rows
@@ -568,6 +583,9 @@ _DISPATCH = {
 }
 
 
+_BLOCK_CHARS = 1 << 16  # characters of output lines per write
+
+
 def _emptied(fh):
     """fh, truncated first when it is a regular file (a device such as
     /dev/null cannot be truncated)."""
@@ -611,8 +629,17 @@ def run(argv) -> int:
             raise OSError(0, "the same file as --out", manifest.name)
         writing = True
         with _emptied(out) or contextlib.nullcontext(sys.stdout) as fh:
+            # lines are joined into blocks of about _BLOCK_CHARS, one write
+            # each: an unbuffered stream makes every write a system call
+            block, size = [], 0
             for line in records:
-                fh.write(line + "\n")
+                block.append(line)
+                size += len(line)
+                if size >= _BLOCK_CHARS:
+                    fh.write("\n".join(block) + "\n")
+                    block, size = [], 0
+            if block:
+                fh.write("\n".join(block) + "\n")
         if manifest:
             _write_manifest(_emptied(manifest), args.cmd, model, params, t0)
     except BaseException as exc:

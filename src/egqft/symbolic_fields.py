@@ -385,9 +385,10 @@ class Polynomial:
             vals.setdefault(self._mono_numbers(idx)[which], idx)
         if len(vals) > 1:
             (v1, i1), (v2, i2) = list(vals.items())[:2]
+            name = self.table.monomial_name
             raise AlgebraError(
-                f"polynomial not homogeneous in {what}: "
-                f"component {i1!r} has {what} {v1}, component {i2!r} has {what} {v2}"
+                f"polynomial not homogeneous in {what}: component {name(i1) or '1'} "
+                f"has {what} {v1}, component {name(i2) or '1'} has {what} {v2}"
             )
         return next(iter(vals)) if vals else None
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import DomainError, QRat
 from .power_counting import SList
@@ -90,8 +90,9 @@ def _species_balance_possible(per_arg: Sequence[frozenset], table) -> bool:
     return False
 
 
-def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
-    """All terms of the causal Wick expansion of F(B_1(x_1), ..., B_n(x_n)).
+def wick_expand(polys: Sequence[Polynomial]) -> Iterator[WickTerm]:
+    """All terms of the causal Wick expansion of F(B_1(x_1), ..., B_n(x_n)),
+    as a single-pass iterator.
 
     Enumerates every list (s_1, ..., s_n) with derive(B_j, s_j) != 0, with
     the sign of the module docstring and weight 1/(s_1!...s_n!); a single
@@ -99,9 +100,13 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
     Each argument, a single one too, must be fermion-homogeneous
     (Polynomial.parity).  Terms whose internal field content cannot balance
     are flagged vev_forced_zero.
+
+    The checks and the pricing of every candidate run on the call, so each
+    error is raised before the first term; the terms are then made one at a
+    time, and only the candidates and weights they share stay in memory.
     """
     if not polys:
-        return []
+        return iter(())
     table = polys[0].table
     for p in polys:
         if p.table != table:
@@ -139,11 +144,10 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
     forced_zero = functools.cache(lambda contents: not _species_balance_possible(contents, table))
     weight = functools.cache(lambda fact: QRat(Fraction(1, fact)))
 
-    out = []
-    for choice in itertools.product(*per_arg):
-        s_list, args, js, facts, contents = zip(*choice)
-        out.append(
-            WickTerm(
+    def terms():
+        for choice in itertools.product(*per_arg):
+            s_list, args, js, facts, contents = zip(*choice)
+            yield WickTerm(
                 s_list=SList(s_list),
                 sign=sign(js),
                 weight=weight(math.prod(facts)),
@@ -151,8 +155,8 @@ def wick_expand(polys: Sequence[Polynomial]) -> list[WickTerm]:
                 normal_monomials=s_list,
                 vev_forced_zero=forced_zero(contents),
             )
-        )
-    return out
+
+    return terms()
 
 
 # --------------------------------------------------------------------------- complete pairings

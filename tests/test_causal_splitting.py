@@ -477,6 +477,43 @@ def test_im_sigma_stays_finite_at_huge_q2(q2):
         assert im == 0.07957747154594767
 
 
+@pytest.mark.parametrize("m", [1.0, 0.25, 3.0])
+@pytest.mark.parametrize("q2", [4.4e307, 4.6e307, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_re_sigma_1_stays_finite_at_huge_q2(m, q2, sign):
+    """Re Sigma_1 on both sides of q^2 = 0, where the log's argument 1 + 4 q^2/s0
+    overflows (past about 4.5e307 s0/4), against the same closed form in
+    40-digit arithmetic: J = 2 - beta log((1 + beta)^2 |q^2| / s0), beta =
+    sqrt(1 - s0/q^2) on both branches."""
+    import mpmath as mp
+
+    q2 *= sign
+    got = dispersion_eval(SelfEnergy(bubble_density(m, m), 1), q2).real
+    with mp.workdps(40):
+        x, s0 = mp.mpf(q2), mp.mpf(4 * m * m)
+        beta = mp.sqrt(1 - s0 / x)
+        want = float((2 - beta * mp.log((1 + beta) ** 2 * abs(x) / s0)) / (4 * mp.pi**2))
+    assert math.isfinite(got) and abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def test_unsubtracted_zero_threshold_refuses_q2_zero_up_front():
+    """The massless pair density unsubtracted at q^2 = 0: int rho(s) / s ds
+    diverges like a log at s = 0, so dispersion_eval refuses before it
+    samples the density; off q^2 = 0 it integrates."""
+    calls = []
+
+    def pair(s):
+        calls.append(s)
+        return bubble_density(0.0, 0.0)(s) * np.exp(-np.maximum(s, 0.0) / 9.0)
+
+    se = SelfEnergy(SpectralDensity(pair, 0.0, -math.inf), n_sub=0)
+    for q2 in (0.0, -0.0, np.array([1.0, 0.0])):
+        with pytest.raises(SplittingError, match="diverges logarithmically at q\\^2 = 0"):
+            dispersion_eval(se, q2)
+    assert calls == []
+    assert math.isfinite(dispersion_eval(se, 1.0).real) and calls
+
+
 @pytest.mark.parametrize(
     "m, n, q2",
     [

@@ -582,6 +582,55 @@ for argv in {EXACT_COMMANDS!r}:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_exact_commands_load_only_what_they_run(tmp_path):
+    """classify, subpolys and omega without --manifest load neither the Wick
+    layer nor hashlib; wick loads the Wick layer and --manifest hashlib."""
+    code = f"""
+import contextlib, io, sys
+from egqft import cli
+
+HEAVY = ('hashlib', 'egqft.wick_pairing', 'egqft.wightman')
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(argv) == 0, argv
+    assert out.getvalue(), argv
+    return [m for m in HEAVY if m in sys.modules]
+
+for argv in {EXACT_COMMANDS[:3]!r}:
+    assert run(argv) == [], (argv, run(argv))
+assert run({EXACT_COMMANDS[0] + ['--manifest', str(tmp_path / 'm.json')]!r}) == ['hashlib']
+assert run({EXACT_COMMANDS[3]!r}) == list(HEAVY)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_env(),
+        cwd=GOLDEN, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class _WriteLog:
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        self.sizes, self.parts = [], []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        self.parts.append(text)
+
+
+def test_output_is_written_in_blocks(monkeypatch):
+    """A stream of many lines is written in blocks of at least 64 Ki
+    characters (each closed at a line end), not one write per line."""
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert run(EXACT_COMMANDS[3]) == 0
+    text = "".join(log.parts)
+    assert text.count("\n") == 5329 and len(log.sizes) < len(text) // (1 << 16) + 2
+    assert all(n > 1 << 16 for n in log.sizes[:-1]) and all(p.endswith("\n") for p in log.parts)
+
+
 NUMERIC_COMMANDS = [
     ["selfenergy", "--model", "scalar_model", "--q2grid=-2:6:17"],
     ["adiabatic", "--model", "scalar_model", "--neps", "6"],
@@ -620,6 +669,10 @@ from egqft import adiabatic_limits, causal_splitting, cli, propagators_kinematic
 assert cli.dispersion_eval is causal_splitting.dispersion_eval
 assert cli.appendix_c_demo is adiabatic_limits.appendix_c_demo
 assert cli.gl_vs_eg_second_order is adiabatic_limits.gl_vs_eg_second_order
+from egqft import power_counting, wick_pairing
+assert cli.omega_massless is power_counting.omega_massless
+assert cli.wick_expand is wick_pairing.wick_expand
+assert cli.complete_pairings is wick_pairing.complete_pairings
 for name in ('GAMMA0', 'METRIC', 'KinematicsError', 'MomentumPoly', 'gamma', 'mat_mul', 'two_point'):
     assert getattr(propagators_kinematics, name) is getattr(wightman, name), name
 """
@@ -857,6 +910,43 @@ def test_selfenergy_json_is_valid_at_huge_q2(capsys):
     assert (code, err) == (0, "")
     (record,) = [json.loads(line, parse_constant=pytest.fail) for line in out.splitlines()]
     assert record["im"] == 0.07957747154594767
+
+
+def test_selfenergy_re_sigma_1_is_finite_at_1e308(capsys):
+    """Re Sigma_1 of the unit-mass bubble at q^2 = 1e308, against the same
+    closed form in 40-digit arithmetic, J = 2 - beta log((1 + beta)^2 q^2/s0)."""
+    import mpmath as mp
+
+    code, out, err = _run(capsys, ["selfenergy", "--model", "scalar_model", "--nsub", "1",
+                                   "--q2grid=1e308:1e308:1", "--format", "json"])
+    assert (code, err) == (0, "")
+    record = json.loads(out, parse_constant=pytest.fail)
+    with mp.workdps(40):
+        q2, s0 = mp.mpf(1e308), mp.mpf(4)
+        beta = mp.sqrt(1 - s0 / q2)
+        want = float((2 - beta * mp.log((1 + beta) ** 2 * q2 / s0)) / (4 * mp.pi**2))
+    assert abs(record["re"] - want) <= 1e-12 * abs(want), (record, want)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("grid", ["1e200:1e200:1", "-1e200:1e200:3"])
+def test_selfenergy_refuses_a_sigma_outside_the_float_range(capsys, fmt, grid):
+    """Re Sigma_3 grows like q^4 and overflows at |q^2| = 1e200: exit 1 before
+    any output, naming the point and the subtraction order."""
+    code, out, err = _run(capsys, ["selfenergy", "--model", "scalar_model", "--nsub", "3",
+                                   f"--q2grid={grid}", "--format", fmt])
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert err.startswith("egqft selfenergy: Sigma at q^2 = ") and "with n_sub = 3" in err, err
+    assert "outside the float range" in err, err
+
+
+def test_inhomogeneous_vertex_error_names_fields(tmp_path, capsys):
+    path = tmp_path / "mixed.model"
+    path.write_text("[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 1 * phi^3 + 1 * phi^4\n")
+    code, out, err = _run(capsys, ["classify", "--model", str(path)])
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert "component phi^3 has canonical dimension 3" in err, err
+    assert "component phi^4 has canonical dimension 4" in err, err
 
 
 def test_selfenergy_integer_nsub_reads_vertex_0(tmp_path, capsys):

@@ -102,8 +102,11 @@ def test_dim_examples():
 def test_dim_error_names_components():
     phi = Polynomial.of_field(SM.fields, "phi")
     mixed = phi + phi * phi
-    with pytest.raises(AlgebraError, match="not homogeneous"):
+    # components by field name, the empty one as 1
+    with pytest.raises(AlgebraError, match=r"not homogeneous.*component phi has .* component phi\^2 has"):
         canonical_dim(mixed)
+    with pytest.raises(AlgebraError, match=r"component 1 has .* component phi has"):
+        canonical_dim(Polynomial.unit(SM.fields) + phi)
 
 
 def test_bosonic_power_rule():

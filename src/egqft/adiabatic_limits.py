@@ -1,19 +1,22 @@
-"""Adiabatic machinery: scaled test families, point values of distributions
-at zero momentum, the regularized splitting function and its cone geometry,
-and the two second-order demonstrations (normalization necessity for the
-limit's existence; agreement of the ratio and direct definitions of the
-smeared two-point function).
+"""Adiabatic machinery: scaled test families, limit fitting over an epsilon
+schedule, the regularized splitting function, and the two second-order
+demonstrations (normalization necessity for the limit's existence; agreement
+of the ratio and direct definitions of the smeared two-point function).
 
 Momentum-space normalization: a base profile integrates to one against
 d^N q/(2pi)^N, so a smearing <t, g_eps> is the expectation of t under a
 probability measure that concentrates at the origin as eps -> 0.
+
+Point values at zero (Lojasiewicz), the family's tensor Gauss-Hermite
+smearing and its derivative probes, and cone membership:
+tests/test_adiabatic.py.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +64,6 @@ class ScaledTestFamily:
     centers: tuple[tuple[float, ...], ...] = ((0.0,),)
     weights: tuple[float, ...] = (1.0,)
     epsilons: tuple[float, ...] = DEFAULT_EPSILONS
-    hermite_order: int = 12
     label: str = "gauss"
 
     def __post_init__(self):
@@ -71,63 +73,21 @@ class ScaledTestFamily:
             if len(c) != self.dim:
                 raise AdiabaticError("center dimension mismatch")
 
-    def nodes(self, eps: float):
-        """Quadrature nodes/weights such that <t, g_eps> ~ sum w_i t(x_i)."""
-        x1, w1 = _gauss_axis(eps * self.sigma, self.hermite_order)
-        x = np.stack([g.ravel() for g in np.meshgrid(*[x1] * self.dim, indexing="ij")], axis=-1)
-        w = functools.reduce(np.multiply.outer, [w1] * self.dim).ravel()
-        return (np.concatenate([x + eps * np.asarray(c) for c in self.centers]),
-                np.concatenate([wc * w for wc in self.weights]))
-
-    def pair(self, t: Callable, eps: float) -> complex:
-        x, w = self.nodes(eps)
-        return complex(np.sum(w * np.asarray(t(x), dtype=complex)))
-
-    def pair_derivative(self, t: Callable, eps: float, gamma) -> complex:
-        """<d^gamma t, g_eps> = (-1)^|gamma| <t, d^gamma g_eps> for a 4-multi-
-        index gamma of order one or two, via exact Gaussian score functions.
-
-        Needs a centered one-component family.
-        """
-        if self.centers != ((0.0,) * self.dim,):
-            raise AdiabaticError("derivative probes need a centered one-component family")
-        if isinstance(gamma, int):
-            gamma = tuple(1 if i == gamma else 0 for i in range(self.dim))
-        if len(gamma) != self.dim:
-            raise AdiabaticError("multi-index dimension mismatch")
-        order = sum(gamma)
-        x, w = self.nodes(eps)
-        s2 = (eps * self.sigma) ** 2
-        if order == 1:
-            mu = gamma.index(1)
-            score = x[:, mu] / s2
-        elif order == 2:
-            if 2 in gamma:
-                mu = gamma.index(2)
-                score = x[:, mu] ** 2 / s2**2 - 1.0 / s2
-            else:
-                mu, nu = [i for i, g in enumerate(gamma) if g == 1]
-                score = x[:, mu] * x[:, nu] / s2**2
-        else:
-            raise AdiabaticError("derivative probes support orders 1 and 2 only")
-        return complex(np.sum(w * score * np.asarray(t(x), dtype=complex)))
-
 
 def gaussian_family(dim: int, sigma: float = 1.0, epsilons=DEFAULT_EPSILONS,
-                    hermite_order: int = 12, label: str = "gauss") -> ScaledTestFamily:
+                    label: str = "gauss") -> ScaledTestFamily:
     return ScaledTestFamily(
         dim=dim,
         sigma=sigma,
         centers=((0.0,) * dim,),
         weights=(1.0,),
         epsilons=tuple(epsilons),
-        hermite_order=hermite_order,
         label=label,
     )
 
 
 def asymmetric_family(dim: int, shift: float = 1.0, sigma: float = 0.7,
-                      epsilons=DEFAULT_EPSILONS, hermite_order: int = 12) -> ScaledTestFamily:
+                      epsilons=DEFAULT_EPSILONS) -> ScaledTestFamily:
     """Two off-center components with unequal weights (time direction)."""
     c1 = (shift,) + (0.0,) * (dim - 1)
     c2 = (-0.5 * shift,) + (0.0,) * (dim - 1)
@@ -137,7 +97,6 @@ def asymmetric_family(dim: int, shift: float = 1.0, sigma: float = 0.7,
         centers=(c1, c2),
         weights=(0.75, 0.25),
         epsilons=tuple(epsilons),
-        hermite_order=hermite_order,
         label="asym",
     )
 
@@ -221,41 +180,6 @@ def fit_limit(epsilons: Sequence[float], values: Sequence[complex],
     )
 
 
-def lojasiewicz_value(
-    evaluate: Callable[[ScaledTestFamily, float], complex],
-    family: ScaledTestFamily,
-    second_family: ScaledTestFamily | None = None,
-    rel_tol: float = 1e-4,
-) -> LimitReport:
-    """Point value at zero: limit of <t, g_eps> over the schedule.
-
-    Converged iff the slope is insignificant and, when a second family is
-    given, both families extrapolate to the same value within tolerance.
-    The reported estimate is the (averaged) extrapolated common value.
-    """
-    vals = [evaluate(family, e) for e in family.epsilons]
-    rep = fit_limit(family.epsilons, vals, rel_tol, family.label)
-    if second_family is None:
-        return rep
-    vals2 = [evaluate(second_family, e) for e in second_family.epsilons]
-    rep2 = fit_limit(second_family.epsilons, vals2, rel_tol, second_family.label)
-    scale = max(abs(rep.estimate), abs(rep2.estimate), 1.0)
-    agree = abs(rep.estimate - rep2.estimate) <= max(2 * rel_tol * scale, 1e-10)
-    return replace(
-        rep,
-        estimate=0.5 * (rep.estimate + rep2.estimate),
-        converged=bool(rep.converged and rep2.converged and agree),
-        note="" if agree else f"families disagree: {rep.estimate} vs {rep2.estimate}",
-    )
-
-
-def lemma51_check(t: Callable, family: ScaledTestFamily,
-                  second_family: ScaledTestFamily | None = None) -> LimitReport:
-    """Smearing limit of a continuous polynomially bounded function: the
-    estimate approaches t(0) with an order set by the smoothness at zero."""
-    return lojasiewicz_value(lambda fam, e: fam.pair(t, e), family, second_family)
-
-
 # --------------------------------------------------------------------------- splitting function
 
 
@@ -314,37 +238,6 @@ def theta_eval(theta: SplittingTheta, ys) -> float | np.ndarray:
     denom = theta._radius_floor(r)
     out = _smooth_step(3.0 * theta.n * t0 / denom)
     return float(out[0]) if single else out
-
-
-# --------------------------------------------------------------------------- cone geometry
-
-
-def _in_closed_cone(v, sign: int) -> bool:
-    v = np.asarray(v, dtype=float)
-    t = sign * v[0]
-    return bool(t >= 0.0 and v[0] ** 2 - v[1] ** 2 - v[2] ** 2 - v[3] ** 2 >= 0.0)
-
-
-def cone_contains(points: Sequence[tuple], sign: int) -> bool:
-    """Membership with a given assignment: every (y, x) pair must satisfy
-    y in x +- closed forward cone."""
-    if sign not in (+1, -1):
-        raise AdiabaticError("sign must be +1 or -1")
-    return all(
-        _in_closed_cone(np.asarray(y, dtype=float) - np.asarray(x, dtype=float), sign)
-        for y, x in points
-    )
-
-
-def gamma_cone_member(ys, xs, sign: int) -> bool:
-    """Membership in the cone Gamma^+-_{n,m}: some assignment u with
-    y_j in x_{u(j)} +- closed forward cone; u(j) is free per j."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    for y in ys:
-        if not any(_in_closed_cone(y - x, sign) for x in xs):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------- interpolated curves

@@ -9,6 +9,9 @@ plus i pi delta decomposition (no finite-epsilon extrapolation): in closed
 form for the equal-mass bubble, by adaptive quadrature otherwise.  The
 central normalization chooses the minimal n making all momentum derivatives
 through order omega vanish at zero; subtraction point fixed at q = 0.
+
+Normalization freedom basis (multi-indices |gamma| <= omega):
+tests/test_causal_splitting.py.
 """
 from __future__ import annotations
 
@@ -484,36 +487,6 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
                 f"heaviest field is computed"
             )
     return se
-
-
-# --------------------------------------------------------------------------- normalization freedom
-
-
-@dataclass(frozen=True)
-class FreedomBasis:
-    """Multi-indices gamma with |gamma| <= omega over 4n momentum variables:
-    the polynomial coefficients multiplying the total-momentum delta."""
-
-    omega: int
-    n: int
-    indices: tuple[tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.indices)
-
-
-def freedom_basis(omega: int, n: int) -> FreedomBasis:
-    if n < 0:
-        raise SplittingError("need n >= 0 arguments")
-    dims = 4 * n
-    out = []
-    for total in range(omega + 1):
-        for comb in itertools.combinations_with_replacement(range(dims), total):
-            gamma = [0] * dims
-            for c in comb:
-                gamma[c] += 1
-            out.append(tuple(gamma))
-    return FreedomBasis(omega, n, tuple(out))
 
 
 # --------------------------------------------------------------------------- scaling-degree estimator

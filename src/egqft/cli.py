@@ -4,7 +4,7 @@ Subcommands: classify, subpolys, omega, wick, pairings, selfenergy,
 adiabatic, glcheck, sdestimate.  Every subcommand supports --format
 json|csv and --manifest out.json.  Exit codes: 0 success, 1 domain error
 (a DomainError, with a diagnostic naming the violated condition), 2 usage
-error.
+error.  A library warning is one stderr line, "egqft <cmd>: warning: ...".
 Symbolic term streams are emitted as JSON lines, one term per line, in a
 deterministic order.
 
@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 from . import __version__
@@ -600,6 +601,14 @@ def run(argv) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    with warnings.catch_warnings():
+        # a library warning is one diagnostic line, not a source excerpt
+        warnings.showwarning = lambda message, *_: print(
+            f"egqft {args.cmd}: warning: {message}", file=sys.stderr)
+        return _run(args)
+
+
+def _run(args) -> int:
     t0 = time.monotonic()
     command, indent = _DISPATCH[args.cmd]
     params = {k: v for k, v in vars(args).items() if k not in ("cmd", "out", "manifest")}

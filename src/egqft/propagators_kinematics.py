@@ -1,95 +1,30 @@
-"""Numeric two-point structures and kinematics.
+"""Numeric two-point structures and kinematics: the two-body phase space
+and the Riesz distribution's inversion check.
 
 The exact two-point keys, gamma algebra and momentum polynomials live in
-wightman (conventions there) and are re-exported here.  Metric signature
-(+,-,-,-); dmu_m(k) = (2pi)^-3 d^4k theta(k0) delta(k^2 - m^2) is the
-invariant mass-shell measure.
+wightman (conventions there); seven of their names are re-exported here.
+Metric signature (+,-,-,-); dmu_m(k) = (2pi)^-3 d^4k theta(k0) delta(k^2 - m^2)
+is the invariant mass-shell measure.
+
+Feynman propagator and its PV + i pi delta split, mass-shell measure, Riesz
+distribution s(k): tests/test_propagators.py.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .wightman import (  # noqa: F401  (re-exported)
     GAMMA0,
-    GAMMA1,
-    GAMMA2,
-    GAMMA3,
-    GAMMAS,
-    IDENTITY4,
     METRIC,
     KinematicsError,
     MomentumPoly,
-    TwoPointKey,
     gamma,
-    gamma_trace,
     mat_mul,
     two_point,
 )
-
-
-# --------------------------------------------------------------------------- mass shell
-
-
-@dataclass(frozen=True)
-class MassShellMeasure:
-    """dmu_m(k) = (2pi)^-3 d^4k theta(k0) delta(k^2 - m^2)."""
-
-    mass: float
-
-    def energy(self, kvec_norm):
-        return np.sqrt(kvec_norm**2 + self.mass**2)
-
-    def integrate_radial(self, f: Callable, kmax: float, n: int = 400) -> float:
-        """integral dmu_m f for f = f(k0, |kvec|), rotationally symmetric."""
-        kk, w = np.polynomial.legendre.leggauss(n)
-        kappa = 0.5 * kmax * (kk + 1.0)
-        wk = 0.5 * kmax * w
-        e = self.energy(kappa)
-        vals = f(e, kappa)
-        return float(np.sum(wk * vals * kappa**2 / (2.0 * e)) * 4.0 * math.pi / (2.0 * math.pi) ** 3)
-
-
-# --------------------------------------------------------------------------- propagators
-
-
-@dataclass(frozen=True)
-class PlemeljSplit:
-    """i/(q^2 - m^2 + i0) split as i*PV(1/(q^2-m^2)) + pi*delta(q^2-m^2)."""
-
-    pv_value: complex  # i/(q2 - m2), the principal-value integrand off shell
-    delta_strength: float  # weight of delta(q2 - m2)
-    pole: float  # s = m^2
-
-
-def feynman_propagator(mass: float, q, iepsilon: float | None = None, mode: str = "eps"):
-    """Scalar Feynman propagator i/(q^2 - m^2 + i eps).
-
-    `q` is a 4-vector or the invariant q^2.  mode="eps" evaluates at finite
-    iepsilon > 0; mode="strict" refuses on-shell points; mode="pv" returns
-    the PlemeljSplit decomposition instead of a number.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape == ():
-        q2 = float(q)
-    elif q.shape == (4,):
-        q2 = float(q[0] ** 2 - q[1] ** 2 - q[2] ** 2 - q[3] ** 2)
-    else:
-        raise KinematicsError("q must be a scalar q^2 or a 4-vector")
-    x = q2 - mass**2
-    if mode == "pv":
-        pv = 1j / x if x != 0.0 else complex("inf")
-        return PlemeljSplit(pv_value=pv, delta_strength=math.pi, pole=mass**2)
-    if mode == "strict":
-        if abs(x) < 1e-12 * max(1.0, mass**2):
-            raise KinematicsError(f"on-shell evaluation at q^2 = {q2}")
-        return 1j / x
-    if iepsilon is None or iepsilon <= 0:
-        raise KinematicsError("iepsilon > 0 required in eps mode")
-    return 1j / (x + 1j * iepsilon)
 
 
 # --------------------------------------------------------------------------- two-body phase space
@@ -119,19 +54,6 @@ def two_body_phase_space_array(m1: float, m2: float, s) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- Riesz distribution
-
-
-def riesz_s(k) -> np.ndarray | float:
-    """s(k) = (pi^3/4) k^2 theta(k0) theta(k^2); continuous, cone-supported."""
-    k = np.asarray(k, dtype=float)
-    if k.ndim == 1:
-        k = k[None, :]
-        squeeze = True
-    else:
-        squeeze = False
-    k2 = k[:, 0] ** 2 - k[:, 1] ** 2 - k[:, 2] ** 2 - k[:, 3] ** 2
-    out = (math.pi**3 / 4.0) * k2 * (k[:, 0] >= 0) * (k2 >= 0)
-    return float(out[0]) if squeeze else out
 
 
 def gaussian_probe(a: float = 1.0):

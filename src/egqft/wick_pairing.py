@@ -1,7 +1,7 @@
 """Wick combinatorics: causal expansion of multilinear field products,
 complete-pairing enumeration for vacuum expectation values of products,
 contribution classification, and the ordered-partition expansions of the
-anti-time-ordered / advanced / retarded / causal products.
+anti-time-ordered and advanced products.
 
 Sign conventions.  Every graded sign here is
 ``symbolic_fields.permutation_sign`` of an explicit rearrangement.  The
@@ -15,13 +15,16 @@ argument rho = (-1)^(C(j, 2) + j r), with j the number of odd letters of s
 and r the parity of B^(s): derive takes the odd letters off highest first,
 so against the extraction they come out reversed, past a block of parity r.
 This is pinned by the Gaussian-moment oracle and the graded symmetry property.
+
+Retarded and causal (Dif) expansions, the momentum-support test and the
+ext/der statistics of a pairing: tests/test_wick_pairing.py.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -179,16 +182,6 @@ class PairingTerm:
     const: QRat
     classification: str  # vacuum | massless | massive
 
-    def ext_der_stats(self) -> dict[int, tuple[int, int]]:
-        """Per-field (ext, der) statistics of the contracted lines."""
-        acc: dict[int, list[int]] = {}
-        for p in self.pairs:
-            for g in (p.left_gen, p.right_gen):
-                e = acc.setdefault(g.field, [0, 0])
-                e[0] += 1
-                e[1] += g.d_order
-        return {f: (e, d) for f, (e, d) in acc.items()}
-
 
 def _occurrences(slots: Sequence[SuperQuadriIndex]):
     out = []
@@ -293,12 +286,6 @@ def _residual(slots, occ, used, table) -> tuple[SList, bool]:
         SList(tuple(SuperQuadriIndex.from_pairs((g, 1) for g in gens) for gens in per_slot)),
         any(table.entry(g.field).numbers.mass > 0 for gens in per_slot for g in gens),
     )
-
-
-def momentum_support_vanishes(term: PairingTerm) -> bool:
-    """True iff at least one contracted line is massive, so the Fourier
-    support of the pair product misses a neighborhood of zero momentum."""
-    return any(p.mass > 0 for p in term.pairs)
 
 
 # --------------------------------------------------------------------------- Gaussian-moment oracle
@@ -408,47 +395,6 @@ def expand_adv(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
         if i2:
             factors.append(Factor("aT", tuple(i2)))
         terms.append(ExpansionTerm(structural, tuple(factors), parities, j_parity))
-    return OpProductExpansion(n, tuple(terms))
-
-
-def expand_ret(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
-    """Ret(I;J) = sum over splits I1,I2: (-1)^|I2| aT(I2) T(I1,J), i.e. the
-    terms of Adv(I;J) with their factors in reverse order."""
-    adv = expand_adv(n, parities, j_parity)
-    return OpProductExpansion(n, tuple(replace(t, factors=t.factors[::-1]) for t in adv.terms))
-
-
-def expand_dif(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
-    """Dif = Adv - Ret, as one signed term list."""
-    a = expand_adv(n, parities, j_parity)
-    r = expand_ret(n, parities, j_parity)
-    neg = tuple(
-        ExpansionTerm(-t.structural, t.factors, t.parities, t.j_parity) for t in r.terms
-    )
-    return OpProductExpansion(n, a.terms + neg)
-
-
-def expand_dif_commutator(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
-    """Dif(I;J;P) = -sum over partitions I1,I2,I3 with I2 != I of
-    (-1)^|I1| [aT(I1), Adv(I2;J;P)] T(I3), commutators expanded."""
-    parities = _norm_parities(n, parities)
-    terms = []
-    for i1, i2, i3 in _subsequence_splits(n, 3):
-        if len(i2) == n:
-            continue
-        base = -((-1) ** len(i1))
-        f_at = Factor("aT", tuple(i1))
-        f_adv = Factor("Adv", tuple(i2) + ("J",))
-        f_t = Factor("T", tuple(i3))
-        terms.append(
-            ExpansionTerm(base, (f_at, f_adv, f_t), parities, j_parity)
-        )
-        # swapped commutator piece: the graded factor (-1)^(f f') is already
-        # produced by the final-arrangement parity, so only the bare minus
-        # remains structural
-        terms.append(
-            ExpansionTerm(-base, (f_adv, f_at, f_t), parities, j_parity)
-        )
     return OpProductExpansion(n, tuple(terms))
 
 

@@ -16,12 +16,13 @@ slot and (+i k_mu) on the right slot (lower index).
 
 Everything here is exact (QRat) and imports no numerics; the numeric
 two-point functions are in propagators_kinematics.
+
+Gamma traces: tests/test_propagators.py.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .exact import I, ONE, DomainError, QRat, as_qrat
 from .symbolic_fields import Alpha, FieldTable, Generator, ZERO_ALPHA
@@ -47,7 +48,6 @@ GAMMA2 = _mat(
 )
 GAMMA3 = _mat([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
 GAMMAS = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
-IDENTITY4 = _mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def mat_mul(a, b):
@@ -70,14 +70,6 @@ def gamma0_gamma(mu: int):
     """gamma^0 gamma^mu, built on first use.  In the Dirac representation it
     equals g_mumu gamma^mu gamma^0, the coefficient of k^mu in kslash gamma^0."""
     return mat_mul(GAMMA0, gamma(mu))
-
-
-def gamma_trace(indices: Sequence[int]) -> complex:
-    """Trace of the explicit product gamma^mu1 ... gamma^muk."""
-    m = IDENTITY4
-    for mu in indices:
-        m = mat_mul(m, gamma(mu))
-    return complex(sum((m[i][i] for i in range(4)), QRat(0)))
 
 
 # --------------------------------------------------------------------------- momentum polynomials

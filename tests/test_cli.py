@@ -534,24 +534,20 @@ EXACT_COMMANDS = [
     ["pairings", "--model", "ghosts.model", "--left", "u*u~,u", "--right", "u~*u,u~"],
 ]
 
-# every name the package exported when its __init__ imported each module
+# the package's public names
 PACKAGE_NAMES = """
     QRat
     FieldTable Generator Polynomial QuantumNumbers SuperQuadriIndex adjoint
     canonical_dim derive permutation_sign subpolynomials
     ModelSpec ModelVerdict builtin parse_model_spec validate
-    VANISHING_SECTOR IrIndex SList classify der ext ir_index_product
-    ir_index_split omega_general omega_massless sd_bound
+    VANISHING_SECTOR SList classify der ext omega_general omega_massless
     OpProductExpansion PairingTerm WickTerm complete_pairings expand_aT
-    expand_adv expand_dif expand_dif_commutator expand_ret isserlis_oracle
-    momentum_support_vanishes wick_expand
-    MassShellMeasure TwoPointKey feynman_propagator gamma_trace riesz_check
-    riesz_s two_body_phase_space two_point
-    FreedomBasis SelfEnergy SpectralDensity bubble_density central_normalize
-    dispersion_eval freedom_basis scaling_degree_estimate
-    LimitReport ScaledTestFamily SplittingTheta appendix_c_demo cone_contains
-    gamma_cone_member gl_vs_eg_second_order lemma51_check lojasiewicz_value
-    theta_eval
+    expand_adv isserlis_oracle wick_expand
+    TwoPointKey riesz_check two_body_phase_space two_point
+    SelfEnergy SpectralDensity bubble_density central_normalize
+    dispersion_eval scaling_degree_estimate
+    LimitReport ScaledTestFamily SplittingTheta appendix_c_demo
+    gl_vs_eg_second_order theta_eval
 """.split()
 
 
@@ -680,11 +676,46 @@ for name in ('GAMMA0', 'METRIC', 'KinematicsError', 'MomentumPoly', 'gamma', 'ma
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_public_name_has_a_consumer_beyond_the_unit_tests():
+    """Each name in egqft.__all__ occurs, as a name, an attribute or an
+    import, in the library's modules, the benchmark or the acceptance tests.
+    A name that only unit tests reach belongs in the test module using it."""
+    import ast
+
+    import egqft
+
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "egqft").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(set(egqft.__all__) - used) == []
+
+
 @pytest.mark.parametrize("module", ["egqft", "egqft.cli"])
 def test_python_m_runs_the_cli(module):
     expected = json.loads((GOLDEN / "classify-scalar_model-csv.json").read_text())
     proc = _python("-m", module, "classify", "--model", "scalar_model")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected["stdout"], "")
+
+
+def test_glcheck_reports_a_library_warning_in_one_line():
+    """A warning of the library reaches stderr as one diagnostic line, without
+    Python's source path and excerpt, and the run still succeeds."""
+    proc = _python("-m", "egqft", "glcheck", "--model", "scalar_model", "--cmis", "1",
+                   "--neps", "6")
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == (
+        "egqft glcheck: warning: self-energy is not normalized at zero momentum; "
+        "the decay check runs but is expected to fail\n"
+    )
 
 
 @pytest.mark.parametrize(

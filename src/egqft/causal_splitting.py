@@ -5,8 +5,9 @@ A SelfEnergy is a spectral density plus a subtraction order n at q^2 = 0:
     Sigma(q^2) = (q^2)^n / pi * integral_{s0}^inf ds rho(s) / (s^n (s - q^2 -+ i0))
 
 evaluated with the i0 prescription realized as an explicit principal value
-plus i pi delta decomposition (no finite-epsilon extrapolation): in closed
-form for the equal-mass bubble, by adaptive quadrature otherwise.  The
+plus i pi delta decomposition (no finite-epsilon extrapolation), in closed
+form: logs and atan for the equal-mass bubble, exponential integrals for the
+massless pair with a UV weight; a density without one is refused.  The
 central normalization chooses the minimal n making all momentum derivatives
 through order omega vanish at zero; subtraction point fixed at q = 0.
 
@@ -58,14 +59,12 @@ class SpectralDensity:
     it), growing at most like s^growth at large s: the growth sets the least
     subtraction order that makes the dispersion integral converge.
 
-    fn maps an array of s to the array of rho(s), elementwise: the dispersion
-    quadrature evaluates it on whole blocks of nodes at once.  Write it as a
-    numpy expression (np.where for the threshold), not with Python branches.
-
-    closed_form, when set, maps a scalar q^2 and an order n at least the
-    required one to the n-subtracted dispersion integral on the Feynman side,
-    so dispersion_eval needs no quadrature.  Only the equal-mass bubble
-    carries one (bubble_density); every other density leaves it None.
+    fn maps s (a scalar or an array) to rho(s); closed_form maps a scalar q^2
+    and an order n at least the required one to the n-subtracted dispersion
+    integral on the Feynman side.  dispersion_eval evaluates the closed form
+    and refuses a density without one (None).  The equal-mass bubble carries
+    one (bubble_density), and so does the massless pair of the second-order
+    kit (_pair_dispersion).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -111,7 +110,7 @@ def _bubble_dispersion(s0: float, w: float, q2: float, n: int) -> complex:
         re = w / (8.0 * math.pi**2) * _bubble_taylor(x, n)
         if abs(re) < sys.float_info.min:
             # below the normal range: summed with the factor in its first term
-            # and q^2 undivided, Sigma is rounded there once, as the quadrature's is
+            # and q^2 undivided, Sigma is rounded there once
             re = _bubble_taylor(q2, n, s0=s0, scale=w / (8.0 * math.pi**2))
         return complex(re)
     re = w / (8.0 * math.pi**2) * (_bubble_j(q2, s0) - _bubble_taylor(x, 1, n))
@@ -180,6 +179,49 @@ def _log1p_ratio(a: float, x: float, s0: float) -> float:
     return math.log1p(y)
 
 
+def _pair_dispersion(a: float, q2: float, n: int) -> complex:
+    """Sigma_0(q^2) of rho(s) = exp(-s/a) / (8 pi) above s = 0, the massless
+    pair with a UV weight, on the Feynman side (n is 0: a threshold at zero
+    admits no subtraction).
+
+    With y = q^2/a, Re Sigma_0 = -e^-y Ein(y) / (8 pi^2), Ein(y) = gamma +
+    log|y| + sum_{k>=1} y^k / (k k!) = Ei(y) above 0 and -E1(-y) below; Im
+    Sigma_0 = e^-y / (8 pi) = rho on the cut.  The series is summed on
+    [-1, 40), log|y| as log|q^2| - log a (finite where y underflows); below,
+    e^-y E1(-y) is Lentz's continued fraction 1/(x + 1 - 1^2/(x + 3 - ...)),
+    x = -y, in at most about 100 terms; above, e^-y Ei(y) is the asymptotic
+    sum (1/y) sum k!/y^k, cut below 1e-16 of the sum before its terms grow
+    near k = y (the least is 7e-17 at y = 40).
+    """
+    y = q2 / a
+    if y < -1.0:
+        b, c = 1.0 - y, math.inf
+        d = re = 1.0 / b
+        for k in range(1, 128):
+            b += 2.0
+            d = 1.0 / (b - k * k * d)
+            c = b - k * k / c
+            re *= c * d
+            if abs(c * d - 1.0) <= sys.float_info.epsilon:
+                break
+    elif y < 40.0:
+        term, ein, k = y, y, 1
+        while abs(term) > 1e-17 * abs(ein):
+            term *= y / (k + 1)
+            k += 1
+            ein += term / k
+        gamma = 0.57721566490153286061  # Euler's constant
+        re = -math.exp(-y) * (gamma + (math.log(abs(q2)) - math.log(a)) + ein)
+    else:
+        term, total, k = 1.0 / y, 0.0, 0
+        while term > 1e-16 * total:
+            total += term
+            k += 1
+            term *= k / y
+        re = -total
+    return complex(re / (8.0 * math.pi**2), math.exp(-y) / (8.0 * math.pi) if q2 > 0 else 0.0)
+
+
 # --------------------------------------------------------------------------- self-energy
 
 
@@ -195,55 +237,21 @@ class SelfEnergy:
         return int(math.floor(g)) + 1
 
 
-# Tolerances of the dispersion quadrature, in the max norm over the q^2 vector.
-_EPSABS, _EPSREL = 1e-13, 1e-11
-# Each of the two pieces starts as _START equal intervals; the quadrature gives
-# up at _LIMIT intervals.  One integrand call evaluates at most _BLOCK values.
-_START, _LIMIT, _BLOCK = 8, 1000, 1 << 16
-_EPS = float(np.finfo(float).eps)
-
-# QUADPACK's qk21 (Piessens et al., QUADPACK, Springer 1983): the 21 Kronrod
-# nodes on [-1, 1], which hold the 10 Gauss nodes at the odd positions, and
-# the weights of both rules.
-_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-       0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
-_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-       0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-       0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-_XK = np.array(_XK + tuple(-x for x in _XK[-2::-1]))
-_WK = np.array(_WK + _WK[-2::-1])
-_WG = np.array(_WG + _WG[::-1])
-_UNIT = np.linspace(0.0, 1.0, _START + 1)
-
-
 def dispersion_eval(
     se: SelfEnergy, q2: float | np.ndarray, mode: str = "feynman"
 ) -> complex | np.ndarray:
-    """Subtracted dispersion integral at real q^2, a scalar or an array.
+    """Subtracted dispersion integral at real q^2, a scalar or an array: a
+    complex for a scalar q^2 and a complex array otherwise.
 
     mode "feynman"/"advanced": boundary value s - q^2 - i0 (below the cut);
-    mode "retarded": s - q^2 + i0.  Below threshold the result is real; on
-    the cut the i0 term contributes -+ i rho(q^2) via the Plemelj split.
-    Returns a complex for a scalar q^2 and a complex array otherwise.
+    mode "retarded": s - q^2 + i0, the conjugate.  Below threshold the result
+    is real; on the cut the i0 term contributes -+ i rho(q^2) (Plemelj).
 
-    A density with a closed form (the equal-mass bubble, m > 0) is evaluated
-    point by point in elementary functions: logs and atan away from q^2 = 0,
-    its Taylor series in q^2 for |q^2| < m^2 (further out from n_sub = 4 on,
-    _series_radius); every other density by the quadrature of
-    _dispersion_pass.  Both give the Feynman side; "retarded" conjugates it.
-    A non-finite q^2 is a SplittingError on both routes, and so is q^2 = 0
-    unsubtracted over a threshold at zero: there int rho(s) / s ds diverges
-    like a log at s = 0, for any density that does not vanish there (the
-    massless pair's is flat).
+    The density's closed form is evaluated point by point; a density without
+    one is a SplittingError.  Refused before any evaluation: a non-finite q^2
+    and, over a threshold at zero, q^2 = 0 unsubtracted (int rho(s) / s ds
+    diverges like a log) and every subtraction at q^2 = 0, as rho(0+) > 0 for
+    both such densities here (the massless bubble and pair are flat there).
     """
     if mode not in ("feynman", "advanced", "retarded"):
         raise SplittingError(f"unknown mode {mode!r}")
@@ -259,160 +267,29 @@ def dispersion_eval(
     if not all(map(math.isfinite, xs)):
         bad = next(x for x in xs if not math.isfinite(x))
         raise SplittingError(f"q^2 must be finite, got {bad!r}")
-    if n == 0 and se.density.threshold == 0.0 and 0.0 in xs:
+    if se.density.threshold == 0.0 and n:
+        raise _needs_mass_gap(n)
+    if se.density.threshold == 0.0 and 0.0 in xs:
         raise SplittingError(
             "dispersion integral diverges logarithmically at q^2 = 0: with n_sub = 0 "
             "and the threshold at zero, int rho(s) / s ds diverges at s = 0"
         )
     closed = se.density.closed_form
-    if closed is not None:
-        # one scalar evaluation per point; a subtracted Sigma vanishes at 0
-        vals = [closed(x, n) if x or not n else 0j for x in xs]
-        out = np.array(vals, dtype=complex).reshape(q.shape)
-    else:
-        out = np.zeros(q.shape, dtype=complex)
-        # a subtracted Sigma vanishes exactly at q^2 = 0; those points need no integral
-        live = q != 0.0 if n >= 1 else np.ones(q.shape, dtype=bool)
-        if live.any():
-            out[live] = _dispersion_pass(se, q[live])
+    if closed is None:
+        raise SplittingError("the spectral density has no closed form: only the "
+                             "equal-mass bubble (m > 0) and the massless pair are evaluated")
+    out = np.array([closed(x, n) for x in xs], dtype=complex).reshape(q.shape)
     if mode == "retarded":
         out = out.conj() + 0.0  # + 0.0: no -0.0 imaginary parts off the cut
     return complex(out) if q.ndim == 0 else out
 
 
-def _dispersion_pass(se: SelfEnergy, qs: np.ndarray) -> np.ndarray:
-    """Feynman-side Sigma at every point of the 1-D array qs in one vector quadrature.
-
-    With f(s) = rho(s) / s^n and smax = 100 max(1, max|q^2|, s0 + 1) (at
-    least s0 + 10), above every q^2:
-
-    - on [s0, smax] the principal value is taken by subtraction,
-      PV int f(s) / (s - q) ds = int (f(s) - f(q)) / (s - q) ds
-      + f(q) log((smax - q) / (q - s0)) for s0 < q, and s = s0 + t^2 maps
-      the threshold square root away;
-    - the tail beyond smax goes to u = 1/s, where rho(1/u) u^(n-1) / (1 - q u)
-      is bounded on (0, 1/smax] whenever the subtraction order beats the
-      density growth.
-
-    Both pieces are one integration variable x: u on [0, 1/smax], then
-    t = x - 1/smax.
-    """
-    dens, n, s0 = se.density, se.n_sub, se.density.threshold
-    smax = max(100.0 * max(1.0, float(np.max(np.abs(qs))), s0 + 1.0), s0 + 10.0)
-    u_end = 1.0 / smax
-    cut = qs > s0
-    f_q = np.zeros_like(qs)
-    f_q[cut] = dens(qs[cut]) / qs[cut] ** n
-
-    def integrand(x):
-        out = np.empty((x.size, qs.size))
-        tail = x < u_end
-        u = x[tail]
-        out[tail] = (dens(1.0 / u) * u ** (n - 1))[:, None] / (1.0 - u[:, None] * qs)
-        s = s0 + (x[~tail] - u_end) ** 2
-        d = s[:, None] - qs
-        # ds/dt = 2t is taken at the rounded s where rho is evaluated: near
-        # threshold s0 + t^2 loses the low bits of t^2, and 2t would turn that
-        # rounding into noise the adaptive rule chases.  A node exactly at
-        # s = q^2 is the 0/0 point of the quotient; it adds 0.
-        out[~tail] = ((dens(s) / s**n)[:, None] - f_q) / (d + (d == 0)) * (
-            2.0 * np.sqrt(s - s0)
-        )[:, None]
-        return out
-
-    edges = np.concatenate([u_end * _UNIT, u_end + math.sqrt(smax - s0) * _UNIT[1:]])
-    val, err, neval, failure = _adaptive(integrand, edges, qs.size)
-    if failure:
-        # rho is sampled at floating-point s, which cannot resolve s - s0 much
-        # below ulp(s0): points that close to the threshold are ill-conditioned
-        near = qs[np.abs(qs - s0) < 1e-8 * max(s0, 1.0)]
-        hint = ""
-        if near.size:
-            hint = f"; q^2 = {float(near[0])!r} is within rounding reach of the threshold"
-        raise SplittingError(
-            f"dispersion quadrature did not converge after {neval} evaluations "
-            f"(error estimate {err:.3g}): {failure}{hint}"
-        )
-    pv_log = np.zeros_like(qs)
-    pv_log[cut] = np.log((smax - qs[cut]) / (qs[cut] - s0))
-    disc = math.pi * f_q  # Plemelj term, zero off the cut
-    out = (val + f_q * pv_log + 1j * disc) / math.pi
-    # times q^n one factor at a time: a Sigma that underflows below the
-    # normal range is rounded there once, as the closed form is
-    for _ in range(n):
-        out = out * qs
-    return out
-
-
-def _adaptive(f, edges: np.ndarray, m: int):
-    """Integral of f over [edges[0], edges[-1]] by adaptive qk21, for f mapping
-    a 1-D array of nodes to a (nodes, m) block; the error model is quad_vec's
-    in the max norm over m.
-
-    Each round bisects every interval whose error estimate is above its share
-    tol / (8 N) of the target, N the interval count (at least the worst
-    interval, should rounding in the sum leave none above).  Returns (integral,
-    error estimate, evaluations, failure), failure None once the summed error
-    is below tol / 8 and otherwise why the quadrature stopped: the summed
-    error fell below the rounding floor accumulated over every evaluated
-    interval, turned non-finite, or N reached _LIMIT.
-    """
-    a, b = edges[:-1], edges[1:]
-    val, err, rnd = _gk21_blocks(f, a, b, m)
-    rounding, neval = float(rnd.sum()), _XK.size * a.size
-    while True:
-        tol = max(_EPSABS, _EPSREL * float(np.max(np.abs(val.sum(axis=0)))))
-        total = float(err.sum())
-        if total < tol / 8:
-            failure = None
-        elif total < rounding:
-            failure = "Target precision could not be reached due to rounding error"
-        elif not (math.isfinite(total) and math.isfinite(rounding)):
-            failure = "Non-finite values encountered"
-        elif a.size >= _LIMIT:
-            failure = "Target precision not reached"
-        else:
-            split = err >= min(tol / (8 * a.size), err.max())
-            keep = ~split
-            lo, hi = a[split], b[split]
-            mid = 0.5 * (lo + hi)
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            v, e, r = _gk21_blocks(f, lo, hi, m)
-            rounding += float(r.sum())
-            neval += _XK.size * lo.size
-            a, b = np.concatenate([a[keep], lo]), np.concatenate([b[keep], hi])
-            val, err = np.concatenate([val[keep], v]), np.concatenate([err[keep], e])
-            continue
-        return val.sum(axis=0), total + rounding, neval, failure
-
-
-def _gk21_blocks(f, a: np.ndarray, b: np.ndarray, m: int):
-    """_gk21 on the intervals in chunks whose (nodes, m) blocks stay within
-    _BLOCK values."""
-    step = max(1, _BLOCK // (_XK.size * m))
-    if a.size <= step:
-        return _gk21(f, a, b)
-    parts = [_gk21(f, a[i:i + step], b[i:i + step]) for i in range(0, a.size, step)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
-def _gk21(f, a: np.ndarray, b: np.ndarray):
-    """The 21-point Gauss-Kronrod rule on every interval [a_i, b_i] in one call.
-
-    Returns the Kronrod integrals (intervals, m) and, per interval, the
-    QUADPACK error estimate dabs min(1, (200 |K - G| / dabs)^1.5) in the max
-    norm over m, raised to the rounding floor 50 eps h int|f|, and that floor.
-    """
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fv = f((c[:, None] + h[:, None] * _XK).ravel()).reshape(a.size, _XK.size, -1)
-    s_k = _WK @ fv
-    diff = h * np.abs(s_k - _WG @ fv[:, 1::2]).max(axis=1)
-    dabs = h * (_WK @ np.abs(fv - 0.5 * s_k[:, None])).max(axis=1)
-    rnd = 50.0 * _EPS * h * (_WK @ np.abs(fv)).max(axis=1)
-    live = dabs != 0
-    ratio = 200.0 * diff / np.where(live, dabs, 1.0)
-    err = np.where(live, dabs * np.minimum(1.0, ratio**1.5), diff)
-    return h[:, None] * s_k, np.maximum(err, rnd), rnd
+def _needs_mass_gap(n: int) -> SplittingError:
+    return SplittingError(
+        f"a subtracted dispersion integral needs a mass gap: the spectral threshold "
+        f"is at zero, so with n_sub = {n} it is infrared-divergent at the "
+        f"subtraction point q^2 = 0"
+    )
 
 
 def central_normalize(se: SelfEnergy, omega: int) -> SelfEnergy:
@@ -457,13 +334,9 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
     m = max((e.numbers.mass for e in fields.entries), default=0.0)
     se = SelfEnergy(bubble_density(m, m))
     if n_sub != "central":
-        if int(n_sub) >= 1 and m == 0:
-            raise SplittingError(
-                f"a subtracted dispersion integral needs a mass gap: the spectral "
-                f"threshold is at zero, so with n_sub = {n_sub} it is "
-                f"infrared-divergent at the subtraction point q^2 = 0"
-            )
         se = replace(se, n_sub=int(n_sub))
+        if se.n_sub >= 1 and m == 0:
+            raise _needs_mass_gap(se.n_sub)
     else:
         omega = omega_general([canonical_dim(model.vertex(0)) - 1] * 2, model.c_const)
         if omega is VANISHING_SECTOR:

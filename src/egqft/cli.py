@@ -318,14 +318,17 @@ def _wick_lines(terms, sqi, arg, weight, line, sep):
     so each s, B^(s) and weight is rendered once, on first sight, and a line
     joins rendered fragments.  Only those shared objects are rendered: the
     expansion keeps them alive while it streams, but drops each term and its
-    SList after their line, so their ids are reused."""
+    SList after their line, so their ids are reused.  The s-list is joined
+    once and written in both its columns, s_list and normal_monomials: the
+    normal-ordered remainder of each argument is its s."""
     sqi, arg, weight = _rendered_once(sqi), _rendered_once(arg), _rendered_once(weight)
     for t in terms:
+        monomials = sep.join(map(sqi, t.s_list.items))
         yield line(
             t.sign,
             weight(t.weight),
-            sep.join(map(sqi, t.s_list.items)),
-            sep.join(map(sqi, t.normal_monomials)),
+            monomials,
+            monomials,
             t.vev_forced_zero,
             sep.join(map(arg, t.vev_args)),
         )
@@ -425,7 +428,6 @@ def _limit_report_json(rep):
         "slope_sigma": rep.slope_sigma,
         "family": rep.family,
         "samples": [[e, v.real, v.imag] for e, v in rep.samples],
-        "note": rep.note,
     }
 
 

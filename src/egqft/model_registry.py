@@ -273,7 +273,6 @@ def _entries_for(name, kind, mass, charge, fermion, base, line):
         raise ModelParseError("vector fields must be neutral with fermion 0", line)
     n = 4 if kind in ("vector", "dirac") else 1
     dim = Fraction(3, 2) if kind == "dirac" else Fraction(1)
-    stat = "fermi" if fermion % 2 else "bose"
     if kind == "vector" or (kind == "scalar" and charge == 0):
         blocks = [(name, 1, base)]
     else:
@@ -284,7 +283,7 @@ def _entries_for(name, kind, mass, charge, fermion, base, line):
             kind,
             species,
             a,
-            QuantumNumbers(sign * fermion, sign * charge, dim, mass, stat),
+            QuantumNumbers(sign * fermion, sign * charge, dim, mass),
             adjoint + a,
         )
         for species, sign, adjoint in blocks

@@ -69,7 +69,6 @@ class QuantumNumbers:
     charge: int
     dim: Fraction
     mass: float
-    statistics: str  # "bose" | "fermi"
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ class WickTerm:
     sign: int
     weight: QRat  # 1/(s_1! ... s_n!)
     vev_args: tuple[Polynomial, ...]
-    normal_monomials: tuple[SuperQuadriIndex, ...]
     vev_forced_zero: bool
 
 
@@ -155,7 +154,6 @@ def wick_expand(polys: Sequence[Polynomial]) -> Iterator[WickTerm]:
                 sign=sign(js),
                 weight=weight(math.prod(facts)),
                 vev_args=args,
-                normal_monomials=s_list,
                 vev_forced_zero=forced_zero(contents),
             )
 

@@ -202,7 +202,6 @@ def lojasiewicz_value(
         rep,
         estimate=0.5 * (rep.estimate + rep2.estimate),
         converged=bool(rep.converged and rep2.converged and agree),
-        note="" if agree else f"families disagree: {rep.estimate} vs {rep2.estimate}",
     )
 
 

@@ -359,8 +359,7 @@ eta ghost 0.0 0 1
 c = 0
 """
     m = parse_model_spec(text)
-    e = m.fields.entry(m.fields.index("eta"))
-    assert e.numbers.statistics == "fermi"
+    assert m.fields.parity(m.fields.index("eta")) == 1
     p = Polynomial.of_field(m.fields, "eta")
     assert (p * p).is_zero()
 

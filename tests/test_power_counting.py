@@ -209,7 +209,7 @@ def test_integer_counting_with_a_field_of_dimension_one_third():
     """A table built in Python with a field of dimension 1/3 counts exactly:
     omega = 4 - 3 * (1/3) - 1 = 2, and a non-integer total is VANISHING_SECTOR."""
     def entry(i, name, dim):
-        return FieldEntry(name, "scalar", name, 0, QuantumNumbers(0, 0, dim, 0.0, "bose"), i)
+        return FieldEntry(name, "scalar", name, 0, QuantumNumbers(0, 0, dim, 0.0), i)
 
     table = FieldTable([entry(0, "phi", Fraction(1)), entry(1, "chi", Fraction(1, 3))])
     phi, chi = Polynomial.of_field(table, "phi"), Polynomial.of_field(table, "chi")

@@ -159,8 +159,8 @@ def test_adv_ret_dif_one_argument():
     acc = {k: v for k, v in acc.items() if v}
     assert acc == {
         (("T", ("J",)), ("aT", (0,))): -1,
-        (("aT", (0,)), ("T", (0, "J"))[:0] + ("T", ("J",))): 1,
-    } or acc  # structural form asserted below
+        (("aT", (0,)), ("T", ("J",))): 1,
+    }
     # flatten by replacing aT(0) -> T(0): Dif(B;J) = T(B)T(J) - T(J)T(B)
     flat = {}
     for t in dif.terms:
@@ -530,7 +530,7 @@ def _external_reconstruction(polys):
             c = QRat(t.sign) * t.weight
             for p in t.vev_args:
                 c = c * p.terms[0][1]
-            key = tuple(s.key() for s in t.normal_monomials)
+            key = tuple(s.key() for s in t.s_list.items)
             acc[key] = acc.get(key, QRat(0)) + c
     expect = {}
     for combo in itertools.product(*[p.terms for p in polys]):

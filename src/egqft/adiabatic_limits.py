@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .causal_splitting import (
     model_self_energy,
 )
 from .exact import DomainError
-from .propagators_kinematics import two_body_phase_space, two_body_phase_space_array
+from .propagators_kinematics import two_body_phase_space
 
 
 class AdiabaticError(DomainError):
@@ -55,24 +54,34 @@ def _gauss_radius(s: float, n: int, alpha: float):
     return s * np.sqrt(2.0 * t), w / math.gamma(alpha + 1.0)
 
 
-@dataclass(frozen=True)
-class ScaledTestFamily:
+class _FamilyFields(NamedTuple):
+    dim: int
+    sigma: float
+    centers: tuple[tuple[float, ...], ...]
+    weights: tuple[float, ...]
+    epsilons: tuple[float, ...]
+    label: str
+
+
+class ScaledTestFamily(_FamilyFields):
     """Mixture-of-Gaussians profile g with unit normalization; the scaled
     family has centers eps*mu and widths eps*sigma."""
 
-    dim: int
-    sigma: float = 1.0
-    centers: tuple[tuple[float, ...], ...] = ((0.0,),)
-    weights: tuple[float, ...] = (1.0,)
-    epsilons: tuple[float, ...] = DEFAULT_EPSILONS
-    label: str = "gauss"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+    def __new__(cls, dim: int, sigma: float = 1.0, centers: tuple[tuple[float, ...], ...] = ((0.0,),),
+                weights: tuple[float, ...] = (1.0,), epsilons: tuple[float, ...] = DEFAULT_EPSILONS,
+                label: str = "gauss"):
+        if abs(sum(weights) - 1.0) > 1e-12:
             raise AdiabaticError("family weights must sum to one")
-        for c in self.centers:
-            if len(c) != self.dim:
+        for c in centers:
+            if len(c) != dim:
                 raise AdiabaticError("center dimension mismatch")
+        return tuple.__new__(cls, (dim, sigma, centers, weights, epsilons, label))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates as the constructor does
+        return cls(*iterable)
 
 
 def gaussian_family(dim: int, sigma: float = 1.0, epsilons=DEFAULT_EPSILONS,
@@ -105,8 +114,7 @@ def asymmetric_family(dim: int, shift: float = 1.0, sigma: float = 0.7,
 # --------------------------------------------------------------------------- limit fitting
 
 
-@dataclass
-class LimitReport:
+class LimitReport(NamedTuple):
     estimate: complex
     converged: bool
     log_slope: complex
@@ -207,8 +215,7 @@ def _smooth_step(s):
     return np.where(s >= 0, pos_val, 1.0 - pos_val)
 
 
-@dataclass(frozen=True)
-class SplittingTheta:
+class SplittingTheta(NamedTuple):
     """Regularized splitting function on n four-vectors.
 
     Theta(y) = rho(3n sum_j y_j^0 / |y|) for |y| >= ell, smoothly
@@ -267,8 +274,7 @@ _QMAX = 60.0  # end of the curves' grids; np.interp clamps beyond it
 _UV_SCALE = 3.0  # the pair density's UV weight is exp(-s / _UV_SCALE^2)
 
 
-@dataclass(frozen=True)
-class SecondOrderKit:
+class SecondOrderKit(NamedTuple):
     """Shared numeric pieces of the second-order demonstrations.
 
     feynman_pair(q^2): the massless Feynman-pair integral built from its
@@ -290,8 +296,6 @@ class SecondOrderKit:
     def build(se: SelfEnergy) -> "SecondOrderKit":
         """The kit of the self-energy se (model_self_energy of a model)."""
         flat = SpectralDensity(
-            fn=lambda s: (two_body_phase_space_array(0.0, 0.0, s)
-                          * np.exp(-np.maximum(s, 0.0) / _UV_SCALE**2)),
             threshold=0.0,
             growth=-math.inf,
             closed_form=functools.partial(_pair_dispersion, _UV_SCALE**2),
@@ -403,8 +407,7 @@ def _smear_radial(family, eps, f2d) -> tuple[complex, complex]:
 # --------------------------------------------------------------------------- appendix demos
 
 
-@dataclass
-class NormalizationDemoReport:
+class NormalizationDemoReport(NamedTuple):
     advanced: LimitReport
     retarded: LimitReport
     difference: LimitReport
@@ -462,8 +465,7 @@ def appendix_c_demo(
     )
 
 
-@dataclass
-class DecayReport:
+class DecayReport(NamedTuple):
     exponent: float
     exponent_sigma: float
     samples: tuple[tuple[float, float], ...]

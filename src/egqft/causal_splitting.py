@@ -20,18 +20,16 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exact import DomainError
+from .exact import DomainError, SlotRecord
 from .power_counting import VANISHING_SECTOR, omega_general
 
 # bench/tracer.py patches two_body_phase_space here (and the lazy `integrate`
-# below); the densities call the array form
+# below); no code in this module calls it
 from .propagators_kinematics import two_body_phase_space  # noqa: F401
-from .propagators_kinematics import two_body_phase_space_array
 from .symbolic_fields import canonical_dim
 
 
@@ -53,27 +51,25 @@ class SplittingError(DomainError):
 # --------------------------------------------------------------------------- spectral densities
 
 
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Evaluator s -> rho(s) >= 0 above a threshold s0 (and 0 at and below
-    it), growing at most like s^growth at large s: the growth sets the least
+class SpectralDensity(SlotRecord):
+    """A density rho(s) >= 0 above a threshold s0 (and 0 at and below it),
+    growing at most like s^growth at large s: the growth sets the least
     subtraction order that makes the dispersion integral converge.
 
-    fn maps s (a scalar or an array) to rho(s); closed_form maps a scalar q^2
-    and an order n at least the required one to the n-subtracted dispersion
-    integral on the Feynman side.  dispersion_eval evaluates the closed form
-    and refuses a density without one (None).  The equal-mass bubble carries
-    one (bubble_density), and so does the massless pair of the second-order
-    kit (_pair_dispersion).
+    closed_form maps a scalar q^2 and an order n at least the required one
+    to the n-subtracted dispersion integral on the Feynman side.
+    dispersion_eval evaluates the closed form and refuses a density without
+    one (None).  The equal-mass bubble carries one (bubble_density), and so
+    does the massless pair of the second-order kit (_pair_dispersion).
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    threshold: float
-    growth: float  # exponent; -inf for cut-off densities
-    closed_form: Callable[[float, int], complex] | None = None
+    __slots__ = ("threshold", "growth", "closed_form")
 
-    def __call__(self, s):
-        return self.fn(s)
+    def __init__(self, threshold: float, growth: float,
+                 closed_form: Callable[[float, int], complex] | None = None):
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "growth", growth)  # exponent; -inf for cut-off densities
+        object.__setattr__(self, "closed_form", closed_form)
 
 
 @functools.cache
@@ -85,14 +81,14 @@ def bubble_density(m1: float, m2: float) -> SpectralDensity:
     psi^2 (complete_pairings with require_full=True gives two terms).  Equal
     masses m1 = m2 > 0 carry the closed form of _bubble_dispersion.
 
-    Built once per (m1, m2): a density holds a fresh function, so only the
-    shared object makes equal masses give equal (and equally hashed)
-    densities and self-energies.
+    Built once per (m1, m2): an equal-mass density holds a fresh closed form
+    (a partial, equal only to itself), so only the shared object makes equal
+    masses give equal (and equally hashed) densities and self-energies.
     """
     w = 2
     s0 = (m1 + m2) ** 2
     closed = functools.partial(_bubble_dispersion, s0, w) if m1 == m2 > 0 else None
-    return SpectralDensity(lambda s: w * two_body_phase_space_array(m1, m2, s), s0, 0.0, closed)
+    return SpectralDensity(s0, 0.0, closed)
 
 
 def _bubble_dispersion(s0: float, w: float, q2: float, n: int) -> complex:
@@ -225,10 +221,12 @@ def _pair_dispersion(a: float, q2: float, n: int) -> complex:
 # --------------------------------------------------------------------------- self-energy
 
 
-@dataclass(frozen=True)
-class SelfEnergy:
-    density: SpectralDensity
-    n_sub: int = 0
+class SelfEnergy(SlotRecord):
+    __slots__ = ("density", "n_sub")
+
+    def __init__(self, density: SpectralDensity, n_sub: int = 0):
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "n_sub", n_sub)
 
     def required_n_sub(self) -> int:
         g = self.density.growth
@@ -302,14 +300,14 @@ def central_normalize(se: SelfEnergy, omega: int) -> SelfEnergy:
     (a massless cut has no analytic neighborhood of zero to normalize in).
     """
     if omega < 0:
-        return replace(se, n_sub=0)
+        return se._replace(n_sub=0)
     if se.density.threshold <= 0:
         raise SplittingError(
             "central normalization needs a mass gap: the spectral threshold is "
             "at zero, the subtracted integral would be infrared-divergent at "
             "the subtraction point"
         )
-    return replace(se, n_sub=omega // 2 + 1)
+    return se._replace(n_sub=omega // 2 + 1)
 
 
 def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
@@ -334,7 +332,7 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
     m = max((e.numbers.mass for e in fields.entries), default=0.0)
     se = SelfEnergy(bubble_density(m, m))
     if n_sub != "central":
-        se = replace(se, n_sub=int(n_sub))
+        se = se._replace(n_sub=int(n_sub))
         if se.n_sub >= 1 and m == 0:
             raise _needs_mass_gap(se.n_sub)
     else:
@@ -365,8 +363,7 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
 # --------------------------------------------------------------------------- scaling-degree estimator
 
 
-@dataclass(frozen=True)
-class ScaledProbe:
+class ScaledProbe(NamedTuple):
     """g(x / lam) for a fixed base profile g with g(0) = 1."""
 
     base: Callable[[np.ndarray], np.ndarray]
@@ -376,8 +373,7 @@ class ScaledProbe:
         return self.base(np.asarray(x, dtype=float) / self.lam)
 
 
-@dataclass
-class SdEstimate:
+class SdEstimate(NamedTuple):
     value: float
     slope: float
     residual: float

@@ -16,21 +16,20 @@ are the parsed options, every one except --out and --manifest.
 
 Each subcommand imports only the modules it runs: only the numeric ones
 (selfenergy, adiabatic, glcheck, sdestimate) import numpy and the numeric
-modules, only wick and pairings import wick_pairing, and only --manifest
-imports hashlib.  No subcommand imports scipy.
+modules, only wick and pairings import wick_pairing, only --manifest
+imports hashlib, and only JSON output (--format json, a manifest) imports
+json.  No subcommand imports scipy.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import os
 import sys
 import time
 import warnings
-from dataclasses import replace
 
 from . import __version__
 from .exact import DomainError
@@ -75,6 +74,8 @@ def _model_hash(model) -> str:
 
 
 def _write_manifest(fh, subcommand, model, params, t0):
+    import json  # only JSON output needs it
+
     manifest = {
         "subcommand": subcommand,
         "model_hash": _model_hash(model) if model is not None else None,
@@ -187,7 +188,7 @@ def _checked(parse):
 
 def _cmd_classify(args, model):
     if args.c is not None:
-        model = replace(model, c_const=args.c)
+        model = model._replace(c_const=args.c)
     verdict = validate(model)
     if args.format == "json":
         return model, [{
@@ -285,6 +286,8 @@ def _cmd_wick(args, model):
     polys = [_resolve_arg_poly(model, tok) for tok in args.args.split(",")]
     terms = _cli.wick_expand(polys)
     if args.format == "json":
+        import json
+
         # the line json.dumps(record, sort_keys=True) writes for the record
         # {s_list, sign, weight, vev_args, normal_monomials, vev_forced_zero}
         return model, _wick_lines(
@@ -366,6 +369,8 @@ def _cmd_pairings(args, model):
     name = model.fields.gen_name
     # each shared pair, residual and const is rendered once; a line joins fragments
     if args.format == "json":
+        import json
+
         # the line json.dumps(record, sort_keys=True) writes for the record
         # {pairs, residual_left, residual_right, const, classification}
         const = _rendered_once(lambda c: json.dumps(repr(c)))
@@ -621,10 +626,7 @@ def _run(args) -> int:
         print(f"egqft {args.cmd}: {exc}", file=sys.stderr)
         return 1
     # dicts are JSON records; strings are lines, written as they are
-    records = (
-        json.dumps(r, sort_keys=True, indent=indent) if isinstance(r, dict) else r
-        for r in records
-    )
+    records = (_json_record(r, indent) if isinstance(r, dict) else r for r in records)
     # a file this run creates is removed unless the run finishes: an
     # unwritable destination leaves neither file, an unfinished run neither; a
     # file that was there is emptied only when its turn to be written comes
@@ -664,6 +666,12 @@ def _run(args) -> int:
         print(f"egqft {args.cmd}: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     return 0
+
+
+def _json_record(record: dict, indent: int | None) -> str:
+    import json  # only JSON output needs it
+
+    return json.dumps(record, sort_keys=True, indent=indent)
 
 
 def main() -> None:

@@ -1,4 +1,5 @@
-"""Exact complex rationals.
+"""Exact complex rationals, and the two bases every layer shares
+(DomainError, SlotRecord).
 
 All combinatorial identities of the field algebra must hold exactly, so
 monomial coefficients are complex numbers with rational real and imaginary
@@ -13,6 +14,43 @@ from fractions import Fraction
 class DomainError(ValueError):
     """Base of the errors that name a violated condition of the input (the
     CLI's exit 1), as opposed to a usage error or a bug."""
+
+
+class SlotRecord:
+    """Base of a record kept in __slots__ where a NamedTuple does not fit:
+    SList, whose length is its item count, and SpectralDensity and
+    SelfEnergy, whose fields dispersion_eval reads on every call (a slot
+    reads in about half the time of a NamedTuple field).  As a NamedTuple
+    does, a record is immutable, equal within its type and hashed as its
+    field tuple, written Name(field=value, ...) and copied with fields
+    changed by _replace.  A subclass names its fields in __slots__ and sets
+    them in __init__ through object.__setattr__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __reduce__(self):  # copy and pickle build through __init__
+        return type(self), self._values()
 
 
 def _frac(x) -> Fraction:

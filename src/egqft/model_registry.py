@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import DomainError, QRat
 from .symbolic_fields import (
@@ -45,8 +45,7 @@ class ModelParseError(ModelError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     name: str
     fields: FieldTable
     vertices: tuple[tuple[str, Polynomial], ...]
@@ -65,11 +64,18 @@ class ModelSpec:
         }
 
 
-@dataclass
-class ModelVerdict:
+class _VerdictFields(NamedTuple):
     renormalizability: str  # renormalizable | super-renormalizable | nonrenormalizable
     wal_eligible: bool
-    reasons: list[str] = field(default_factory=list)
+    reasons: list[str]
+
+
+class ModelVerdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, renormalizability: str, wal_eligible: bool, reasons: list[str] | None = None):
+        # each verdict built without reasons gets its own empty list
+        return tuple.__new__(cls, (renormalizability, wal_eligible, [] if reasons is None else reasons))
 
 
 # --------------------------------------------------------------------------- builtins
@@ -117,8 +123,8 @@ def builtin(name: str, c_const: int | None = None) -> ModelSpec:
     """Builtin model by name; c_const overrides the default scaling constant."""
     if name not in _BUILTINS:
         raise ModelError(f"unknown builtin model {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    m = replace(parse_model_spec(_BUILTINS[name]), name=name)
-    return m if c_const is None else replace(m, c_const=c_const)
+    m = parse_model_spec(_BUILTINS[name])._replace(name=name)
+    return m if c_const is None else m._replace(c_const=c_const)
 
 
 # --------------------------------------------------------------------------- validation
@@ -134,7 +140,7 @@ def validate(m: ModelSpec) -> ModelVerdict:
     computed once per spec; each call returns its own copy.
     """
     verdict = _verdict(m)
-    return replace(verdict, reasons=list(verdict.reasons))
+    return verdict._replace(reasons=list(verdict.reasons))
 
 
 @functools.lru_cache(maxsize=64)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import DomainError
+from .exact import DomainError, SlotRecord
 from .symbolic_fields import AlgebraError, SuperQuadriIndex, canonical_dim
 
 
@@ -40,11 +39,14 @@ VANISHING_SECTOR = _VanishingSector()
 # --------------------------------------------------------------------------- s-lists
 
 
-@dataclass(frozen=True)
-class SList:
-    """Ordered list of super-quadri-indices."""
+class SList(SlotRecord):
+    """Ordered list of super-quadri-indices.  Not a NamedTuple: its length
+    is the number of items."""
 
-    items: tuple[SuperQuadriIndex, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[SuperQuadriIndex, ...]):
+        object.__setattr__(self, "items", items)
 
     @staticmethod
     def of(*items: SuperQuadriIndex) -> "SList":
@@ -120,9 +122,10 @@ def omega_massless(model, u: SList):
     total = 4 * D
     try:
         for item in u.items:
-            for g, m in item.entries:
+            # a Generator unpacks as (field, alpha): no attribute reads here
+            for (field, alpha), m in item.entries:
                 if m > 0:
-                    total -= m * (scaled[g.field] + D * g.d_order)
+                    total -= m * (scaled[field] + D * sum(alpha))
                 elif m:
                     raise AlgebraError("negative multiplicity")
     except IndexError:

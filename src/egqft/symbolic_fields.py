@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import ONE, DomainError, QRat, as_qrat
 
@@ -35,18 +34,29 @@ class AlgebraError(DomainError):
 # --------------------------------------------------------------------------- generators
 
 
-@dataclass(frozen=True, eq=True)
-class Generator:
-    """A symbol d^alpha A_i: basic field component plus a 4-multi-index."""
-
+class _GeneratorFields(NamedTuple):
     field: int
-    alpha: Alpha = ZERO_ALPHA
+    alpha: Alpha
 
-    def __post_init__(self):
-        if self.field < 0:
+
+class Generator(_GeneratorFields):
+    """A symbol d^alpha A_i: basic field component plus a 4-multi-index.
+
+    Equal and hashed as its (field, alpha) tuple; every order comparison
+    follows order_key, never the tuple order."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: int, alpha: Alpha = ZERO_ALPHA):
+        if field < 0:
             raise AlgebraError("negative field index")
-        if len(self.alpha) != 4 or any(a < 0 for a in self.alpha):
-            raise AlgebraError(f"bad multi-index {self.alpha}")
+        if len(alpha) != 4 or any(a < 0 for a in alpha):
+            raise AlgebraError(f"bad multi-index {alpha}")
+        return tuple.__new__(cls, (field, alpha))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates as the constructor does
+        return cls(*iterable)
 
     @property
     def d_order(self) -> int:
@@ -59,20 +69,27 @@ class Generator:
     def __lt__(self, other: "Generator"):
         return self.order_key() < other.order_key()
 
+    def __le__(self, other: "Generator"):
+        return self.order_key() <= other.order_key()
+
+    def __gt__(self, other: "Generator"):
+        return self.order_key() > other.order_key()
+
+    def __ge__(self, other: "Generator"):
+        return self.order_key() >= other.order_key()
+
 
 # --------------------------------------------------------------------------- quantum numbers
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(NamedTuple):
     fermion: int
     charge: int
     dim: Fraction
     mass: float
 
 
-@dataclass(frozen=True)
-class FieldEntry:
+class FieldEntry(NamedTuple):
     """One basic generator (one component of one field)."""
 
     name: str
@@ -142,8 +159,7 @@ class FieldTable:
 # --------------------------------------------------------------------------- super-quadri-indices
 
 
-@dataclass(frozen=True)
-class SuperQuadriIndex:
+class SuperQuadriIndex(NamedTuple):
     """Finite multiplicity map Generator -> positive integer."""
 
     entries: tuple[tuple[Generator, int], ...] = ()

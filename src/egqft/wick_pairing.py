@@ -24,9 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exact import DomainError, QRat
 from .power_counting import SList
@@ -41,8 +40,7 @@ class WickError(DomainError):
 # --------------------------------------------------------------------------- wick expansion
 
 
-@dataclass(frozen=True)
-class WickTerm:
+class WickTerm(NamedTuple):
     s_list: SList
     sign: int
     weight: QRat  # 1/(s_1! ... s_n!)
@@ -163,8 +161,7 @@ def wick_expand(polys: Sequence[Polynomial]) -> Iterator[WickTerm]:
 # --------------------------------------------------------------------------- complete pairings
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(NamedTuple):
     left_slot: int
     left_gen: Generator
     right_slot: int
@@ -172,8 +169,7 @@ class Pair:
     mass: float
 
 
-@dataclass(frozen=True)
-class PairingTerm:
+class PairingTerm(NamedTuple):
     pairs: tuple[Pair, ...]
     residual_left: SList
     residual_right: SList
@@ -315,14 +311,12 @@ def _is_exact(cov) -> bool:
 # --------------------------------------------------------------------------- ordered-partition expansions
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     kind: str  # "T" | "aT" | "Adv"
     content: tuple  # original argument indices; "J" marks the spectator list
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     structural: int
     factors: tuple[Factor, ...]
     parities: tuple[int, ...]
@@ -338,8 +332,7 @@ class ExpansionTerm:
         return self.structural * permutation_sign(fermions, key)
 
 
-@dataclass(frozen=True)
-class OpProductExpansion:
+class OpProductExpansion(NamedTuple):
     n: int
     terms: tuple[ExpansionTerm, ...]
 

@@ -22,7 +22,7 @@ Gamma traces: tests/test_propagators.py.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import I, ONE, DomainError, QRat, as_qrat
 from .symbolic_fields import Alpha, FieldTable, Generator, ZERO_ALPHA
@@ -143,8 +143,7 @@ def _unit_alpha(mu: int) -> Alpha:
 # --------------------------------------------------------------------------- two-point keys
 
 
-@dataclass(frozen=True)
-class TwoPointKey:
+class TwoPointKey(NamedTuple):
     left: Generator
     right: Generator
     mass: float

@@ -2,7 +2,6 @@
 import functools
 import math
 import warnings
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -198,8 +197,7 @@ def lojasiewicz_value(
     rep2 = fit_limit(second_family.epsilons, vals2, rel_tol, second_family.label)
     scale = max(abs(rep.estimate), abs(rep2.estimate), 1.0)
     agree = abs(rep.estimate - rep2.estimate) <= max(2 * rel_tol * scale, 1e-10)
-    return replace(
-        rep,
+    return rep._replace(
         estimate=0.5 * (rep.estimate + rep2.estimate),
         converged=bool(rep.converged and rep2.converged and agree),
     )

@@ -33,12 +33,17 @@ RHO = bubble_density(M, M)
 LAM = 3.0  # UV scale of the massless pair, as in the second-order kit
 # the massless pair exp(-s / LAM^2) / (8 pi) with its closed form
 PAIR = SpectralDensity(
-    fn=lambda s: two_body_phase_space_array(0.0, 0.0, s) * np.exp(-np.maximum(s, 0.0) / LAM**2),
     threshold=0.0,
     growth=-math.inf,
     closed_form=functools.partial(_pair_dispersion, LAM**2),
 )
 GOLDEN = Path(__file__).with_name("golden")
+
+
+def rho(s, m=M):
+    """rho(s) of bubble_density(m, m): the complete-contraction weight 2 times
+    the two-body phase space."""
+    return 2 * two_body_phase_space_array(m, m, s)
 
 
 def kallen_phase_space(m1, m2, s):
@@ -49,13 +54,13 @@ def kallen_phase_space(m1, m2, s):
 
 
 def test_bubble_density_examples():
-    assert RHO(RHO.threshold) == 0.0
+    assert rho(RHO.threshold) == 0.0
     assert RHO.threshold == 4.0 * M * M
     for s in (4.5, 9.0, 40.0):
-        assert RHO(s) == pytest.approx(2.0 * kallen_phase_space(M, M, s), rel=1e-9)
+        assert rho(s) == pytest.approx(2.0 * kallen_phase_space(M, M, s), rel=1e-9)
     flat = bubble_density(0.0, 0.0)
     assert flat.threshold == 0.0
-    vals = [flat(s) for s in (0.5, 3.0, 11.0)]
+    vals = [rho(s, 0.0) for s in (0.5, 3.0, 11.0)]
     assert all(v == pytest.approx(2.0 / (8 * math.pi), rel=1e-9) for v in vals)
 
 
@@ -69,7 +74,7 @@ def test_bubble_weight_is_the_complete_contraction_count():
     psi2 = index_of(Generator(1), Generator(1))
     terms = complete_pairings([psi2], [psi2], builtin("scalar_model"), require_full=True)
     assert len(terms) == 2
-    assert RHO(9.0) == pytest.approx(len(terms) * kallen_phase_space(M, M, 9.0), rel=1e-12)
+    assert rho(9.0) == pytest.approx(len(terms) * kallen_phase_space(M, M, 9.0), rel=1e-12)
 
 
 def test_dispersion_subtraction_zero_and_reality():
@@ -84,7 +89,7 @@ def test_dispersion_imaginary_part_is_density():
     se = SelfEnergy(RHO, n_sub=1)
     for q2 in (4.5, 6.0, 9.0, 25.0, 64.0):
         v = dispersion_eval(se, q2, "feynman")
-        assert v.imag == pytest.approx(RHO(q2), rel=1e-9)
+        assert v.imag == pytest.approx(rho(q2), rel=1e-9)
 
 
 def test_advanced_minus_retarded_is_discontinuity():
@@ -92,7 +97,7 @@ def test_advanced_minus_retarded_is_discontinuity():
     for q2 in (4.8, 7.3, 30.0):
         a = dispersion_eval(se, q2, "advanced")
         r = dispersion_eval(se, q2, "retarded")
-        assert abs((a - r) - 2j * RHO(q2)) < 1e-6
+        assert abs((a - r) - 2j * rho(q2)) < 1e-6
 
 
 def test_required_subtraction_error_names_order():
@@ -134,7 +139,7 @@ def test_below_threshold_analyticity_taylor():
     # dispersion representation under the integral; each derivative worsens
     # the kernel by one power of (s - q^2), maximal at q^2 = x0 + dx
     def kernel7(s):
-        f = RHO(s) / s**se.n_sub
+        f = rho(s) / s**se.n_sub
         base = 1.0 / (s - (x0 + dx))
         return f * math.factorial(7) * base**8 * s**2  # crude (q^2)^n growth cover
 
@@ -272,10 +277,11 @@ def test_kit_pair_matches_exponential_integrals_at_every_node():
 # --------------------------------------------------------------------------- closed forms against references
 
 
-def _cauchy_reference(se, q2, mode="feynman"):
-    """Per-point reference for dispersion_eval: adaptive QUADPACK quad on
-    [s0, smax], smax = 100 max(1, |q^2|, s0 + 1), with the pole taken by the
-    Cauchy-weight rule on a window around it, plus the u = 1/s tail."""
+def _cauchy_reference(rho, se, q2, mode="feynman"):
+    """Per-point reference for dispersion_eval of se, whose density is the
+    function rho: adaptive QUADPACK quad on [s0, smax], smax = 100 max(1,
+    |q^2|, s0 + 1), with the pole taken by the Cauchy-weight rule on a window
+    around it, plus the u = 1/s tail."""
     from scipy import integrate
 
     n, s0 = se.n_sub, se.density.threshold
@@ -283,7 +289,7 @@ def _cauchy_reference(se, q2, mode="feynman"):
         return 0j
 
     def f(s):
-        return se.density(s) / s**n
+        return rho(s) / s**n
 
     def quad(g, a, b, **kw):
         return integrate.quad(g, a, b, limit=400, epsabs=1e-13, epsrel=1e-11, **kw)[0]
@@ -296,7 +302,7 @@ def _cauchy_reference(se, q2, mode="feynman"):
     else:
         val, pieces = 0.0, [(s0, smax)]
     val += sum(quad(lambda s: f(s) / (s - q2), a, b) for a, b in pieces)
-    val += quad(lambda u: se.density(1.0 / u) * u ** (n - 1) / (1.0 - q2 * u), 0.0, 1.0 / smax)
+    val += quad(lambda u: rho(1.0 / u) * u ** (n - 1) / (1.0 - q2 * u), 0.0, 1.0 / smax)
     disc = math.pi * f(q2) if q2 > s0 else 0.0
     return q2**n / math.pi * complex(val, -disc if mode == "retarded" else disc)
 
@@ -309,15 +315,14 @@ def test_kit_curves_match_cauchy_reference():
     from egqft.propagators_kinematics import two_body_phase_space
 
     kit = SecondOrderKit.build(model_self_energy(builtin("scalar_model")))
-    flat = SpectralDensity(
-        fn=lambda s: two_body_phase_space(0.0, 0.0, s) * math.exp(-s / 9.0) if s > 0 else 0.0,
-        threshold=0.0,
-        growth=-math.inf,
-    )
-    se_pair, se_bubble = SelfEnergy(flat), central_normalize(SelfEnergy(RHO), 2)
+
+    def flat(s):
+        return two_body_phase_space(0.0, 0.0, s) * math.exp(-s / 9.0) if s > 0 else 0.0
+
+    se_pair, se_bubble = SelfEnergy(PAIR), central_normalize(SelfEnergy(RHO), 2)
     curves = [
-        (kit.feynman_pair, lambda q2: -0.5j * _cauchy_reference(se_pair, q2)),
-        (kit.normalized_bubble, lambda q2: _cauchy_reference(se_bubble, q2)),
+        (kit.feynman_pair, lambda q2: -0.5j * _cauchy_reference(flat, se_pair, q2)),
+        (kit.normalized_bubble, lambda q2: _cauchy_reference(rho, se_bubble, q2)),
     ]
     for curve, reference in curves:
         nodes = np.arange(4, curve.u.size, 9)
@@ -474,7 +479,7 @@ def test_property_closed_form_bubble(m, n, z, side, huge):
     assert abs(got - want) <= 1e-10 * abs(want), (got, want)
     assert dispersion_eval(SelfEnergy(tagged, n), q2, "retarded") == got.conjugate()
     if q2 > tagged.threshold:
-        assert got.imag == float(tagged(q2))
+        assert got.imag == float(rho(q2, m))
     else:
         assert got.imag == 0.0 and dispersion_eval(SelfEnergy(tagged, n), q2, "retarded").imag == 0.0
     assert dispersion_eval(SelfEnergy(tagged, n), 0.0) == 0.0
@@ -484,7 +489,7 @@ def test_property_closed_form_bubble(m, n, z, side, huge):
         logs = _bubble_j(x * s0, s0) - _bubble_taylor(x, 1, n)
         assert abs(series - logs) <= 1e-12 * abs(logs), (x, series, logs)
     im = dispersion_eval(SelfEnergy(tagged, n), huge).imag
-    assert im == float(tagged(huge)) and math.isfinite(im), (huge, im)
+    assert im == float(rho(huge, m)) and math.isfinite(im), (huge, im)
 
 
 @pytest.mark.parametrize("q2", [1e200, 1e300, sys.float_info.max])
@@ -495,7 +500,7 @@ def test_im_sigma_stays_finite_at_huge_q2(q2):
         warnings.simplefilter("error")
         for n in (1, 2, 3):
             im = dispersion_eval(SelfEnergy(RHO, n), q2).imag
-            assert im == float(RHO(q2)) and abs(im - 1 / (4 * math.pi)) <= 2e-17
+            assert im == float(rho(q2)) and abs(im - 1 / (4 * math.pi)) <= 2e-17
     if q2 == 1e200:
         assert im == 0.07957747154594767
 
@@ -531,7 +536,7 @@ def test_unsubtracted_zero_threshold_refuses_q2_zero_up_front():
         calls.append(q2)
         return PAIR.closed_form(q2, n)
 
-    se = SelfEnergy(SpectralDensity(PAIR.fn, 0.0, -math.inf, pair), n_sub=0)
+    se = SelfEnergy(SpectralDensity(0.0, -math.inf, pair), n_sub=0)
     for q2 in (0.0, -0.0, np.array([1.0, 0.0])):
         with pytest.raises(SplittingError, match="diverges logarithmically at q\\^2 = 0"):
             dispersion_eval(se, q2)

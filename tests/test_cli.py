@@ -579,29 +579,47 @@ for argv in {EXACT_COMMANDS!r}:
 
 
 def test_exact_commands_load_only_what_they_run(tmp_path):
-    """classify, subpolys and omega without --manifest load neither the Wick
-    layer nor hashlib; wick loads the Wick layer and --manifest hashlib."""
+    """classify, subpolys and omega in csv without --manifest load neither the
+    Wick layer nor hashlib nor json; wick loads the Wick layer and json (its
+    default format), --manifest hashlib and json.  No exact command loads
+    dataclasses or inspect."""
     code = f"""
 import contextlib, io, sys
 from egqft import cli
 
-HEAVY = ('hashlib', 'egqft.wick_pairing', 'egqft.wightman')
+HEAVY = ('hashlib', 'json', 'egqft.wick_pairing', 'egqft.wightman')
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.run(argv) == 0, argv
     assert out.getvalue(), argv
+    assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules, argv
     return [m for m in HEAVY if m in sys.modules]
 
 for argv in {EXACT_COMMANDS[:3]!r}:
     assert run(argv) == [], (argv, run(argv))
-assert run({EXACT_COMMANDS[0] + ['--manifest', str(tmp_path / 'm.json')]!r}) == ['hashlib']
+assert run({EXACT_COMMANDS[0] + ['--manifest', str(tmp_path / 'm.json')]!r}) == ['hashlib', 'json']
 assert run({EXACT_COMMANDS[3]!r}) == list(HEAVY)
+assert run({EXACT_COMMANDS[4]!r}) == list(HEAVY)
 """
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_env(),
         cwd=GOLDEN, timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_loads_dataclasses():
+    """Importing every egqft module, the numeric ones and numpy with them,
+    leaves the dataclasses module unloaded."""
+    modules = sorted(p.stem for p in (Path(SRC) / "egqft").glob("*.py") if p.stem != "__main__")
+    code = f"""
+import importlib, sys
+for name in {modules!r}:
+    importlib.import_module('egqft' if name == '__init__' else 'egqft.' + name)
+assert 'numpy' in sys.modules and 'dataclasses' not in sys.modules
+"""
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 

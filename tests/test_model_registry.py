@@ -1,5 +1,4 @@
 """Model table, validation, and text-format tests."""
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -132,7 +131,7 @@ def _ref_scalar_qed_vertex(table: FieldTable) -> Polynomial:
 )
 def test_qed_builtin_text_equals_the_builder_vertex(name, ref):
     m = builtin(name)
-    assert m == replace(m, vertices=(("e", ref(m.fields)),))
+    assert m == m._replace(vertices=(("e", ref(m.fields)),))
     assert len(m.vertex("e").terms) == (16 if name.startswith("spinor") else 8)
 
 
@@ -384,9 +383,7 @@ def test_validate_dangling_field_index():
     m = builtin("scalar_model")
     bad_idx = SuperQuadriIndex.from_pairs([(Generator(7), 1)])
     bad_poly = Polynomial(m.fields, {bad_idx: 1})
-    from dataclasses import replace
-
-    broken = replace(m, vertices=(("e", bad_poly),))
+    broken = m._replace(vertices=(("e", bad_poly),))
     with pytest.raises(Exception, match="dangling"):
         validate(broken)
 
@@ -418,7 +415,7 @@ def test_dirac_model_files_serialize_their_fields_and_vertices():
 
 
 def test_serialize_writes_a_custom_qed_vertex_as_text():
-    m = replace(builtin("scalar_qed_massive"), name="custom")
+    m = builtin("scalar_qed_massive")._replace(name="custom")
     text = serialize_model_spec(m)
     assert "e = -1i * A_0*phi*d[0]phi* + 1i * A_0*d[0]phi*phi* + " in text
     assert parse_model_spec(text) == m

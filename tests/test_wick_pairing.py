@@ -2,7 +2,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,7 +55,7 @@ def expand_ret(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:
     """Ret(I;J) = sum over splits I1,I2: (-1)^|I2| aT(I2) T(I1,J), i.e. the
     terms of Adv(I;J) with their factors in reverse order."""
     adv = expand_adv(n, parities, j_parity)
-    return OpProductExpansion(n, tuple(replace(t, factors=t.factors[::-1]) for t in adv.terms))
+    return OpProductExpansion(n, tuple(t._replace(factors=t.factors[::-1]) for t in adv.terms))
 
 
 def expand_dif(n: int, parities=None, j_parity: int = 0) -> OpProductExpansion:

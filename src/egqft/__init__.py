@@ -7,9 +7,9 @@ numerics (propagators_kinematics), dispersion splitting (causal_splitting),
 adiabatic limits (adiabatic_limits), and the CLI (cli).
 
 The exact half (exact, symbolic_fields, model_registry, power_counting,
-wick_pairing, wightman) imports no numpy, and no module imports scipy.  The
-names below resolve on first access (PEP 562), so `import egqft` loads no
-module and each name loads only its own.
+wick_pairing, wightman) and causal_splitting import no numpy, and no module
+imports scipy.  The names below resolve on first access (PEP 562), so
+`import egqft` loads no module and each name loads only its own.
 """
 
 import importlib
@@ -59,7 +59,6 @@ _EXPORTS = {
         "bubble_density",
         "central_normalize",
         "dispersion_eval",
-        "scaling_degree_estimate",
     ),
     "adiabatic_limits": (
         "LimitReport",
@@ -67,6 +66,7 @@ _EXPORTS = {
         "SplittingTheta",
         "appendix_c_demo",
         "gl_vs_eg_second_order",
+        "scaling_degree_estimate",
         "theta_eval",
     ),
 }

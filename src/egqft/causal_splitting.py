@@ -11,36 +11,38 @@ massless pair with a UV weight; a density without one is refused.  The
 central normalization chooses the minimal n making all momentum derivatives
 through order omega vanish at zero; subtraction point fixed at q = 0.
 
+It runs on the standard library, one q^2 per call; the array side (curves,
+smearing, Gauss rules, scaling-degree estimator) is adiabatic_limits.
+
 Normalization freedom basis (multi-indices |gamma| <= omega):
 tests/test_causal_splitting.py.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import Callable
 
 from .exact import DomainError, SlotRecord
 from .power_counting import VANISHING_SECTOR, omega_general
-
-# bench/tracer.py patches two_body_phase_space here (and the lazy `integrate`
-# below); no code in this module calls it
-from .propagators_kinematics import two_body_phase_space  # noqa: F401
 from .symbolic_fields import canonical_dim
 
 
 def __getattr__(name):
-    """`integrate`: scipy.integrate, loaded only when asked for.  Only
-    bench/tracer.py asks (it wraps integrate.quad); the name goes when the
-    tracer reads library-owned counters instead (ROADMAP item 1)."""
+    """`integrate` (scipy.integrate) and `two_body_phase_space`, loaded only
+    when asked for.  Only bench/tracer.py asks (it wraps integrate.quad and
+    patches two_body_phase_space here); no code in this module calls either,
+    and both names go when the tracer reads library-owned counters instead
+    (ROADMAP item 1)."""
     if name == "integrate":
         from scipy import integrate
 
         return integrate
+    if name == "two_body_phase_space":
+        from .propagators_kinematics import two_body_phase_space
+
+        return two_body_phase_space
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -235,19 +237,17 @@ class SelfEnergy(SlotRecord):
         return int(math.floor(g)) + 1
 
 
-def dispersion_eval(
-    se: SelfEnergy, q2: float | np.ndarray, mode: str = "feynman"
-) -> complex | np.ndarray:
-    """Subtracted dispersion integral at real q^2, a scalar or an array: a
-    complex for a scalar q^2 and a complex array otherwise.
+def dispersion_eval(se: SelfEnergy, q2: float, mode: str = "feynman") -> complex:
+    """Subtracted dispersion integral at one finite real q^2, a complex; a
+    caller with a grid evaluates it point by point.
 
     mode "feynman"/"advanced": boundary value s - q^2 - i0 (below the cut);
     mode "retarded": s - q^2 + i0, the conjugate.  Below threshold the result
     is real; on the cut the i0 term contributes -+ i rho(q^2) (Plemelj).
 
-    The density's closed form is evaluated point by point; a density without
-    one is a SplittingError.  Refused before any evaluation: a non-finite q^2
-    and, over a threshold at zero, q^2 = 0 unsubtracted (int rho(s) / s ds
+    The value is the density's closed form; a density without one is a
+    SplittingError.  Refused before any evaluation: a non-finite q^2 and,
+    over a threshold at zero, q^2 = 0 unsubtracted (int rho(s) / s ds
     diverges like a log) and every subtraction at q^2 = 0, as rho(0+) > 0 for
     both such densities here (the massless bubble and pair are flat there).
     """
@@ -260,14 +260,11 @@ def dispersion_eval(
             f"dispersion integral diverges for n_sub = {n}; density growth "
             f"s^{se.density.growth} requires n_sub >= {need}"
         )
-    q = np.asarray(q2, dtype=float)
-    xs = q.ravel().tolist()
-    if not all(map(math.isfinite, xs)):
-        bad = next(x for x in xs if not math.isfinite(x))
-        raise SplittingError(f"q^2 must be finite, got {bad!r}")
+    if not math.isfinite(q2):
+        raise SplittingError(f"q^2 must be finite, got {q2!r}")
     if se.density.threshold == 0.0 and n:
         raise _needs_mass_gap(n)
-    if se.density.threshold == 0.0 and 0.0 in xs:
+    if se.density.threshold == 0.0 and q2 == 0.0:
         raise SplittingError(
             "dispersion integral diverges logarithmically at q^2 = 0: with n_sub = 0 "
             "and the threshold at zero, int rho(s) / s ds diverges at s = 0"
@@ -276,10 +273,11 @@ def dispersion_eval(
     if closed is None:
         raise SplittingError("the spectral density has no closed form: only the "
                              "equal-mass bubble (m > 0) and the massless pair are evaluated")
-    out = np.array([closed(x, n) for x in xs], dtype=complex).reshape(q.shape)
+    v = closed(q2, n)
     if mode == "retarded":
-        out = out.conj() + 0.0  # + 0.0: no -0.0 imaginary parts off the cut
-    return complex(out) if q.ndim == 0 else out
+        # + 0.0 on each part: no -0.0 imaginary part off the cut
+        return complex(v.real + 0.0, 0.0 - v.imag)
+    return v
 
 
 def _needs_mass_gap(n: int) -> SplittingError:
@@ -358,119 +356,3 @@ def model_self_energy(model, n_sub: int | str = "central") -> SelfEnergy:
                 f"heaviest field is computed"
             )
     return se
-
-
-# --------------------------------------------------------------------------- scaling-degree estimator
-
-
-class ScaledProbe(NamedTuple):
-    """g(x / lam) for a fixed base profile g with g(0) = 1."""
-
-    base: Callable[[np.ndarray], np.ndarray]
-    lam: float
-
-    def __call__(self, x):
-        return self.base(np.asarray(x, dtype=float) / self.lam)
-
-
-class SdEstimate(NamedTuple):
-    value: float
-    slope: float
-    residual: float
-    ok: bool
-    note: str = ""
-
-
-def _tilted_probe(x):
-    """exp(-|x|^2/2)(1 + x0): the x0 tilt keeps odd distributions visible."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    return np.exp(-0.5 * r2) * (1.0 + x[..., 0])
-
-
-@functools.lru_cache(maxsize=None)
-def _hermgauss(n: int):
-    """Gauss-Hermite nodes/weights, computed once per order (callers share the
-    arrays and must not modify them)."""
-    return np.polynomial.hermite.hermgauss(n)
-
-
-def _gauss_axis(s: float, n: int):
-    """n-point rule for E[f(x)], x ~ N(0, s^2): Gauss-Hermite offsets and
-    weights that sum to one."""
-    h, wh = _hermgauss(n)
-    return s * math.sqrt(2.0) * h, wh / math.sqrt(math.pi)
-
-
-def target_pairing(target: str, dim: int) -> Callable[[ScaledProbe], complex]:
-    """The pairing <t, p> of a probe p with a test distribution t on R^dim:
-    "delta" (at 0), "ddelta" (d/dx0 of delta: minus the probe's x0-derivative
-    at 0 by a five-point central difference) or "smooth" (the Gaussian
-    exp(-|x|^2/8)).
-
-    The ddelta step 5e-4 lam scales with the probe, so the truncation error is
-    one factor at every lam (about 1e-13 for the default probe) and the fitted
-    slope is exact to rounding.
-
-    The smooth pairing is a tensor 6-point Gauss-Hermite rule in u = x/lam for
-    the weight exp(-|u|^2/2) of the probe profile, exact to about 1e-8; its
-    6^dim points bound dim by 7.  The Gaussian's width 2 puts the probe scales
-    lam <= 0.5 in the asymptotic regime; at width 1 the log-log fit is not
-    linear (residual 0.15).
-    """
-    if target == "delta":
-        return lambda p: p(np.zeros(dim))
-    if target == "ddelta":
-        e0 = np.eye(dim)[0]
-
-        def pairing(p):
-            h = 5e-4 * p.lam
-            return -(p(-2 * h * e0) - 8 * p(-h * e0) + 8 * p(h * e0) - p(2 * h * e0)) / (12 * h)
-
-        return pairing
-    if target != "smooth":
-        raise SplittingError(f"unknown target {target!r}")
-    if dim > 7:
-        raise SplittingError(f"the smooth target's 6^dim-point rule needs --dim <= 7, got {dim}")
-    u, w = _gauss_axis(1.0, 6)
-    # per axis: the rule for the integral over R, exp(u^2/2) dividing out the weight
-    w = w * math.sqrt(2.0 * math.pi) * np.exp(0.5 * u * u)
-    nodes = np.array(list(itertools.product(u, repeat=dim)))
-    weights = np.prod(list(itertools.product(w, repeat=dim)), axis=1)
-
-    def pairing(p):
-        x = p.lam * nodes
-        return p.lam**dim * float(np.dot(weights, np.exp(-np.sum(x * x, axis=1) / 8) * p(x)))
-
-    return pairing
-
-
-def scaling_degree_estimate(
-    pairing: Callable[[ScaledProbe], complex],
-    dim: int,
-    lambdas: Sequence[float] | None = None,
-    base: Callable | None = None,
-) -> SdEstimate:
-    """Least-squares slope of log|<t, g(./lam)>| against log lam.
-
-    For a distribution of scaling degree sd the pairing scales like
-    lam^(dim - sd), so the estimate is dim - slope.  A large fit residual or
-    vanishing samples mark the estimate indeterminate.
-    """
-    if lambdas is None:
-        lambdas = tuple(0.5 * 2.0 ** (-k / 2.0) for k in range(12))
-    base = base or _tilted_probe
-    mags = np.array([abs(complex(pairing(ScaledProbe(base, lam)))) for lam in lambdas])
-    if np.any(mags == 0.0):
-        nan = float("nan")
-        return SdEstimate(nan, nan, math.inf, False,
-                          "zero sample; scaling degree is -inf or the probe misses the support")
-    x = np.log(np.asarray(lambdas))
-    y = np.log(mags)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope = float(coef[0])
-    residual = float(np.sqrt(res[0] / len(x))) if len(res) else 0.0
-    ok = residual < 0.1
-    note = "" if ok else "indeterminate: non-linear log-log fit"
-    return SdEstimate(dim - slope, slope, residual, ok, note)

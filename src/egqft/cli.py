@@ -15,10 +15,10 @@ lines, so a domain error leaves no --out file behind.  The manifest's params
 are the parsed options, every one except --out and --manifest.
 
 Each subcommand imports only the modules it runs: only the numeric ones
-(selfenergy, adiabatic, glcheck, sdestimate) import numpy and the numeric
-modules, only wick and pairings import wick_pairing, only --manifest
-imports hashlib, and only JSON output (--format json, a manifest) imports
-json.  No subcommand imports scipy.
+(selfenergy, adiabatic, glcheck, sdestimate) import the numeric modules and
+only the last three numpy, only wick and pairings import wick_pairing, only
+--manifest imports hashlib, and only JSON output (--format json, a manifest)
+imports json.  No subcommand imports scipy.
 """
 from __future__ import annotations
 
@@ -113,10 +113,9 @@ def _finite(spec: str) -> float:
     return x
 
 
-def _q2_points(spec: str):
-    """The grid a:b:n of --q2grid (n >= 1 points), as a numpy array."""
-    import numpy as np
-
+def _q2_points(spec: str) -> list[float]:
+    """The grid a:b:n of --q2grid (n >= 1 points), bit for bit as
+    numpy.linspace spaces it: a + i (b - a) / (n - 1), with b the last point."""
     try:
         a, b, n = spec.split(":")
         a, b, n = _finite(a), _finite(b), int(n)
@@ -126,7 +125,12 @@ def _q2_points(spec: str):
         raise argparse.ArgumentTypeError(f"need n >= 1 grid points, got {spec!r}")
     if not math.isfinite(b - a):
         raise argparse.ArgumentTypeError(f"the span b - a overflows, got {spec!r}")
-    return np.linspace(a, b, n)
+    if n == 1:
+        return [0.0 * (b - a) + a]
+    step = (b - a) / (n - 1)
+    if step == 0:  # underflow: numpy scales i / (n - 1) by b - a instead
+        return [i / (n - 1) * (b - a) + a for i in range(n - 1)] + [b]
+    return [i * step + a for i in range(n - 1)] + [b]
 
 
 def _n_sub(spec: str) -> str:
@@ -401,20 +405,20 @@ def _cmd_selfenergy(args, model):
 
     q2s = _q2_points(args.q2grid)
     se = model_self_energy(model, args.nsub)
-    rows = list(zip(q2s, _cli.dispersion_eval(se, q2s, args.mode)))
+    rows = [(q2, _cli.dispersion_eval(se, q2, args.mode)) for q2 in q2s]
     # Re Sigma_n grows like (q^2)^(n-1): far out it can leave the float range
     for q2, v in rows:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise SplittingError(
-                f"Sigma at q^2 = {float(q2)!r} with n_sub = {se.n_sub} is {complex(v)!r}, "
+                f"Sigma at q^2 = {q2!r} with n_sub = {se.n_sub} is {v!r}, "
                 f"outside the float range"
             )
     if args.format == "json":
         return model, [
-            {"q2": float(q2), "re": v.real, "im": v.imag} for q2, v in rows
+            {"q2": q2, "re": v.real, "im": v.imag} for q2, v in rows
         ]
     return model, ["q2,re_sigma,im_sigma"] + [
-        f"{float(q2):.12g},{v.real:.12g},{v.imag:.12g}" for q2, v in rows
+        f"{q2:.12g},{v.real:.12g},{v.imag:.12g}" for q2, v in rows
     ]
 
 
@@ -477,7 +481,7 @@ def _cmd_glcheck(args, model):
 
 
 def _cmd_sdestimate(args, model):
-    from .causal_splitting import scaling_degree_estimate, target_pairing
+    from .adiabatic_limits import scaling_degree_estimate, target_pairing
 
     est = scaling_degree_estimate(target_pairing(args.target, args.dim), args.dim)
     if args.format == "json":
@@ -555,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
     p.add_argument("--fprofile", choices=("one", "vanishing"), default="one")
-    p.add_argument("--neps", type=_positive_int, default=None, help="length of the epsilon schedule")
+    p.add_argument("--neps", type=_positive_int, default=None,
+                   help="length of the epsilon schedule (at least 6)")
     common(p, default_format="json")
 
     p = sub.add_parser(
@@ -566,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cmis", type=_finite, default=0.0)
     p.add_argument("--family", choices=("gauss", "asym"), default="gauss")
-    p.add_argument("--neps", type=_positive_int, default=None, help="length of the epsilon schedule")
+    p.add_argument("--neps", type=_positive_int, default=None,
+                   help="length of the epsilon schedule (at least 2)")
     common(p)
 
     p = sub.add_parser("sdestimate", help="numeric Steinmann scaling-degree estimate")

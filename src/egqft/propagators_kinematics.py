@@ -2,9 +2,9 @@
 and the Riesz distribution's inversion check.
 
 The exact two-point keys, gamma algebra and momentum polynomials live in
-wightman (conventions there); seven of their names are re-exported here.
-Metric signature (+,-,-,-); dmu_m(k) = (2pi)^-3 d^4k theta(k0) delta(k^2 - m^2)
-is the invariant mass-shell measure.
+wightman (conventions there).  Metric signature (+,-,-,-);
+dmu_m(k) = (2pi)^-3 d^4k theta(k0) delta(k^2 - m^2) is the invariant
+mass-shell measure.
 
 Feynman propagator and its PV + i pi delta split, mass-shell measure, Riesz
 distribution s(k): tests/test_propagators.py.
@@ -16,15 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .wightman import (  # noqa: F401  (re-exported)
-    GAMMA0,
-    METRIC,
-    KinematicsError,
-    MomentumPoly,
-    gamma,
-    mat_mul,
-    two_point,
-)
+from .wightman import KinematicsError
 
 
 # --------------------------------------------------------------------------- two-body phase space

@@ -14,6 +14,7 @@ from egqft.adiabatic_limits import (
     SplittingTheta,
     appendix_c_demo,
     gl_vs_eg_second_order,
+    scaling_degree_estimate,
     theta_eval,
 )
 from egqft.causal_splitting import (
@@ -21,7 +22,6 @@ from egqft.causal_splitting import (
     bubble_density,
     central_normalize,
     dispersion_eval,
-    scaling_degree_estimate,
 )
 from egqft.model_registry import builtin, parse_model_spec, validate
 from egqft.power_counting import SList, omega_massless

@@ -41,7 +41,7 @@ def test_scalar_model_vertex():
 def test_spinor_qed_current_from_vertex_derivative():
     """The single A-derivative of the vertex is the conserved current
     contraction of the spinor pair with the explicit matrix structure."""
-    from egqft.propagators_kinematics import GAMMA0, gamma, mat_mul
+    from egqft.wightman import GAMMA0, gamma, mat_mul
     from egqft.symbolic_fields import Generator, derive, index_of
 
     m = builtin("spinor_qed_massive")

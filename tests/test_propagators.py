@@ -15,18 +15,13 @@ from scipy import integrate
 from egqft.exact import QRat
 from egqft.model_registry import builtin
 from egqft.propagators_kinematics import (
-    METRIC,
-    KinematicsError,
-    gamma,
     gaussian_probe,
-    mat_mul,
     riesz_check,
     two_body_phase_space,
     two_body_phase_space_array,
-    two_point,
 )
 from egqft.symbolic_fields import Generator
-from egqft.wightman import gamma0_gamma
+from egqft.wightman import METRIC, KinematicsError, gamma, gamma0_gamma, mat_mul, two_point
 
 QED = builtin("spinor_qed_massive")
 SM = builtin("scalar_model")

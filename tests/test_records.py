@@ -14,11 +14,13 @@ from egqft.adiabatic_limits import (
     DecayReport,
     LimitReport,
     NormalizationDemoReport,
+    ScaledProbe,
     ScaledTestFamily,
+    SdEstimate,
     SecondOrderKit,
     SplittingTheta,
 )
-from egqft.causal_splitting import ScaledProbe, SdEstimate, SelfEnergy, SpectralDensity
+from egqft.causal_splitting import SelfEnergy, SpectralDensity
 from egqft.exact import QRat
 from egqft.model_registry import ModelSpec, ModelVerdict, builtin
 from egqft.power_counting import SList

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from egqft.exact import QRat
 from egqft.model_registry import builtin, load_model, parse_model_spec
 from egqft.power_counting import SList
-from egqft.propagators_kinematics import GAMMA0, gamma, mat_mul
 from egqft.symbolic_fields import (
     AlgebraError,
     Generator,
@@ -41,7 +40,7 @@ from egqft.wick_pairing import (
     telescoping_sum,
     wick_expand,
 )
-from egqft.wightman import two_point
+from egqft.wightman import GAMMA0, gamma, mat_mul, two_point
 
 QED = builtin("spinor_qed_massive")
 SM = builtin("scalar_model")

@@ -2,14 +2,13 @@
 
 Layers: exact field algebra (symbolic_fields), model definitions
 (model_registry), power counting (power_counting), Wick/pairing
-combinatorics (wick_pairing), exact two-point keys (wightman), two-point
-numerics (propagators_kinematics), dispersion splitting (causal_splitting),
-adiabatic limits (adiabatic_limits), and the CLI (cli).
+combinatorics (wick_pairing), exact two-point keys (wightman), the two-body
+phase space (propagators_kinematics), dispersion splitting
+(causal_splitting), adiabatic limits (adiabatic_limits), and the CLI (cli).
 
-The exact half (exact, symbolic_fields, model_registry, power_counting,
-wick_pairing, wightman) and causal_splitting import no numpy, and no module
-imports scipy.  The names below resolve on first access (PEP 562), so
-`import egqft` loads no module and each name loads only its own.
+Only adiabatic_limits imports numpy, and no module imports scipy on import.
+The names below resolve on first access (PEP 562), so `import egqft` loads
+no module and each name loads only its own.
 """
 
 import importlib
@@ -52,7 +51,7 @@ _EXPORTS = {
         "wick_expand",
     ),
     "wightman": ("TwoPointKey", "two_point"),
-    "propagators_kinematics": ("riesz_check", "two_body_phase_space"),
+    "propagators_kinematics": ("two_body_phase_space",),
     "causal_splitting": (
         "SelfEnergy",
         "SpectralDensity",
@@ -66,6 +65,7 @@ _EXPORTS = {
         "SplittingTheta",
         "appendix_c_demo",
         "gl_vs_eg_second_order",
+        "riesz_check",
         "scaling_degree_estimate",
         "theta_eval",
     ),

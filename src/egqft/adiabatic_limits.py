@@ -1,8 +1,10 @@
-"""Adiabatic machinery on numpy arrays: scaled test families, the Gauss
-rules, the scaling-degree estimator, limit fitting over an epsilon schedule,
-the regularized splitting function, and the two second-order demonstrations
-(normalization necessity for the limit's existence; agreement of the ratio
-and direct definitions of the smeared two-point function).
+"""Adiabatic machinery on numpy arrays, the one egqft module that imports
+numpy: scaled test families, the Gauss rules, the scaling-degree estimator,
+the Riesz distribution's inversion check on a Gaussian probe, limit fitting
+over an epsilon schedule, the regularized splitting function, and the two
+second-order demonstrations (normalization necessity for the limit's
+existence; agreement of the ratio and direct definitions of the smeared
+two-point function).
 
 Momentum-space normalization: a base profile integrates to one against
 d^N q/(2pi)^N, so a smearing <t, g_eps> is the expectation of t under a
@@ -227,6 +229,61 @@ def scaling_degree_estimate(
     ok = residual < 0.1
     note = "" if ok else "indeterminate: non-linear log-log fit"
     return SdEstimate(dim - slope, slope, residual, ok, note)
+
+
+# --------------------------------------------------------------------------- Riesz distribution
+
+
+def gaussian_probe(a: float = 1.0):
+    """Euclidean Gaussian g(k) = exp(-a |k|_E^2) and its third d'Alembertian.
+
+    Returns (g0, g_radial, box3_radial) with the radial callables taking
+    (k0, r = |kvec|); box = d^2/dk0^2 - laplacian_kvec.  Closed form from the
+    Hermite derivatives along k0 and the powers of the 3-D radial Laplacian:
+
+        box^3 g = g * sum_j C(3,j) a^j H_2j(sqrt(a) k0) (4a)^n n! L_n^(1/2)(a r^2),
+
+    n = 3 - j, with the polynomial factor held as a power series in (k0, r).
+    """
+    coef = np.zeros((7, 7))
+    for j in range(4):
+        n = 3 - j
+        herm = np.polynomial.hermite.herm2poly([0] * (2 * j) + [1])
+        herm = herm * math.sqrt(a) ** np.arange(2 * j + 1)
+        lag = np.zeros(2 * n + 1)  # (4a)^n n! L_n^(1/2)(a r^2) in powers of r
+        for m in range(n + 1):
+            lag[2 * m] = (4 * a) ** n * math.factorial(n) * (-a) ** m * math.gamma(n + 1.5) / (
+                math.factorial(n - m) * math.gamma(m + 1.5) * math.factorial(m)
+            )
+        coef[: 2 * j + 1, : 2 * n + 1] += math.comb(3, j) * a**j * np.outer(herm, lag)
+
+    def g_rad(k0, r):
+        return np.exp(-a * (k0**2 + r**2))
+
+    def b3_rad(k0, r):
+        k0, r = np.broadcast_arrays(k0, r)
+        return g_rad(k0, r) * np.polynomial.polynomial.polyval2d(k0, r, coef)
+
+    return 1.0, g_rad, b3_rad
+
+
+_RIESZ_KMAX, _RIESZ_N = 12.0, 600  # riesz_check's cutoff in k0 and Gauss-Legendre order
+
+
+def riesz_check(box3_radial: Callable, g_at_zero: float) -> float:
+    """Residual <s, box^3 g> - (2pi)^4 g(0) for a rotationally symmetric probe."""
+    x, w = np.polynomial.legendre.leggauss(_RIESZ_N)
+    k0 = 0.5 * _RIESZ_KMAX * (x + 1.0)
+    wk = 0.5 * _RIESZ_KMAX * w
+    total = 0.0
+    for k0i, w0 in zip(k0, wk):
+        # r in [0, k0i]: inside the forward cone
+        r = 0.5 * k0i * (x + 1.0)
+        wr = 0.5 * k0i * w
+        k2 = k0i**2 - r**2
+        vals = (math.pi**3 / 4.0) * k2 * box3_radial(k0i, r) * 4.0 * math.pi * r**2
+        total += w0 * float(np.sum(wr * vals))
+    return total - (2.0 * math.pi) ** 4 * g_at_zero
 
 
 # --------------------------------------------------------------------------- limit fitting

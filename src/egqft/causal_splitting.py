@@ -11,8 +11,10 @@ massless pair with a UV weight; a density without one is refused.  The
 central normalization chooses the minimal n making all momentum derivatives
 through order omega vanish at zero; subtraction point fixed at q = 0.
 
-It runs on the standard library, one q^2 per call; the array side (curves,
-smearing, Gauss rules, scaling-degree estimator) is adiabatic_limits.
+It runs on the standard library, one q^2 per call; the bubble's Im Sigma on
+the cut is the two-body phase space of propagators_kinematics.  The array
+side (curves, smearing, Gauss rules, scaling-degree estimator) is
+adiabatic_limits.
 
 Normalization freedom basis (multi-indices |gamma| <= omega):
 tests/test_causal_splitting.py.
@@ -26,23 +28,19 @@ from typing import Callable
 
 from .exact import DomainError, SlotRecord
 from .power_counting import VANISHING_SECTOR, omega_general
+from .propagators_kinematics import two_body_phase_space
 from .symbolic_fields import canonical_dim
 
 
 def __getattr__(name):
-    """`integrate` (scipy.integrate) and `two_body_phase_space`, loaded only
-    when asked for.  Only bench/tracer.py asks (it wraps integrate.quad and
-    patches two_body_phase_space here); no code in this module calls either,
-    and both names go when the tracer reads library-owned counters instead
-    (ROADMAP item 1)."""
+    """`integrate` (scipy.integrate), loaded only when asked for.  Only
+    bench/tracer.py asks (it wraps integrate.quad); no code in this module
+    calls it, and the name goes when the tracer reads library-owned counters
+    instead (ROADMAP item 1)."""
     if name == "integrate":
         from scipy import integrate
 
         return integrate
-    if name == "two_body_phase_space":
-        from .propagators_kinematics import two_body_phase_space
-
-        return two_body_phase_space
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -89,19 +87,21 @@ def bubble_density(m1: float, m2: float) -> SpectralDensity:
     """
     w = 2
     s0 = (m1 + m2) ** 2
-    closed = functools.partial(_bubble_dispersion, s0, w) if m1 == m2 > 0 else None
+    closed = functools.partial(_bubble_dispersion, m1, s0, w) if m1 == m2 > 0 else None
     return SpectralDensity(s0, 0.0, closed)
 
 
-def _bubble_dispersion(s0: float, w: float, q2: float, n: int) -> complex:
-    """Sigma_n(q^2) of rho(s) = w beta(s) / (8 pi), beta = sqrt(1 - s0/s), the
-    equal-mass bubble with threshold s0 = 4m^2, on the Feynman side.
+def _bubble_dispersion(m: float, s0: float, w: float, q2: float, n: int) -> complex:
+    """Sigma_n(q^2) of rho(s) = w two_body_phase_space(m, m, s) = w beta(s) /
+    (8 pi), beta = sqrt(1 - s0/s), the equal-mass bubble with threshold
+    s0 = (m + m)^2 (bubble_density's, not recomputed per point), on the
+    Feynman side.
 
     With x = q^2/s0, Sigma_n = w / (8 pi^2) (J(x) - sum_{k<n} B(k, 3/2) x^k):
     J is the once-subtracted integral and B(k, 3/2) = int_0^1 t^(k-1)
     sqrt(1 - t) dt gives the subtraction constants, c_k = w B(k, 3/2) /
-    (8 pi^2 s0^k).  The imaginary part on the cut is the density's own
-    expression, so Im Sigma = rho exactly.
+    (8 pi^2 s0^k).  The imaginary part on the cut is the density itself, so
+    Im Sigma = rho exactly.
     """
     x = q2 / s0
     if abs(x) < _series_radius(n):
@@ -114,7 +114,7 @@ def _bubble_dispersion(s0: float, w: float, q2: float, n: int) -> complex:
     re = w / (8.0 * math.pi**2) * (_bubble_j(q2, s0) - _bubble_taylor(x, 1, n))
     if q2 <= s0:
         return complex(re)
-    return complex(re, w * (math.sqrt(q2 - s0) * math.sqrt(q2) / q2 / (8.0 * math.pi)))
+    return complex(re, w * two_body_phase_space(m, m, q2))
 
 
 @functools.cache

@@ -113,9 +113,9 @@ def _finite(spec: str) -> float:
     return x
 
 
-def _q2_points(spec: str) -> list[float]:
-    """The grid a:b:n of --q2grid (n >= 1 points), bit for bit as
-    numpy.linspace spaces it: a + i (b - a) / (n - 1), with b the last point."""
+def _q2_grid(spec: str) -> tuple[float, float, int]:
+    """The bounds and count (a, b, n) of --q2grid a:b:n, unspaced: finite a
+    and b whose span b - a is finite too, and n >= 1."""
     try:
         a, b, n = spec.split(":")
         a, b, n = _finite(a), _finite(b), int(n)
@@ -125,6 +125,13 @@ def _q2_points(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"need n >= 1 grid points, got {spec!r}")
     if not math.isfinite(b - a):
         raise argparse.ArgumentTypeError(f"the span b - a overflows, got {spec!r}")
+    return a, b, n
+
+
+def _q2_points(spec: str) -> list[float]:
+    """The grid a:b:n of --q2grid (n >= 1 points), bit for bit as
+    numpy.linspace spaces it: a + i (b - a) / (n - 1), with b the last point."""
+    a, b, n = _q2_grid(spec)
     if n == 1:
         return [0.0 * (b - a) + a]
     step = (b - a) / (n - 1)
@@ -546,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dispersion-evaluated self-energy on a q^2 grid",
         epilog="CSV columns: q2, re_sigma, im_sigma.",
     )
-    p.add_argument("--q2grid", required=True, type=_checked(_q2_points), help="a:b:n")
+    p.add_argument("--q2grid", required=True, type=_checked(_q2_grid), help="a:b:n")
     p.add_argument("--nsub", default="central", type=_n_sub, help="integer or 'central'")
     p.add_argument("--mode", choices=("feynman", "advanced", "retarded"), default="feynman")
     common(p)

@@ -430,14 +430,12 @@ class Polynomial:
         return True
 
 
-def canonical_dim(p: Polynomial, table: FieldTable | None = None) -> Fraction:
+def canonical_dim(p: Polynomial) -> Fraction:
     """Canonical dimension of a dim-homogeneous polynomial.
 
     Additive over products; each derivative adds one.  Raises naming both
     offending components when the input mixes dimensions.
     """
-    if table is not None and table != p.table:
-        raise AlgebraError("polynomial does not belong to the given field table")
     v = p._homogeneous_value(2, "canonical dimension")
     return Fraction(0) if v is None else v
 

@@ -14,24 +14,22 @@ every element of (kslash +- m) gamma0 for Dirac pairs, w = -1 for the
 ghost pair.  Derivative decorations multiply w by (-i k_mu) on the left
 slot and (+i k_mu) on the right slot (lower index).
 
-Everything here is exact (QRat) and imports no numerics; the numeric
-two-point functions are in propagators_kinematics.
+Everything here is exact (QRat) and imports no numerics; KinematicsError
+comes from propagators_kinematics.
 
-Gamma traces: tests/test_propagators.py.
+Gamma traces, and the numeric two-point functions (Feynman propagator,
+mass-shell measure): tests/test_propagators.py.
 """
 from __future__ import annotations
 
 import functools
 from typing import NamedTuple
 
-from .exact import I, ONE, DomainError, QRat, as_qrat
+from .exact import I, ONE, QRat, as_qrat
+from .propagators_kinematics import KinematicsError
 from .symbolic_fields import Alpha, FieldTable, Generator, ZERO_ALPHA
 
 METRIC = (1, -1, -1, -1)
-
-
-class KinematicsError(DomainError):
-    pass
 
 
 # --------------------------------------------------------------------------- gamma algebra

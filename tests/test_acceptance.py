@@ -13,7 +13,9 @@ import numpy as np
 from egqft.adiabatic_limits import (
     SplittingTheta,
     appendix_c_demo,
+    gaussian_probe,
     gl_vs_eg_second_order,
+    riesz_check,
     scaling_degree_estimate,
     theta_eval,
 )
@@ -25,11 +27,7 @@ from egqft.causal_splitting import (
 )
 from egqft.model_registry import builtin, parse_model_spec, validate
 from egqft.power_counting import SList, omega_massless
-from egqft.propagators_kinematics import (
-    gaussian_probe,
-    riesz_check,
-    two_body_phase_space,
-)
+from egqft.propagators_kinematics import two_body_phase_space
 from egqft.symbolic_fields import Generator, SuperQuadriIndex, subpolynomials
 from egqft.wick_pairing import complete_pairings, expand_aT, isserlis_oracle, telescoping_sum
 

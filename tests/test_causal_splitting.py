@@ -26,7 +26,7 @@ from egqft.causal_splitting import (
     model_self_energy,
 )
 from egqft.model_registry import BUILTIN_NAMES, builtin, load_model
-from egqft.propagators_kinematics import two_body_phase_space_array
+from egqft.propagators_kinematics import two_body_phase_space
 
 M = 1.0
 RHO = bubble_density(M, M)
@@ -38,6 +38,19 @@ PAIR = SpectralDensity(
     closed_form=functools.partial(_pair_dispersion, LAM**2),
 )
 GOLDEN = Path(__file__).with_name("golden")
+
+
+def two_body_phase_space_array(m1: float, m2: float, s) -> np.ndarray:
+    """The two-body phase space elementwise on an array of s, without the
+    timelike check: sqrt(lambda(s, m1^2, m2^2)) / (8 pi s) above (m1 + m2)^2
+    and 0 at and below.  The root is sqrt(s - (m1 + m2)^2) sqrt(s - (m1 -
+    m2)^2), divided by s before 8 pi, so that it keeps full relative
+    precision at threshold and no step overflows at any finite s."""
+    s = np.asarray(s, dtype=float)
+    above = s > (m1 + m2) ** 2
+    root = np.sqrt(np.where(above, s - (m1 + m2) ** 2, 0.0))
+    root *= np.sqrt(np.where(above, s - (m1 - m2) ** 2, 0.0))
+    return root / np.where(above, s, 1.0) / (8.0 * math.pi)
 
 
 def rho(s, m=M):
@@ -62,6 +75,23 @@ def test_bubble_density_examples():
     assert flat.threshold == 0.0
     vals = [rho(s, 0.0) for s in (0.5, 3.0, 11.0)]
     assert all(v == pytest.approx(2.0 / (8 * math.pi), rel=1e-9) for v in vals)
+
+
+@pytest.mark.parametrize("m1, m2", [(1.0, 1.0), (0.5, 1.5), (0.25, 0.25), (0.0, 0.0)])
+def test_phase_space_matches_the_array_reference_bit_for_bit(m1, m2):
+    """two_body_phase_space equals the numpy reference bit for bit on a grid
+    through the threshold: the ulps around it, a span of it, and huge s."""
+    s0 = (m1 + m2) ** 2 or 1.0  # a threshold at 0 (s > 0 only) takes the scale 1
+    ulps = []
+    for toward in (0.0, math.inf):
+        x = s0
+        for _ in range(8):
+            x = math.nextafter(x, toward)
+            ulps.append(x)
+    grid = [*np.linspace(0.01 * s0, 5.0 * s0, 997), s0, *ulps, 1e160, sys.float_info.max]
+    want = two_body_phase_space_array(m1, m2, grid)
+    got = [two_body_phase_space(m1, m2, float(s)) for s in grid]
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_bubble_weight_is_the_complete_contraction_count():
@@ -312,7 +342,6 @@ def test_kit_curves_match_cauchy_reference():
     of 0 and of 4m^2) against the per-point Cauchy-weight reference."""
     from egqft.adiabatic_limits import SecondOrderKit
     from egqft.model_registry import builtin
-    from egqft.propagators_kinematics import two_body_phase_space
 
     kit = SecondOrderKit.build(model_self_energy(builtin("scalar_model")))
 

@@ -674,13 +674,16 @@ for argv in {NUMERIC_COMMANDS!r}:
 
 def test_selfenergy_runs_without_numpy(tmp_path):
     """selfenergy evaluates the closed forms of causal_splitting on the
-    standard library: importing that module, and running selfenergy in csv
-    and json, with and without --manifest, leave numpy unloaded.  The
-    commands that need arrays (sdestimate, adiabatic, glcheck) still run in
-    the same process and load it."""
+    standard library: importing that module or propagators_kinematics leaves
+    numpy unloaded, and running selfenergy in csv and json, with and without
+    --manifest, loads neither numpy nor wightman.  The commands that need
+    arrays (sdestimate, adiabatic, glcheck) still run in the same process
+    and load numpy."""
     manifests = [str(tmp_path / "csv.json"), str(tmp_path / "json.json")]
     code = f"""
 import contextlib, io, sys
+import egqft.propagators_kinematics
+assert 'numpy' not in sys.modules
 import egqft.causal_splitting
 assert 'numpy' not in sys.modules
 from egqft import cli
@@ -693,7 +696,8 @@ def run(argv):
 for extra in ([], ['--format', 'json'], ['--manifest', {manifests[0]!r}],
               ['--format', 'json', '--manifest', {manifests[1]!r}]):
     run({NUMERIC_COMMANDS[0]!r} + extra)
-    assert 'numpy' not in sys.modules, extra
+    loaded = [m for m in ('numpy', 'egqft.wightman') if m in sys.modules]
+    assert not loaded, (extra, loaded)
 for argv in (['sdestimate', '--target', 'ddelta'], *{NUMERIC_COMMANDS[1:]!r}):
     run(argv)
 assert 'numpy' in sys.modules
@@ -703,6 +707,47 @@ assert 'numpy' in sys.modules
         cwd=GOLDEN, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_adiabatic_limits_imports_numpy():
+    """adiabatic_limits is the one module of egqft that imports numpy, at
+    any depth; no module imports scipy at module level."""
+    import ast
+
+    numpy_users, scipy_users = set(), set()
+    for path in sorted((Path(SRC) / "egqft").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            tops = {n.split(".")[0] for n in names}
+            if "numpy" in tops:
+                numpy_users.add(path.stem)
+            if "scipy" in tops and node in tree.body:
+                scipy_users.add(path.stem)
+    assert sorted(numpy_users) == ["adiabatic_limits"]
+    assert sorted(scipy_users) == []
+
+
+def test_selfenergy_spaces_the_q2_grid_once(monkeypatch, capsys):
+    """--q2grid is checked by argparse without being spaced; the selfenergy
+    run spaces it once."""
+    from egqft import cli
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return _q2_points(spec)
+
+    monkeypatch.setattr(cli, "_q2_points", counting)
+    assert run(["selfenergy", "--model", "scalar_model", "--q2grid=-2:6:17"]) == 0
+    assert calls == ["-2:6:17"]
+    assert capsys.readouterr().out.count("\n") == 18
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -323,9 +323,15 @@ def fit_limit(epsilons: Sequence[float], values: Sequence[complex],
     if len(eps) < 3:
         raise AdiabaticError("need at least 3 epsilon samples to fit")
     A = np.vstack([np.ones_like(eps), np.log(1.0 / eps)]).T
-    coef, sig = _lstsq_complex(A, vals)
+    with np.errstate(over="ignore"):
+        coef, sig = _lstsq_complex(A, vals)
     slope, slope_sigma = coef[1], float(sig[1])
-    scale = float(np.max(np.abs(vals))) if np.max(np.abs(vals)) > 0 else 1.0
+    if not math.isfinite(slope_sigma):
+        # the squared residuals leave the float range once |samples| nears 1e154
+        raise AdiabaticError(f"the log-slope fit of {family or 'the samples'} overflows: "
+                             f"its squared residuals are outside the float range")
+    peak = float(np.max(np.abs(vals)))
+    scale = peak if peak > 0 else 1.0
     tol = max(rel_tol * scale, 1e-12)
 
     def extrapolate(window: int) -> complex:
@@ -334,8 +340,7 @@ def fit_limit(epsilons: Sequence[float], values: Sequence[complex],
         cols = [np.ones_like(e), e]
         if w >= 4:
             cols.append(e**2)
-        ct, _ = _lstsq_complex(np.vstack(cols).T, v)
-        return complex(ct[0])
+        return complex(np.linalg.lstsq(np.vstack(cols).T, v, rcond=None)[0][0])
 
     estimate = extrapolate(8)
     # a convergent sequence extrapolates consistently from nested tails; a
@@ -459,8 +464,8 @@ class SecondOrderKit(NamedTuple):
     normalized_bubble(q^2): the model's self-energy, the bubble centrally
     normalized to the model's derived omega (analytic near zero momentum).
     Both are _Curves on |q^2| <= _QMAX.
-    onshell_pair(q0, r): the massless on-shell pair value 1/(8 pi) on its
-    support; support theta(q^2) theta(-+q0) selects advanced/retarded.
+    onshell_pair(q0, r, q2): the massless on-shell pair value 1/(8 pi) on its
+    support theta(q^2) theta(-+q0), advanced and retarded.
     """
 
     feynman_pair: _Curve
@@ -482,16 +487,15 @@ class SecondOrderKit(NamedTuple):
             ps0=two_body_phase_space(0.0, 0.0, 1.0),
         )
 
-    def onshell_pair(self, q0, r, time_sign: int, weight: str = "one"):
-        q0 = np.asarray(q0, dtype=float)
-        r = np.asarray(r, dtype=float)
-        q2 = q0**2 - r**2
-        sup = (q2 > 0) & (time_sign * q0 > 0)
-        w = np.ones_like(q2)
+    def onshell_pair(self, q0, r, q2, weight: str = "one"):
+        """(advanced, retarded) at q0 and r = |qvec| (arrays that broadcast),
+        given q2 = q0^2 - r^2: the light-cone mask and the f-profile weight
+        are shared, only the time sign's mask differs."""
+        on = self.ps0 * (q2 > 0)
         if weight == "vanishing":
             e2 = q0**2 + r**2
-            w = e2 / (1.0 + e2)
-        return self.ps0 * sup * w
+            on = on * (e2 / (1.0 + e2))
+        return on * (q0 < 0), on * (q0 > 0)
 
 
 @functools.cache
@@ -567,14 +571,16 @@ def _laguerre(n: int, alpha: float):
 
 
 def _smear_radial(family, eps, f2d) -> tuple[complex, complex]:
-    """Smearings of the advanced and retarded values: f2d(q0, r) returns the
-    pair of arrays for time signs -1 and +1, evaluated once per component of
-    _radial_nodes (that is, once per distinct time center)."""
+    """Smearings of the advanced and retarded values: f2d(q0, r), on a column
+    of time nodes and a row of radii, returns the pair of arrays for time signs
+    -1 and +1, evaluated once per component of _radial_nodes (that is, once
+    per distinct time center); one array returned for both is smeared once."""
     comps, r, wr = _radial_nodes(family, eps)
     adv = ret = 0.0 + 0.0j
     for wc, q0, w0 in comps:
-        Q0, R = np.meshgrid(q0, r, indexing="ij")
-        a, b = (complex(np.einsum("i,j,ij->", w0, wr, v)) for v in f2d(Q0, R))
+        va, vr = f2d(q0[:, None], r[None, :])
+        a = complex(np.einsum("i,j,ij->", w0, wr, va))
+        b = a if vr is va else complex(np.einsum("i,j,ij->", w0, wr, vr))
         adv, ret = adv + wc * a, ret + wc * b
     return adv, ret
 
@@ -628,14 +634,17 @@ def appendix_c_demo(
         if not c_mis:
             return bub, bub
         pair = kit.feynman_pair(q2)
-        return [bub + c_mis * (pair - kit.onshell_pair(q0, r, sign, f_profile))
-                for sign in (-1, +1)]
+        return [bub + c_mis * (pair - on) for on in kit.onshell_pair(q0, r, q2, f_profile)]
 
     adv_samples, ret_samples = zip(*(_smear_radial(family, e, f) for e in family.epsilons))
     diff = [a - b for a, b in zip(adv_samples, ret_samples)]
+    advanced = fit_limit(family.epsilons, adv_samples, family=family.label + "/adv")
+    # equal samples (c_mis = 0) are fitted once
+    retarded = (advanced._replace(family=family.label + "/ret") if ret_samples == adv_samples
+                else fit_limit(family.epsilons, ret_samples, family=family.label + "/ret"))
     return NormalizationDemoReport(
-        advanced=fit_limit(family.epsilons, adv_samples, family=family.label + "/adv"),
-        retarded=fit_limit(family.epsilons, ret_samples, family=family.label + "/ret"),
+        advanced=advanced,
+        retarded=retarded,
         difference=fit_limit(family.epsilons, diff, family=family.label + "/dif"),
     )
 
@@ -690,22 +699,28 @@ def gl_vs_eg_second_order(
 
     def grids(eps):
         # one Gaussian per component of the family, centered at eps * c0 in
-        # time; q^2 and q0 - q_par do not depend on kappa
+        # time; q^2 (n_q^3) and q0 - q_par (n_q^2, broadcast along q_perp) do
+        # not depend on kappa
         s = eps * family.sigma
         qp, wp = _gauss_axis(s, n_q)
         qt, wt = _gauss_radius(s, n_q, 0.0)
         comps = []
         for t, wc in centers:
-            Q0, QP, QT = np.meshgrid(eps * t + qp, qp, qt, indexing="ij")
-            comps.append((wc, Q0**2 - QP**2 - QT**2, Q0 - QP))
+            q0 = (eps * t + qp)[:, None, None]
+            comps.append((wc, q0**2 - qp[:, None] ** 2 - qt**2, q0 - qp[:, None]))
         return np.einsum("i,j,k->ijk", wp, wp, wt), comps
 
     def phi(W, comps, kap, sgn):
         total = 0.0
         for wc, q2, d in comps:
             arg = q2 + 2.0 * sgn * kap * d
-            vals = kit.normalized_bubble(arg) + c_mis if sgn > 0 else kit.feynman_pair(arg)
-            total += wc * complex(np.sum(W * vals))
+            if sgn > 0:
+                vals = kit.normalized_bubble(arg)
+                vals += c_mis
+            else:
+                vals = kit.feynman_pair(arg)
+            vals *= W
+            total += wc * complex(vals.sum())
         return total
 
     def delta_at(W, comps) -> complex:

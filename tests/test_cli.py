@@ -1122,6 +1122,26 @@ def test_selfenergy_refuses_a_sigma_outside_the_float_range(capsys, fmt, grid):
     assert "outside the float range" in err, err
 
 
+@pytest.mark.parametrize("cmis", ["1e160", "1e200"])
+def test_adiabatic_refuses_a_limit_fit_that_overflows(tmp_path, capsys, cmis):
+    """|c_mis| past about 1e154 squares the fit residuals out of the float
+    range: exit 1 with one stderr line, no warning and no --out file."""
+    out_file = tmp_path / "out.json"
+    code, out, err = _run(capsys, ["adiabatic", "--model", "scalar_model", "--cmis", cmis,
+                                   "--neps", "6", "--out", str(out_file)])
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert err.startswith("egqft adiabatic: the log-slope fit of gauss/adv overflows"), err
+    assert not out_file.exists()
+
+
+def test_adiabatic_near_the_overflow_writes_strict_json(capsys):
+    code, out, err = _run(capsys, ["adiabatic", "--model", "scalar_model", "--cmis", "1e150",
+                                   "--neps", "6", "--format", "json"])
+    assert code == 0 and err == "", err
+    record = json.loads(out, parse_constant=pytest.fail)
+    assert all(record[side]["slope_sigma"] > 0 for side in ("advanced", "retarded", "difference"))
+
+
 def test_inhomogeneous_vertex_error_names_fields(tmp_path, capsys):
     path = tmp_path / "mixed.model"
     path.write_text("[fields]\nphi scalar 1.0 0 0\n[vertices]\ng = 1 * phi^3 + 1 * phi^4\n")

@@ -44,6 +44,11 @@ _BASE = {
         "--mode", "retarded"],
     "adiabatic": ["adiabatic", "--model", "scalar_model", "--neps", "6", "--out", "@OUT"],
     "glcheck": ["glcheck", "--model", "scalar_model", "--neps", "6", "--out", "@OUT"],
+    "adiabatic-asym-vanishing-cmis": [
+        "adiabatic", "--model", "scalar_model", "--family", "asym", "--fprofile", "vanishing",
+        "--cmis", "0.5", "--neps", "6"],
+    "glcheck-asym-cmis": [
+        "glcheck", "--model", "scalar_model", "--family", "asym", "--cmis", "1", "--neps", "6"],
     "sdestimate-delta": ["sdestimate", "--target", "delta"],
     "sdestimate-ddelta": ["sdestimate", "--target", "ddelta"],
     "modelfile-wick": ["wick", "--model", "two_scalar.model", "--args", "L,chi*phi"],

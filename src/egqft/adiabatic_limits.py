@@ -307,21 +307,25 @@ def _lstsq_complex(A: np.ndarray, y: np.ndarray):
     return coef, np.sqrt(np.abs(np.diag(cov)))
 
 
-def fit_limit(epsilons: Sequence[float], values: Sequence[complex],
-              rel_tol: float = 1e-4, family: str = "") -> LimitReport:
+_REL_TOL = 1e-4  # fit_limit's settledness tolerance, relative to the largest sample
+
+
+def fit_limit(epsilons: Sequence[float], values: Sequence[complex], *, family: str = "") -> LimitReport:
     """Fit v = a + b log(1/eps) and decide convergence from the tail.
 
     The log slope and its 2-sigma band quantify divergence.  Convergence is
     a settledness criterion: on a geometric schedule the consecutive
     differences of a log-divergent sequence are constant, while those of a
     convergent sequence decay, so the sequence counts as converged when its
-    last differences are below the relative tolerance.  The estimate is a
-    Richardson-style extrapolation (linear-in-eps fit on the tail).
+    last differences are below the relative tolerance _REL_TOL.  The
+    estimate is a Richardson-style extrapolation (linear-in-eps fit on the
+    tail).
     """
     eps = np.asarray(epsilons, dtype=float)
     vals = np.asarray(values, dtype=complex)
     if len(eps) < 3:
         raise AdiabaticError("need at least 3 epsilon samples to fit")
+    samples = tuple((float(e), complex(v)) for e, v in zip(eps, vals))
     A = np.vstack([np.ones_like(eps), np.log(1.0 / eps)]).T
     with np.errstate(over="ignore"):
         coef, sig = _lstsq_complex(A, vals)
@@ -332,7 +336,7 @@ def fit_limit(epsilons: Sequence[float], values: Sequence[complex],
                              f"its squared residuals are outside the float range")
     peak = float(np.max(np.abs(vals)))
     scale = peak if peak > 0 else 1.0
-    tol = max(rel_tol * scale, 1e-12)
+    tol = max(_REL_TOL * scale, 1e-12)
 
     def extrapolate(window: int) -> complex:
         w = min(window, len(eps))
@@ -363,7 +367,7 @@ def fit_limit(epsilons: Sequence[float], values: Sequence[complex],
         converged=bool(converged),
         log_slope=complex(slope),
         slope_sigma=slope_sigma,
-        samples=tuple((float(e), complex(v)) for e, v in zip(eps, vals)),
+        samples=samples,
         family=family,
     )
 
@@ -430,15 +434,18 @@ def theta_eval(theta: SplittingTheta, ys) -> float | np.ndarray:
 # --------------------------------------------------------------------------- interpolated curves
 
 
+_QMAX = 60.0  # end of the curves' grids; np.interp clamps beyond it
+
+
 class _Curve:
     """Linear interpolation of a complex function of q^2: its values vals at
-    the 900 nodes u of the asinh grid q^2 = delta sinh(u) over [-qmax, qmax],
+    the 900 nodes u of the asinh grid q^2 = delta sinh(u) over [-_QMAX, _QMAX],
     delta = 1e-7 (log-dense near zero, where the singularities live)."""
 
-    def __init__(self, fn: Callable[[float], complex], qmax: float):
+    def __init__(self, fn: Callable[[float], complex]):
         """fn maps one q^2 to its complex value; it is called once per node."""
         self.delta = 1e-7
-        umax = math.asinh(qmax / self.delta)
+        umax = math.asinh(_QMAX / self.delta)
         self.u = np.linspace(-umax, umax, 900)
         self.vals = np.array([fn(q2) for q2 in (self.delta * np.sinh(self.u)).tolist()], complex)
 
@@ -450,7 +457,6 @@ class _Curve:
 # --------------------------------------------------------------------------- second-order kit
 
 
-_QMAX = 60.0  # end of the curves' grids; np.interp clamps beyond it
 _UV_SCALE = 3.0  # the pair density's UV weight is exp(-s / _UV_SCALE^2)
 
 
@@ -482,8 +488,8 @@ class SecondOrderKit(NamedTuple):
         )
         se_flat = SelfEnergy(flat, n_sub=0)
         return SecondOrderKit(
-            feynman_pair=_Curve(lambda q2: -0.5j * dispersion_eval(se_flat, q2, "feynman"), _QMAX),
-            normalized_bubble=_Curve(lambda q2: dispersion_eval(se, q2, "feynman"), _QMAX),
+            feynman_pair=_Curve(lambda q2: -0.5j * dispersion_eval(se_flat, q2, "feynman")),
+            normalized_bubble=_Curve(lambda q2: dispersion_eval(se, q2, "feynman")),
             ps0=two_body_phase_space(0.0, 0.0, 1.0),
         )
 
@@ -509,12 +515,15 @@ def _kit(se: SelfEnergy) -> SecondOrderKit:
 
 
 _N_TIME, _N_RADIUS = 40, 40  # orders of the Hermite and Laguerre rules of _radial_nodes
+_N_KAPPA, _N_Q = 20, 14  # gl_vs_eg_second_order's kappa rule and per-axis q rules
 
 
 def _time_centers(family: ScaledTestFamily) -> list[tuple[float, float]]:
     """The (time center, weight) of each component of the family.  Both
-    demonstrations reduce the smearing along the time axis, so a spatial
-    center is an AdiabaticError."""
+    demonstrations reduce a 4-D smearing to the time axis and the spatial
+    radius, so another dimension or a spatial center is an AdiabaticError."""
+    if family.dim != 4:
+        raise AdiabaticError(f"the demonstrations need a 4-dimensional family, got dim {family.dim}")
     if any(abs(x) > 0 for c in family.centers for x in c[1:]):
         raise AdiabaticError("the demonstrations need time-directed centers")
     return [(c[0], w) for c, w in zip(family.centers, family.weights)]
@@ -616,8 +625,8 @@ def appendix_c_demo(
     quadrature.  For c_mis = 0 both limits exist and agree; otherwise both
     diverge like log(1/eps) with slope proportional to c_mis.  A model whose
     block is not such a bubble (the QED builtins) is refused by
-    model_self_energy; an unknown f_profile and a family with a spatial
-    center are refused before the kit is built.
+    model_self_energy; an unknown f_profile and a family that is not 4-D
+    or has a spatial center are refused before the kit is built.
     """
     family = family or gaussian_family(4)
     if len(family.epsilons) < 6:
@@ -661,8 +670,6 @@ def gl_vs_eg_second_order(
     model,
     family: ScaledTestFamily | None = None,
     c_mis: float = 0.0,
-    n_kappa: int = 20,
-    n_q: int = 14,
 ) -> DecayReport:
     """Decay of the second-order difference between the ratio (Gell-Mann-Low
     style) and direct definitions of the smeared two-point function.
@@ -694,16 +701,16 @@ def gl_vs_eg_second_order(
             "runs but is expected to fail"
         )
 
-    tk, wk = _laguerre(n_kappa, 0.0)
+    tk, wk = _laguerre(_N_KAPPA, 0.0)
     kappa = np.sqrt(tk)  # f-weight exp(-kappa^2), measure kappa dkappa
 
     def grids(eps):
         # one Gaussian per component of the family, centered at eps * c0 in
-        # time; q^2 (n_q^3) and q0 - q_par (n_q^2, broadcast along q_perp) do
-        # not depend on kappa
+        # time; q^2 (_N_Q^3) and q0 - q_par (_N_Q^2, broadcast along q_perp)
+        # do not depend on kappa
         s = eps * family.sigma
-        qp, wp = _gauss_axis(s, n_q)
-        qt, wt = _gauss_radius(s, n_q, 0.0)
+        qp, wp = _gauss_axis(s, _N_Q)
+        qt, wt = _gauss_radius(s, _N_Q, 0.0)
         comps = []
         for t, wc in centers:
             q0 = (eps * t + qp)[:, None, None]

@@ -64,18 +64,10 @@ class ModelSpec(NamedTuple):
         }
 
 
-class _VerdictFields(NamedTuple):
+class ModelVerdict(NamedTuple):
     renormalizability: str  # renormalizable | super-renormalizable | nonrenormalizable
     wal_eligible: bool
-    reasons: list[str]
-
-
-class ModelVerdict(_VerdictFields):
-    __slots__ = ()
-
-    def __new__(cls, renormalizability: str, wal_eligible: bool, reasons: list[str] | None = None):
-        # each verdict built without reasons gets its own empty list
-        return tuple.__new__(cls, (renormalizability, wal_eligible, [] if reasons is None else reasons))
+    reasons: tuple[str, ...] = ()
 
 
 # --------------------------------------------------------------------------- builtins
@@ -130,6 +122,7 @@ def builtin(name: str, c_const: int | None = None) -> ModelSpec:
 # --------------------------------------------------------------------------- validation
 
 
+@functools.lru_cache(maxsize=64)
 def validate(m: ModelSpec) -> ModelVerdict:
     """Check the vertex conditions and weak-adiabatic-limit eligibility.
 
@@ -137,14 +130,8 @@ def validate(m: ModelSpec) -> ModelVerdict:
     conditions are reported in the verdict.  The Lorentz-scalar property of
     vertices cannot be checked without representation data and is reported
     as unchecked.  The verdict depends on the frozen spec alone, so it is
-    computed once per spec; each call returns its own copy.
+    computed once per spec, and equal specs share one verdict.
     """
-    verdict = _verdict(m)
-    return verdict._replace(reasons=list(verdict.reasons))
-
-
-@functools.lru_cache(maxsize=64)
-def _verdict(m: ModelSpec) -> ModelVerdict:
     from . import power_counting
 
     reasons: list[str] = []
@@ -209,7 +196,7 @@ def _verdict(m: ModelSpec) -> ModelVerdict:
                 f"(need dim 4 with c = 0, or dim 3 with c = 1 and a massive factor in "
                 f"every monomial)"
             )
-    return ModelVerdict(renormalizability=renorm, wal_eligible=wal, reasons=reasons)
+    return ModelVerdict(renormalizability=renorm, wal_eligible=wal, reasons=tuple(reasons))
 
 
 # --------------------------------------------------------------------------- text format

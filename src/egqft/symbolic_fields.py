@@ -445,23 +445,19 @@ def canonical_dim(p: Polynomial) -> Fraction:
 
 def _derive_one(p: Polynomial, g: Generator) -> Polynomial:
     """Graded left derivation d/d(g) on canonical words."""
-    par_g = p.table.parity(g.field)
+    parity = p.table.parity
+    odd_g = parity(g.field)
     acc: dict[SuperQuadriIndex, QRat] = {}
     for idx, c in p.terms:
-        m = idx.get(g)
-        if m == 0:
+        entries = idx.entries
+        pos = next((k for k, (h, _) in enumerate(entries) if h == g), None)
+        if pos is None:
             continue
-        # parity of the prefix strictly below g in the canonical word
-        if par_g:
-            pref = sum(
-                mult
-                for h, mult in idx.entries
-                if h.order_key() < g.order_key() and p.table.parity(h.field)
-            )
-            sgn = -1 if pref % 2 else 1
-        else:
-            sgn = 1
-        new = idx.sub(index_of(g))
+        m = entries[pos][1]
+        below, above = entries[:pos], entries[pos + 1 :]
+        # an odd g passes the odd letters below it in the canonical word
+        sgn = -1 if odd_g and sum(mult for h, mult in below if parity(h.field)) % 2 else 1
+        new = SuperQuadriIndex(below + ((g, m - 1),) + above if m > 1 else below + above)
         acc[new] = acc.get(new, QRat(0)) + c * (m * sgn)
     return Polynomial(p.table, acc)
 
@@ -510,8 +506,8 @@ def _candidate_subindices(p: Polynomial):
             s = SuperQuadriIndex.from_pairs(
                 (g, k) for (g, _), k in zip(gens, mults) if k
             )
-            if s.key() not in seen:
-                seen.add(s.key())
+            if s not in seen:
+                seen.add(s)
                 yield s
 
 
@@ -536,18 +532,19 @@ def subpolynomials(p: Polynomial, view: str = "all"):
     """
     # B^(s) = d/d(low) B^(s - low), with low the lowest generator of s:
     # derive applies the lowest generator last, and s - low is a candidate too
-    memo = {(): p}
+    memo = {EMPTY_INDEX: p}
 
     def sub(s: SuperQuadriIndex) -> Polynomial:
-        q = memo.get(s.key())
+        q = memo.get(s)
         if q is None:
             (low, m), rest = s.entries[0], s.entries[1:]
             q = sub(SuperQuadriIndex(((low, m - 1),) + rest if m > 1 else rest))
-            q = memo[s.key()] = q if q.is_zero() else _derive_one(q, low)
+            q = memo[s] = q if q.is_zero() else _derive_one(q, low)
         return q
 
+    # indices order as their key()s do: Generators compare by order_key
     found = [(s, q) for s in _candidate_subindices(p) if not (q := sub(s)).is_zero()]
-    found.sort(key=lambda t: t[0].key())
+    found.sort(key=lambda t: t[0])
     if view == "all":
         return found
     if view not in ("constant", "species"):

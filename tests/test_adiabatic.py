@@ -14,6 +14,9 @@ from egqft.adiabatic_limits import (
     ScaledTestFamily,
     SecondOrderKit,
     SplittingTheta,
+    _N_KAPPA,
+    _N_Q,
+    _REL_TOL,
     _Curve,
     _gauss_axis,
     _gauss_radius,
@@ -22,6 +25,7 @@ from egqft.adiabatic_limits import (
     _radial_nodes,
     appendix_c_demo,
     asymmetric_family,
+    epsilon_schedule,
     fit_limit,
     gaussian_family,
     gl_vs_eg_second_order,
@@ -182,22 +186,22 @@ def lojasiewicz_value(
     evaluate: Callable[[ScaledTestFamily, float], complex],
     family: ScaledTestFamily,
     second_family: ScaledTestFamily | None = None,
-    rel_tol: float = 1e-4,
 ) -> LimitReport:
     """Point value at zero: limit of <t, g_eps> over the schedule.
 
     Converged iff the slope is insignificant and, when a second family is
-    given, both families extrapolate to the same value within tolerance.
-    The reported estimate is the (averaged) extrapolated common value.
+    given, both families extrapolate to the same value within fit_limit's
+    tolerance.  The reported estimate is the (averaged) extrapolated common
+    value.
     """
     vals = [evaluate(family, e) for e in family.epsilons]
-    rep = fit_limit(family.epsilons, vals, rel_tol, family.label)
+    rep = fit_limit(family.epsilons, vals, family=family.label)
     if second_family is None:
         return rep
     vals2 = [evaluate(second_family, e) for e in second_family.epsilons]
-    rep2 = fit_limit(second_family.epsilons, vals2, rel_tol, second_family.label)
+    rep2 = fit_limit(second_family.epsilons, vals2, family=second_family.label)
     scale = max(abs(rep.estimate), abs(rep2.estimate), 1.0)
-    agree = abs(rep.estimate - rep2.estimate) <= max(2 * rel_tol * scale, 1e-10)
+    agree = abs(rep.estimate - rep2.estimate) <= max(2 * _REL_TOL * scale, 1e-10)
     return rep._replace(
         estimate=0.5 * (rep.estimate + rep2.estimate),
         converged=bool(rep.converged and rep2.converged and agree),
@@ -295,7 +299,7 @@ def test_wal_zero_orders_via_derivative_probes():
     se1 = SelfEnergy(bubble_density(1.0, 1.0), n_sub=1)
 
     def curve(se):
-        return _Curve(lambda q2: dispersion_eval(se, q2, "feynman"), 40.0)
+        return _Curve(lambda q2: dispersion_eval(se, q2, "feynman"))
 
     c2, c1 = curve(se2), curve(se1)
 
@@ -364,7 +368,7 @@ def test_gl_check_requires_schedule():
 def test_gl_check_warns_when_not_normalized():
     fam = gaussian_family(4, epsilons=tuple(0.3 * 2 ** (-k / 2) for k in range(6)))
     with pytest.warns(UserWarning, match="not normalized"):
-        rep = gl_vs_eg_second_order(SM, family=fam, c_mis=0.3, n_kappa=8, n_q=8)
+        rep = gl_vs_eg_second_order(SM, family=fam, c_mis=0.3)
     assert rep.exponent < 0.5
 
 
@@ -372,7 +376,7 @@ def test_gl_check_reads_the_family_components():
     eps = tuple(0.3 * 2 ** (-k / 2) for k in range(6))
 
     def samples(family):
-        return gl_vs_eg_second_order(SM, family=family, n_kappa=8, n_q=8).samples
+        return gl_vs_eg_second_order(SM, family=family).samples
 
     # the asymmetric family is not its centered sigma = 0.7 core
     centered = samples(gaussian_family(4, sigma=0.7, epsilons=eps))
@@ -406,10 +410,17 @@ def no_kit_build(monkeypatch):
                                   lambda fam: gl_vs_eg_second_order(SM, family=fam)],
                          ids=["appendix_c_demo", "gl_vs_eg_second_order"])
 def test_demonstrations_refuse_spatial_centers_before_the_kit(demo, no_kit_build):
-    """One message from both demonstrations, before any kit is built."""
-    fam = ScaledTestFamily(4, 0.7, ((0.0, 0.0, 0.0, 0.0), (0.2, 0.0, 1.0, 0.0)), (0.5, 0.5))
-    with pytest.raises(AdiabaticError, match="the demonstrations need time-directed centers"):
-        demo(fam)
+    """One message from both demonstrations, before any kit is built, for a
+    spatial center and for a family that is not 4-D (whose time axis and
+    radius the reduction would read as those of a 4-D one)."""
+    for fam, message in (
+        (ScaledTestFamily(4, 0.7, ((0.0, 0.0, 0.0, 0.0), (0.2, 0.0, 1.0, 0.0)), (0.5, 0.5)),
+         "the demonstrations need time-directed centers"),
+        *((gaussian_family(d), f"the demonstrations need a 4-dimensional family, got dim {d}")
+          for d in (1, 2, 7)),
+    ):
+        with pytest.raises(AdiabaticError, match=message):
+            demo(fam)
 
 
 def test_appendix_demo_refuses_an_unknown_f_profile_at_entry(no_kit_build):
@@ -478,13 +489,13 @@ def _demo_reference(family, c_mis, f_profile, time_sign):
     return out
 
 
-def _gl_reference(family, c_mis, n_kappa=20, n_q=14):
+def _gl_reference(family, c_mis):
     """|Delta(eps)| of gl_vs_eg_second_order with the grids rebuilt for every
     kappa and time sign."""
     kit = _kit(model_self_energy(SM))
-    tk, wk = _laguerre(n_kappa, 0.0)
-    h, wh = np.polynomial.hermite.hermgauss(n_q)
-    tl, wl = _laguerre(n_q, 0.0)
+    tk, wk = _laguerre(_N_KAPPA, 0.0)
+    h, wh = np.polynomial.hermite.hermgauss(_N_Q)
+    tl, wl = _laguerre(_N_Q, 0.0)
     W = np.einsum("i,j,k->ijk", wh / math.sqrt(math.pi), wh / math.sqrt(math.pi), wl)
 
     def phi(eps, kap, sgn):
@@ -569,6 +580,17 @@ def test_demonstration_reports_are_pinned_bit_for_bit(key):
         else:
             rep = gl_vs_eg_second_order(SM, family=family, c_mis=c_mis)
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == _SWEEP_DIGESTS[key]
+
+
+@pytest.mark.parametrize("schedule", [epsilon_schedule, lambda n: tuple(0.3 * 0.6**k for k in range(n))],
+                         ids=["sqrt2", "ratio-0.6"])
+def test_fit_limit_of_all_zero_samples_is_pinned(schedule):
+    """Exactly zero samples (the difference at c_mis = 0) report the limit
+    0j, converged, with a zero slope and sigma, signs of zero included."""
+    for n in range(3, 41):
+        eps = schedule(n)
+        want = LimitReport(0j, True, 0j, 0.0, tuple((e, 0j) for e in eps), "z")
+        assert repr(fit_limit(eps, [0j] * n, family="z")) == repr(want)
 
 
 def test_onshell_pair_splits_the_cone_by_time_sign():

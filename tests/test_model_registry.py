@@ -149,17 +149,13 @@ def test_validate_builtin_matrix():
         assert any("not checked" in r for r in verdict.reasons)
 
 
-def test_validate_memoized_per_spec_returns_own_copy():
-    from egqft.model_registry import _verdict
-
+def test_validate_returns_one_shared_verdict_per_spec():
     m = builtin("scalar_model")
     first = validate(m)
-    first.reasons.append("edited by the caller")
-    hits = _verdict.cache_info().hits
+    hits = validate.cache_info().hits
     again = validate(builtin("scalar_model"))  # an equal spec hits the same entry
-    assert _verdict.cache_info().hits == hits + 1
-    assert again == validate(m) and "edited by the caller" not in again.reasons
-    assert again.reasons is not validate(m).reasons
+    assert validate.cache_info().hits == hits + 1
+    assert again is first and type(again.reasons) is tuple
 
 
 def test_scalar_model_c0_super_renormalizable():
@@ -196,9 +192,8 @@ def test_nonconserving_vertex_is_not_eligible(fields, vertex, defects):
     m = parse_model_spec(f"[fields]\n{fields}\n[vertices]\ng = 1 * {vertex}\n[options]\nc = 0\n")
     verdict = validate(m)
     assert not verdict.wal_eligible
-    assert verdict.reasons == [f"vertex 'g' {d}" for d in defects] + [
-        "Lorentz-scalar property of vertices: not checked"
-    ]
+    assert verdict.reasons == (*(f"vertex 'g' {d}" for d in defects),
+                               "Lorentz-scalar property of vertices: not checked")
 
 
 SCALAR_TEXT = """\

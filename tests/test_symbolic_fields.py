@@ -399,3 +399,51 @@ def test_property_canonicalize_sign_is_permutation_sign_of_stable_sort(word):
     parities = [TOY.parity(g.field) for g in word]
     assert res[0] == permutation_sign(parities, order)
     assert res[1] == SuperQuadriIndex.from_pairs((g, 1) for g in word)
+
+
+# scalar, ghost and Dirac letters: b, c even; eta, eta~ and psi_a, psi*_a odd
+MIXED = parse_model_spec(
+    "[fields]\nb scalar 0.0 0 0\neta ghost 1.0 0 1\npsi dirac 1.0 -1 1\n"
+    "[vertices]\n[options]\nc = 0\n"
+).fields
+mixed_generators = st.builds(
+    Generator,
+    st.integers(0, len(MIXED) - 1),
+    st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 2)]),
+)
+# multiplicities up to 3 for every letter, odd ones included: the rule acts
+# on the index alone
+mixed_indices = st.lists(st.tuples(mixed_generators, st.integers(1, 3)), max_size=5).map(
+    SuperQuadriIndex.from_pairs)
+
+
+def _derive_one_by_lookup(p, g):
+    """The graded derivation as a lookup: the multiplicity by idx.get, the
+    prefix parity by comparing order keys, the result by idx.sub."""
+    par_g = p.table.parity(g.field)
+    acc = {}
+    for idx, c in p.terms:
+        m = idx.get(g)
+        if m == 0:
+            continue
+        sgn = 1
+        if par_g:
+            pref = sum(mult for h, mult in idx.entries
+                       if h.order_key() < g.order_key() and p.table.parity(h.field))
+            sgn = -1 if pref % 2 else 1
+        new = idx.sub(index_of(g))
+        acc[new] = acc.get(new, QRat(0)) + c * (m * sgn)
+    return Polynomial(p.table, acc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(mixed_indices, nonzero_coefficients), min_size=1, max_size=4),
+       mixed_generators, st.integers(0, 4))
+def test_property_derive_one_equals_the_lookup_rule(terms, g, pick):
+    """Coefficient for coefficient, on indices that hold g (a letter drawn
+    from one of them) and on indices that may not."""
+    p = Polynomial(MIXED, dict(terms))
+    letters = [h for idx, _ in terms for h, _ in idx.entries]
+    if letters and pick:
+        g = letters[pick % len(letters)]
+    assert _derive_one(p, g).terms == _derive_one_by_lookup(p, g).terms
